@@ -4,6 +4,8 @@
 Solves the perturbed quartic with roots (2, 1, -1, -2) and a single decaying
 perturbation r0 = eps * exp(-t), sweeping eps across the smallness boundary,
 and prints the certified constants next to the observed solver behavior.
+The envelope column is max (|z| + |z'| + |z''|) / (Phi * E_1) for the
+delivered z, with E_1 built from the direct kernel that produced it.
 
 Usage:
     python scripts/run_epsilon_study.py [--eps 0.001 0.01 0.1 1.0]
@@ -40,12 +42,12 @@ def study(eps_values):
         row = f"{eps:8.4g} {rho1:10.3e} {rho1 * a1 * vs1:10.3e} "
         row += f"{phi:9.4f} " if phi else f"{'--':>9} "
         try:
-            z, trace = iterate_to_fixed_point(sys1, nodes, orientation="direct")
+            z, trace = iterate_to_fixed_point(sys1, nodes)
             residual = float(np.max(np.abs(residual_profile(sys1, z))))
             row += f"{trace.n_iter:5d} {residual:10.2e} "
             if phi:
-                z_adj, _ = iterate_to_fixed_point(sys1, nodes, orientation="adjoint")
-                _, ratio, _ = envelope_check(sys1, z_adj, -1.0, phi)
+                _, ratio, _ = envelope_check(sys1, z, -1.0, phi,
+                                             orientation=trace.orientation)
                 row += f"{ratio:10.3e}"
             else:
                 row += f"{'--':>10}"

@@ -31,7 +31,7 @@ from .picard import (
 )
 from .problem import ProblemSpec, biharmonic_preset, load_problem_spec
 from .report import run_report
-from .riccati import RiccatiSystem, build_system, eval_F, riccati_residual
+from .riccati import RiccatiSystem, build_system, eval_F
 from .spectra import (
     CharacteristicData,
     characteristic_data,

@@ -32,7 +32,6 @@ def _add_run_arguments(sub):
     sub.add_argument("--fp-tol", type=float, default=None)
     sub.add_argument("--quad-tol", type=float, default=None)
     sub.add_argument("--root-tol", type=float, default=None)
-    sub.add_argument("--jobs", type=int, default=4)
 
 
 def build_parser():
@@ -92,7 +91,7 @@ def main(argv=None) -> int:
             raise ConfigError("--roots must list indices from 1..4")
 
         report, code = run_report(spec, roots=roots, out_dir=args.out,
-                                  mode=args.command, jobs=args.jobs)
+                                  mode=args.command)
         summary = {
             "overall_pass": report["overall_pass"],
             "roots": {

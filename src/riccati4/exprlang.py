@@ -207,6 +207,11 @@ def parse(text: str) -> FunctionExpr:
     return FunctionExpr(ast=_Parser(text).parse(), source=text)
 
 
+def as_expr(value) -> FunctionExpr:
+    """value itself when it is already a FunctionExpr, else parse(str(value))."""
+    return value if isinstance(value, FunctionExpr) else parse(str(value))
+
+
 def _check_finite(value):
     arr = np.asarray(value)
     if not np.all(np.isfinite(arr)):
@@ -260,11 +265,6 @@ def _eval_node(node, t):
                 raise DomainError("fractional power of a negative base")
             return _check_finite(out)
     raise TypeError(f"unknown AST node {node!r}")
-
-
-def evaluate(expr: FunctionExpr, t):
-    """Evaluate expr at scalar or ndarray t."""
-    return expr(t)
 
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}

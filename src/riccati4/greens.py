@@ -14,15 +14,15 @@ provided:
 ``adjoint``
     The transposed-kernel family written with exponents exp(-gamma_j (t-s)).
     It carries the same per-branch exponential bounds and the same constants,
-    and it is the kernel against which the contraction/envelope certificates
-    are naturally expressed, but as an operator it inverts the reflected
-    cubic (roots -gamma_j).  Within this family two branch signs are fixed so
-    that g and dg/dt are continuous across t = s, which the bound and jump
-    certificates require.
+    in which the paper's envelope and first-iterate ratio are printed, but as
+    an operator it inverts the reflected cubic (roots -gamma_j).  Within this
+    family two branch signs are fixed so that g and dg/dt are continuous
+    across t = s, which the bound and jump certificates require.
 
-``picard.resolve_orientation`` runs the residual ground-truth test and adopts
-``direct`` for solving; the adjoint family remains available for the
-envelope diagnostics and for evaluating the printed closed forms.
+The pipeline solves and certifies with ``direct`` only.
+``picard.resolve_orientation`` is the residual ground-truth test behind that
+choice, kept as a library entry point; the adjoint family remains available
+for evaluating the printed closed forms.
 """
 
 from __future__ import annotations
@@ -202,10 +202,6 @@ class GreenKernel:
             coef, alpha = bounds["tail"]
             out = np.where(dt < 0.0, coef / scale * np.exp(-alpha * np.minimum(dt, 0.0)), out)
         return out if np.ndim(out) else float(out)
-
-    def slowest_rate(self):
-        """Smallest |gamma|; sets the decay window of every branch."""
-        return min(abs(x) for x in self.gamma)
 
 
 def kernel_for_root(cd, i, gap_tol=GAP_TOL) -> GreenKernel:

@@ -76,10 +76,7 @@ def rho_bound(cd: CharacteristicData, i: int, r, t0, t_span=None,
     40 / min_gap decay lengths; the tail of the sampled curve must be
     non-increasing or TailNotConvergent is raised.
     """
-    exprs = [
-        rj if isinstance(rj, exprlang.FunctionExpr) else exprlang.parse(str(rj))
-        for rj in r
-    ]
+    exprs = [exprlang.as_expr(rj) for rj in r]
     if t_span is None:
         t_span = 40.0 / cd.min_gap
     offsets = np.concatenate([[0.0], np.geomspace(1e-3, t_span, n_samples - 1)])
@@ -192,10 +189,7 @@ def check_h2(cd: CharacteristicData, i: int, r, sample_ts=None, t0=0.0,
     """Evaluate the kernel functional of each perturbation at increasing
     times; PASS when the curve decays below h2_tol by the last sample.
     The fitted exponential rate of the tail is reported."""
-    exprs = [
-        rj if isinstance(rj, exprlang.FunctionExpr) else exprlang.parse(str(rj))
-        for rj in r
-    ]
+    exprs = [exprlang.as_expr(rj) for rj in r]
     kernel = kernel_for_root(cd, i)
     if sample_ts is None:
         span = 40.0 / cd.min_gap

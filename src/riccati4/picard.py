@@ -7,11 +7,11 @@ is a short sum of exponentials, each output channel is assembled from
 prefix/suffix recurrences whose factors stay bounded by exp(rate * panel
 width); no large exponent is ever formed.
 
-Orientation: ``resolve_orientation`` builds T for a zero-nonlinearity probe
-under both kernel orientations and measures the residual of the third-order
-operator against the forcing.  The orientation that inverts the operator
-(residual at quadrature level) is adopted; the other one is retained for the
-envelope certificates, which are statements about its iterates.
+Orientation: the solver uses the ``direct`` (dichotomy-split) kernel, the
+one that inverts the shifted cubic.  ``resolve_orientation`` is the residual
+ground-truth test that confirms this choice; it is a library entry point and
+is not run by the pipeline.  The ``adjoint`` family stays available for the
+envelope and first-iterate ratio as printed in the paper.
 """
 
 from __future__ import annotations
@@ -178,7 +178,7 @@ class IterationTrace:
 
 
 def iterate_to_fixed_point(sys: RiccatiSystem, nodes, fp_tol=FP_TOL,
-                           max_iter=MAX_ITER, eta=0.25, orientation=None,
+                           max_iter=MAX_ITER, eta=0.25, orientation="direct",
                            quad_tol=QUAD_TOL, snapshot=None):
     """Plain Picard iteration from omega_0 = 0.
 
@@ -187,8 +187,6 @@ def iterate_to_fixed_point(sys: RiccatiSystem, nodes, fp_tol=FP_TOL,
     at the cap.  snapshot, when given, is called with (iteration, GridFunction)
     after every step.
     """
-    if orientation is None:
-        orientation = resolve_orientation(sys, t0=float(np.asarray(nodes)[0]))["selected"]
     op = IntegralOperator(sys, nodes, orientation, quad_tol)
     trace = IterationTrace(orientation=orientation)
 
@@ -252,48 +250,50 @@ def beta_interval(sys: RiccatiSystem):
 
 
 def envelope_integral(sys: RiccatiSystem, nodes, beta, quad_tol=QUAD_TOL,
-                      variant="displayed"):
-    """E_i(t) on the nodes: the case-specific integral of
-    exp(-beta (t-s)) |p(lam_i, s)|.
+                      orientation="adjoint"):
+    """E_i(t) on the nodes: exponential transforms of |p(lam_i, s)| shaped
+    like the kernel of the given orientation.
 
-    i = 1 integrates the tail, i = 4 the head.  For i = 2, 3 the displayed
-    variant integrates over the whole half line (which makes E grow like
-    exp(|beta| t): a valid but weak envelope); the split variant uses the
-    neighbouring gap on the head side instead.
+    Each side of the diagonal that carries kernel modes contributes one
+    transform (head: integral over [t0, t], tail: over [t, inf)) at the rate
+    of its slowest mode, so every mode is dominated on its side.  beta sets
+    the rate of the side it governs instead: rate beta for the direct kernel,
+    the mirrored rate -beta for the adjoint one.  With the adjoint modes this
+    is the printed envelope for i = 1, 4 and the gap-split envelope for
+    i = 2, 3; with the direct modes it bounds the delivered fixed point.
     """
+    modes = sys.kernel.modes(orientation)
+    rate_beta = beta if orientation == "direct" else -beta
     panels = make_panels(nodes)
-    p_abs = lambda s: np.abs(sys.omega(s))
     p_gl = np.abs(np.asarray(sys.omega(panels.gl_x), dtype=float))
+    envelope = np.zeros(panels.nodes.size)
     if not np.any(p_gl):
-        return np.zeros(panels.nodes.size)
-    t0 = float(panels.nodes[0])
-    t_max = float(panels.nodes[-1])
-    first_width = float(panels.widths[-1])
+        return envelope
+
+    def head_part(rate):
+        return head_transform(panels, p_gl, rate)
 
     def tail_part(rate):
-        seed = exponential_tail_seed(p_abs, t_max, rate, quad_tol,
-                                     first_width=first_width)
+        seed = exponential_tail_seed(
+            lambda s: np.abs(sys.omega(s)), float(panels.nodes[-1]), rate,
+            quad_tol, first_width=float(panels.widths[-1]),
+        )
         return tail_transform(panels, p_gl, rate, seed)
 
-    if sys.i == 1:
-        return tail_part(-beta)
-    if sys.i == 4:
-        return head_transform(panels, p_gl, -beta)
-    if variant == "split":
-        head_gap = sys.kernel.gamma[0] if sys.i == 2 else sys.kernel.gamma[1]
-        return head_transform(panels, p_gl, -head_gap) + tail_part(-beta)
-    # displayed: integral over [t0, inf) factorizes as C * exp(-beta (t - t0))
-    weights = np.exp(beta * (panels.gl_x - t0))
-    constant = float(np.sum(panels.gl_w * weights * p_gl))
-    constant += math.exp(beta * (t_max - t0)) * exponential_tail_seed(
-        p_abs, t_max, -beta, quad_tol, first_width=first_width
-    )
-    return constant * np.exp(-beta * (panels.nodes - t0))
+    for side, slowest, governed, transform in (
+        (modes.head, max, rate_beta < 0, head_part),
+        (modes.tail, min, rate_beta > 0, tail_part),
+    ):
+        if side:
+            rate = rate_beta if governed else slowest(m.rate for m in side)
+            envelope += transform(rate)
+    return envelope
 
 
 def envelope_check(sys: RiccatiSystem, z: GridFunction, beta, phi,
-                   quad_tol=QUAD_TOL, variant="displayed"):
-    """Verify sum_j |z^(j)(t)| <= phi * E_i(t) on the grid.
+                   quad_tol=QUAD_TOL, orientation="adjoint"):
+    """Verify sum_j |z^(j)(t)| <= phi * E_i(t) on the grid, with E_i the
+    envelope of the given kernel orientation.
 
     Returns (verdict, max_ratio, envelope_values)."""
     lo, hi = beta_interval(sys)
@@ -303,7 +303,7 @@ def envelope_check(sys: RiccatiSystem, z: GridFunction, beta, phi,
     else:
         if not (lo <= beta < hi):
             raise ValueError(f"beta={beta} outside [{lo}, {hi}) for i={sys.i}")
-    envelope = envelope_integral(sys, z.nodes, beta, quad_tol, variant)
+    envelope = envelope_integral(sys, z.nodes, beta, quad_tol, orientation)
     numerator = np.abs(z.value) + np.abs(z.d1) + np.abs(z.d2)
     den = phi * envelope
     tiny = 1e-300
@@ -315,10 +315,11 @@ def envelope_check(sys: RiccatiSystem, z: GridFunction, beta, phi,
 
 def first_iterate_ratio(sys: RiccatiSystem, nodes, a_const, beta,
                         orientation="adjoint", quad_tol=QUAD_TOL):
-    """sup_t |T0(t)| / (A * E_i(t)): the first-step envelope sharpness."""
+    """sup_t |T0(t)| / (A * E_i(t)): the first-step envelope sharpness, with
+    T and E_i of the same orientation."""
     op = IntegralOperator(sys, nodes, orientation, quad_tol)
     t0_iterate = op.apply(None)
-    envelope = envelope_integral(sys, nodes, beta, quad_tol)
+    envelope = envelope_integral(sys, nodes, beta, quad_tol, orientation)
     mask = a_const * envelope > 1e-300
     if not np.any(mask):
         return 0.0

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 from . import exprlang
 from .errors import ExpressionError, ParseError, ValidationError
+from .spectra import vieta_coefficients
 
 
 @dataclass(frozen=True)
@@ -176,13 +177,8 @@ def biharmonic_preset(n: int, p: float, **overrides) -> ProblemSpec:
         raise ValidationError(
             f"biharmonic preset needs p > (n+4)/(n-4) = {(n + 4.0) / (n - 4.0):g}"
         )
-    lam = biharmonic_roots(n, p)
-    e1 = sum(lam)
-    e2 = sum(lam[i] * lam[j] for i in range(4) for j in range(i + 1, 4))
-    e3 = sum(lam[i] * lam[j] * lam[k]
-             for i in range(4) for j in range(i + 1, 4) for k in range(j + 1, 4))
-    e4 = lam[0] * lam[1] * lam[2] * lam[3]
-    spec = ProblemSpec(a3=-e1, a2=e2, a1=-e3, a0=e4, **overrides)
+    a3, a2, a1, a0 = vieta_coefficients(biharmonic_roots(n, p))
+    spec = ProblemSpec(a3=a3, a2=a2, a1=a1, a0=a0, **overrides)
 
     k0, _, k2, k3 = biharmonic_k_constants(n, p)
     for name, printed, derived in (("K0", k0, spec.a0), ("K2", k2, spec.a2),

@@ -68,19 +68,13 @@ class RiccatiSystem:
         r2v, r3v = r2(t), r3(t)
         return (-3.0 * r3v, -(3.0 * lam * r3v + r2v), -r3v)
 
-    def perturbations_vanish(self):
-        return all(exprlang.is_zero(rj) for rj in self.r)
-
 
 def build_system(cd: CharacteristicData, r, i: int) -> RiccatiSystem:
     """Assemble the Riccati system for root index i (1-based).
 
     r is a sequence of four FunctionExpr (or parseable strings) r0..r3.
     """
-    exprs = tuple(
-        rj if isinstance(rj, exprlang.FunctionExpr) else exprlang.parse(str(rj))
-        for rj in r
-    )
+    exprs = tuple(exprlang.as_expr(rj) for rj in r)
     if len(exprs) != 4:
         raise ValueError("need perturbations r0..r3")
     lam = cd.lam_for(i)
@@ -145,15 +139,6 @@ def residual_profile(sys: RiccatiSystem, z: GridFunction):
     lhs = z3 + b2 * z.d2 + b1 * z.d1 + b0 * z.value
     rhs = sys.omega(t) + eval_F(sys, t, z.value, z.d1, z.d2)
     return lhs - rhs
-
-
-def riccati_residual(sys: RiccatiSystem, z: GridFunction, t=None):
-    """Residual at time t (nearest-node evaluation) or the full profile."""
-    profile = residual_profile(sys, z)
-    if t is None:
-        return profile
-    idx = int(np.argmin(np.abs(z.nodes - t)))
-    return float(profile[idx])
 
 
 def log_derivative_ratios(lam, z0, z1, z2, z3):

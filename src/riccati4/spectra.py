@@ -105,6 +105,21 @@ class CharacteristicData:
         return self.lam[i - 1]
 
 
+def vieta_coefficients(lam):
+    """(a3, a2, a1, a0) of the monic quartic with roots lam (in the given
+    order; the elementary symmetric sums run in index order)."""
+    e1 = sum(lam)
+    e2 = sum(lam[i] * lam[j] for i in range(4) for j in range(i + 1, 4))
+    e3 = sum(
+        lam[i] * lam[j] * lam[k]
+        for i in range(4)
+        for j in range(i + 1, 4)
+        for k in range(j + 1, 4)
+    )
+    e4 = lam[0] * lam[1] * lam[2] * lam[3]
+    return (-e1, e2, -e3, e4)
+
+
 def order_and_check_h1(roots, a=None, gap_tol=GAP_TOL):
     """Sort roots strictly decreasing and package them as CharacteristicData.
 
@@ -121,16 +136,7 @@ def order_and_check_h1(roots, a=None, gap_tol=GAP_TOL):
                 f"roots {lam[k]!r} and {lam[k + 1]!r} closer than gap_tol"
             )
     if a is None:
-        e1 = sum(lam)
-        e2 = sum(lam[i] * lam[j] for i in range(4) for j in range(i + 1, 4))
-        e3 = sum(
-            lam[i] * lam[j] * lam[k]
-            for i in range(4)
-            for j in range(i + 1, 4)
-            for k in range(j + 1, 4)
-        )
-        e4 = lam[0] * lam[1] * lam[2] * lam[3]
-        a = (-e1, e2, -e3, e4)
+        a = vieta_coefficients(lam)
     return CharacteristicData(a=tuple(float(c) for c in a), lam=lam)
 
 

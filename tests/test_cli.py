@@ -34,7 +34,7 @@ def test_report_subcommand(eps_config, tmp_path, capsys):
 
     report = json.loads((out / "report.json").read_text())
     root1 = report["roots"]["1"]
-    assert root1["orientation"]["selected"] == "direct"
+    assert root1["solve"]["orientation"] == "direct"
     assert root1["constants"]["smallness_ok"] is True
     assert report["wronskian"]["rel_error"] <= 0.01
 

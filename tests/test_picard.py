@@ -3,9 +3,11 @@ import pytest
 
 from riccati4.errors import Diverged, MaxIterExceeded, NoLimit
 from riccati4.grid import GridFunction
+from riccati4.hypotheses import envelope_report
 from riccati4.picard import (
     IntegralOperator,
     apply_T,
+    beta_interval,
     default_grid,
     envelope_check,
     envelope_integral,
@@ -181,6 +183,23 @@ def test_envelope_beta_validation(eps_systems, nodes_1024):
 def test_first_iterate_ratio_value(eps_systems, nodes_1024):
     ratio = first_iterate_ratio(eps_systems[1], nodes_1024, 14.0, -1.0)
     assert ratio == pytest.approx(1.0 / 280.0, rel=1e-9)
+
+
+def test_direct_envelope_certifies_delivered_fixed_point(cd_test, r_eps, eps_systems,
+                                                        eps_solutions, nodes_1024):
+    """The direct-kernel envelope bounds the z the solver delivers, with the
+    same Phi, and the direct first iterate stays below A times it."""
+    for i in (1, 2, 3, 4):
+        sys = eps_systems[i]
+        z, _ = eps_solutions[i]
+        env = envelope_report(cd_test, i, r_eps, 0.25)
+        lo, hi = beta_interval(sys)
+        beta = hi if i == 4 else lo
+        ok, ratio, _ = envelope_check(sys, z, beta, env.Phi, orientation="direct")
+        assert ok and 0.0 < ratio <= 1.0
+        first = first_iterate_ratio(sys, nodes_1024, env.A, beta,
+                                    orientation="direct")
+        assert 0.0 < first <= 1.0
 
 
 def test_orientation_fixed_points_differ_by_first_iterates(eps_systems, nodes_1024):

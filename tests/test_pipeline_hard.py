@@ -34,8 +34,9 @@ def test_hard_problem_residuals_and_limits(hard_report):
     report, _ = hard_report
     for i in ("1", "2", "3", "4"):
         root = report["roots"][i]
-        assert root["orientation"]["selected"] == "direct"
+        assert root["solve"]["orientation"] == "direct"
         assert root["solve"]["riccati_residual_max"] <= 1e-6
+        assert root["certificates"]["envelope_ok"] is True
         assert root["synthesis"]["ratio_verdict"] == "PASS"
         assert root["oracle"]["logderiv_error"] <= 1e-3
     assert report["wronskian"]["rel_error"] <= 0.01
