@@ -15,6 +15,7 @@ non-positive argument raise DomainError instead of returning inf/nan.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,13 +60,23 @@ class Call:
 
 @dataclass(frozen=True)
 class FunctionExpr:
-    """Parsed scalar function of t; immutable and thread-safe."""
+    """Parsed scalar function of t, compiled once into a closure; immutable
+    and thread-safe."""
 
     ast: object
     source: str
 
+    def __post_init__(self):
+        object.__setattr__(self, "_fn", _compile(self.ast))
+
     def __call__(self, t):
-        return _eval_node(self.ast, t)
+        if np.ndim(t) == 0:
+            t, shape = float(t), None
+        else:
+            t = np.asarray(t, dtype=float)
+            shape = t.shape
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._fn(t, shape)
 
     def __str__(self):
         return to_string(self.ast)
@@ -212,58 +223,60 @@ def as_expr(value) -> FunctionExpr:
     return value if isinstance(value, FunctionExpr) else parse(str(value))
 
 
-def _check_finite(value):
-    arr = np.asarray(value)
-    if not np.all(np.isfinite(arr)):
+def _finite(value):
+    """value, or EvalOverflow when any entry is inf or nan."""
+    ok = math.isfinite(value) if isinstance(value, float) else np.isfinite(value).all()
+    if not ok:
         raise EvalOverflow("evaluation produced a non-finite value")
     return value
 
 
-def _eval_node(node, t):
+def _log(arg):
+    if np.any(arg <= 0.0):
+        raise DomainError("log of non-positive argument")
+    return np.log(arg)
+
+
+def _div(left, right):
+    if np.any(right == 0.0):
+        raise DomainError("division by zero")
+    return _finite(left / right)
+
+
+def _pow(left, right):
+    out = np.power(left, right)
+    if np.any(np.isnan(out)):
+        raise DomainError("fractional power of a negative base")
+    return _finite(out)
+
+
+_CALLS = {"exp": lambda x: _finite(np.exp(x)), "log": _log, "sin": np.sin,
+          "cos": np.cos, "abs": np.abs}
+_BINARY = {"+": lambda a, b: _finite(a + b), "-": lambda a, b: _finite(a - b),
+           "*": lambda a, b: _finite(a * b), "/": _div, "^": _pow}
+
+
+def _compile(node):
+    """The AST as a closure f(t, shape): t is a float (shape None) or a float
+    array of that shape.  Each operation checks its own domain and result,
+    so an intermediate overflow is reported even when the final value is
+    finite."""
     if isinstance(node, Num):
-        if np.ndim(t) == 0:
-            return node.value
-        return np.full(np.shape(t), node.value, dtype=float)
+        value = node.value
+        return lambda t, shape: value if shape is None else np.full(shape, value, dtype=float)
     if isinstance(node, Var):
-        return np.asarray(t, dtype=float) if np.ndim(t) else float(t)
+        return lambda t, shape: t
     if isinstance(node, Neg):
-        return -_eval_node(node.arg, t)
+        arg = _compile(node.arg)
+        return lambda t, shape: -arg(t, shape)
     if isinstance(node, Call):
-        arg = _eval_node(node.arg, t)
-        if node.func == "exp":
-            with np.errstate(over="ignore"):
-                return _check_finite(np.exp(arg))
-        if node.func == "log":
-            if np.any(np.asarray(arg) <= 0.0):
-                raise DomainError("log of non-positive argument")
-            return np.log(arg)
-        if node.func == "sin":
-            return np.sin(arg)
-        if node.func == "cos":
-            return np.cos(arg)
-        if node.func == "abs":
-            return np.abs(arg)
-        raise UnknownIdentifier(node.func)
-    if isinstance(node, Bin):
-        left = _eval_node(node.left, t)
-        right = _eval_node(node.right, t)
-        if node.op == "+":
-            return _check_finite(left + right)
-        if node.op == "-":
-            return _check_finite(left - right)
-        if node.op == "*":
-            return _check_finite(left * right)
-        if node.op == "/":
-            if np.any(np.asarray(right) == 0.0):
-                raise DomainError("division by zero")
-            return _check_finite(left / right)
-        if node.op == "^":
-            with np.errstate(over="ignore", invalid="ignore"):
-                out = np.power(left, right)
-            arr = np.asarray(out)
-            if np.any(np.isnan(arr)):
-                raise DomainError("fractional power of a negative base")
-            return _check_finite(out)
+        if node.func not in _CALLS:
+            raise UnknownIdentifier(node.func)
+        func, arg = _CALLS[node.func], _compile(node.arg)
+        return lambda t, shape: func(arg(t, shape))
+    if isinstance(node, Bin) and node.op in _BINARY:
+        op, left, right = _BINARY[node.op], _compile(node.left), _compile(node.right)
+        return lambda t, shape: op(left(t, shape), right(t, shape))
     raise TypeError(f"unknown AST node {node!r}")
 
 

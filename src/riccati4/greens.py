@@ -215,9 +215,9 @@ def L_functional(kernel: GreenKernel, E, t, t0, quad_tol=1e-12,
 
     E may be a FunctionExpr, any callable accepting ndarray s, or a sampled
     GridFunction (its value channel is interpolated and taken as zero beyond
-    the grid).  The integral is split at the diagonal s = t; the
-    semi-infinite part is truncated once windows stop contributing
-    (TailNotConvergent otherwise).
+    the grid).  The integral is split at the diagonal s = t and each part
+    weighted by the kernel modes of its own side; the semi-infinite part is
+    truncated once windows stop contributing (TailNotConvergent otherwise).
     """
     if hasattr(E, "channels_at"):
         grid_E = E
@@ -230,19 +230,19 @@ def L_functional(kernel: GreenKernel, E, t, t0, quad_tol=1e-12,
 
     modes = kernel.modes(orientation)
 
-    def weight(s):
+    def weight(s, side):
         s = np.asarray(s, dtype=float)
         dt = t - s
         total = np.zeros_like(s)
         for d in (0, 1, 2):
-            total += np.abs(modes.eval(dt, d))
+            total += np.abs(modes.side_eval(dt, d, side))
         return total * np.abs(np.asarray(E(s), dtype=float))
 
     head_part = 0.0
     if modes.head and t > t0:
-        head_part = adaptive_interval(weight, t0, t, quad_tol)
+        head_part = adaptive_interval(lambda s: weight(s, "head"), t0, t, quad_tol)
     tail_part = 0.0
     if modes.tail:
         rate = min(m.rate for m in modes.tail)
-        tail_part = adaptive_semi_infinite(weight, t, rate, quad_tol)
+        tail_part = adaptive_semi_infinite(lambda s: weight(s, "tail"), t, rate, quad_tol)
     return head_part + tail_part

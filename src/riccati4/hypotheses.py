@@ -3,8 +3,10 @@
 The admissibility class for perturbations is measured by four exponential
 transforms (one per root index): a pure tail integral for the top root, a
 pure head integral for the bottom root, and two-sided integrals in between,
-each with the neighbouring spectral gaps as rates.  Their suprema over t
-certify the smallest admissible class bound rho_i.
+each with the neighbouring spectral gaps as rates.  The class bound rho_i
+is the largest value of these transforms over the nodes of a dense panel
+grid, computed by the same head/tail recurrences as the Picard operator.  It
+is a maximum over nodes, not an enclosure of the supremum over t.
 
 The contraction constants are assembled from the Green-kernel branch bounds:
 delta_w_i is the kernel normalization delta_gamma, alpha_{j,i} the branch
@@ -24,10 +26,12 @@ import numpy as np
 from . import exprlang
 from .errors import TailNotConvergent
 from .greens import kernel_for_root, L_functional
-from .quadrature import adaptive_interval, adaptive_semi_infinite
+from .quadrature import (adaptive_interval, adaptive_semi_infinite, exponential_tail_seed,
+                         graded_nodes, head_transform, make_panels, tail_transform)
 from .spectra import CharacteristicData
 
 H2_TOL = 1e-6
+RHO_GRID_NODES = 4096
 
 
 def _gap_rates(cd: CharacteristicData, i: int):
@@ -50,7 +54,9 @@ def _gap_rates(cd: CharacteristicData, i: int):
 
 
 def F_operator_eval(cd: CharacteristicData, i: int, E, t, t0, quad_tol=1e-12):
-    """Class transform of |E| for root i evaluated at time t."""
+    """Class transform of |E| for root i evaluated at time t, by adaptive
+    quadrature: the pointwise reference route for rho_bound's panel
+    transforms."""
     if not callable(E):
         E = exprlang.parse(str(E))
     head_rate, tail_rate = _gap_rates(cd, i)
@@ -71,29 +77,42 @@ def F_operator_eval(cd: CharacteristicData, i: int, E, t, t0, quad_tol=1e-12):
 
 def rho_bound(cd: CharacteristicData, i: int, r, t0, t_span=None,
               n_samples=256, quad_tol=1e-10):
-    """Smallest certified class bound: sup over j and sampled t of the
-    transform of r_j.  The sample grid is log-spaced over a window of
-    40 / min_gap decay lengths; the tail of the sampled curve must be
-    non-increasing or TailNotConvergent is raised.
+    """Class bound of root i: max over j and over the nodes of one dense
+    panel grid of the transform of r_j (a maximum over nodes, not an
+    enclosure of the supremum).
+
+    The grid joins RHO_GRID_NODES graded nodes on a window of 40 / min_gap
+    decay lengths with n_samples log-spaced offsets; the panel head/tail
+    recurrences give F_operator_eval at every node.  The transform at the
+    offsets must be non-increasing at the end of the window or
+    TailNotConvergent is raised.
     """
     exprs = [exprlang.as_expr(rj) for rj in r]
     if t_span is None:
         t_span = 40.0 / cd.min_gap
-    offsets = np.concatenate([[0.0], np.geomspace(1e-3, t_span, n_samples - 1)])
+    samples = t0 + np.concatenate([[0.0], np.geomspace(1e-3, t_span, n_samples - 1)])
+    panels = make_panels(np.union1d(graded_nodes(t0, t0 + t_span, RHO_GRID_NODES), samples))
+    at_samples = np.searchsorted(panels.nodes, samples)
+    head_rate, tail_rate = _gap_rates(cd, i)
     rho = 0.0
     for rj in exprs:
         if exprlang.is_zero(rj):
             continue
-        values = np.array([
-            F_operator_eval(cd, i, rj, t0 + dt, t0, quad_tol=quad_tol)
-            for dt in offsets
-        ])
+        f_gl = np.abs(rj(panels.gl_x))
+        transform = np.zeros(panels.nodes.size)
+        if head_rate is not None:
+            transform += head_transform(panels, f_gl, -head_rate)
+        if tail_rate is not None:
+            seed = exponential_tail_seed(lambda s: np.abs(rj(s)), float(panels.nodes[-1]),
+                                         -tail_rate, quad_tol, first_width=float(panels.widths[-1]))
+            transform += tail_transform(panels, f_gl, -tail_rate, seed)
+        values = transform[at_samples]
         tail = values[-8:]
         if values.max() > 0 and np.any(np.diff(tail) > 1e-12 + 1e-6 * values.max()):
             raise TailNotConvergent(
                 f"transform of {rj.source!r} not settling on the sample window"
             )
-        rho = max(rho, float(values.max()))
+        rho = max(rho, float(transform.max()))
     return rho
 
 

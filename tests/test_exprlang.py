@@ -106,3 +106,35 @@ def test_print_parse_round_trip(ast):
     again = reparsed(ts)
     scale = np.maximum(np.abs(np.asarray(original)), 1.0)
     assert np.all(np.abs(np.asarray(again) - original) <= 1e-15 * scale)
+
+
+def test_intermediate_overflow_reported():
+    # exp(t*t) overflows although 1/inf would be a finite 0
+    with pytest.raises(exprlang.EvalOverflow):
+        exprlang.parse("1/exp(t*t)")(40.0)
+
+
+def test_domain_errors_on_scalars_and_arrays():
+    with pytest.raises(DomainError):
+        exprlang.parse("(-t)^0.5")(2.0)
+    ts = np.array([0.5, 1.0, 2.0])
+    with pytest.raises(DomainError):
+        exprlang.parse("log(t-1)")(ts)
+    with pytest.raises(DomainError):
+        exprlang.parse("1/(t-1)")(ts)
+
+
+def test_result_shapes():
+    grid = np.linspace(0.0, 2.0, 12).reshape(3, 4)
+    for text in ("2", "t", "t*cos(t) + 1", "-exp(-t)"):
+        expr = exprlang.parse(text)
+        scalar = expr(0.5)
+        assert np.ndim(scalar) == 0 and isinstance(scalar, float)
+        assert np.shape(expr(grid)) == grid.shape
+
+
+def test_matches_numpy_formula_bit_for_bit():
+    expr = exprlang.parse("-0.003*exp(-2.0*t)")
+    ts = np.linspace(0.0, 40.0, 1000)
+    assert expr(1.7) == -0.003 * np.exp(-2.0 * 1.7)
+    assert np.array_equal(expr(ts), -0.003 * np.exp(-2.0 * ts))

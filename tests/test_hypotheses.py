@@ -14,6 +14,7 @@ from riccati4.hypotheses import (
     rho_bound,
     smallness_check,
 )
+from riccati4.spectra import characteristic_data
 
 
 def test_class_transform_top_root(cd_test):
@@ -58,6 +59,32 @@ def test_rho_bound_examples(cd_test):
     # i=4 head transform of e^{-t} is t e^{-t}, sup at t=1
     rho4 = rho_bound(cd_test, 4, ["exp(-t)", "0", "0", "0"], 0.0)
     assert rho4 == pytest.approx(math.exp(-1.0), rel=1e-3)
+
+
+def _sampled_rho(cd, i, rj, n_samples=256, quad_tol=1e-10):
+    """Max of the adaptive-quadrature transform over rho_bound's offsets."""
+    t_span = 40.0 / cd.min_gap
+    offsets = np.concatenate([[0.0], np.geomspace(1e-3, t_span, n_samples - 1)])
+    return max(F_operator_eval(cd, i, rj, dt, 0.0, quad_tol=quad_tol)
+               for dt in offsets), quad_tol
+
+
+_HARD_CD = characteristic_data(tuple(np.poly([5.0, 1.0, -2.0, -6.0])[1:]))
+_HARD_R = ("0.002*exp(-1.3*t)", "0.001*exp(-t)", "-0.003*exp(-2*t)", "0.001*exp(-0.7*t)")
+_TEST_R = ("0.001*exp(-t)", "0.001*abs(t-2)*exp(-t)", "0.001*sin(3*t)*exp(-t)")
+
+
+@pytest.mark.parametrize("problem", ["test", "hard"])
+@pytest.mark.parametrize("i", [1, 2, 3, 4])
+def test_rho_bound_matches_adaptive_route(cd_test, problem, i):
+    cd, perturbations = (cd_test, _TEST_R) if problem == "test" else (_HARD_CD, _HARD_R)
+    for rj in perturbations:
+        rho = rho_bound(cd, i, (rj, "0", "0", "0"), 0.0)
+        sampled, quad_tol = _sampled_rho(cd, i, exprlang.parse(rj))
+        # the offsets are grid nodes: never below the sampled maximum beyond
+        # the adaptive route's own tolerance, and only slightly above it
+        assert rho >= sampled - quad_tol
+        assert rho <= 1.001 * sampled
 
 
 def test_contraction_constants_worked(cd_test):
