@@ -93,6 +93,14 @@ class KernelModes:
             out += m.coef * m.rate**d * np.exp(m.rate * dt)
         return out if out.ndim else float(out)
 
+    def slowest(self):
+        """(max head rate, min tail rate): the rate of the slowest-decaying
+        mode on each side, None for a side without modes.  For the direct
+        kernel of root i these are the spectral gaps lam_{i+1} - lam_i and
+        lam_{i-1} - lam_i."""
+        return (max((m.rate for m in self.head), default=None),
+                min((m.rate for m in self.tail), default=None))
+
 
 def _pprime(gamma):
     g1, g2, g3 = gamma
@@ -177,16 +185,12 @@ class GreenKernel:
         one-sided cases).
         """
         m = self.modes(orientation)
-        out = {}
         scale = abs(self.delta_gamma)
-        if m.head:
-            coef = sum(abs(mode.coef) * abs(mode.rate) ** d for mode in m.head) * scale
-            alpha = -max(mode.rate for mode in m.head)
-            out["head"] = (coef, alpha)
-        if m.tail:
-            coef = sum(abs(mode.coef) * abs(mode.rate) ** d for mode in m.tail) * scale
-            alpha = -min(mode.rate for mode in m.tail)
-            out["tail"] = (coef, alpha)
+        out = {}
+        for side, modes, rate in zip(("head", "tail"), (m.head, m.tail), m.slowest()):
+            if modes:
+                coef = sum(abs(mode.coef) * abs(mode.rate) ** d for mode in modes) * scale
+                out[side] = (coef, -rate)
         return out
 
     def bound_value(self, t, s, d, orientation="adjoint"):
@@ -243,6 +247,6 @@ def L_functional(kernel: GreenKernel, E, t, t0, quad_tol=1e-12,
         head_part = adaptive_interval(lambda s: weight(s, "head"), t0, t, quad_tol)
     tail_part = 0.0
     if modes.tail:
-        rate = min(m.rate for m in modes.tail)
-        tail_part = adaptive_semi_infinite(lambda s: weight(s, "tail"), t, rate, quad_tol)
+        tail_part = adaptive_semi_infinite(lambda s: weight(s, "tail"), t, modes.slowest()[1],
+                                           quad_tol)
     return head_part + tail_part

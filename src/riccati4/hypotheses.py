@@ -1,9 +1,12 @@
 """Numerical verification of the decay hypotheses and contraction constants.
 
-The admissibility class for perturbations is measured by four exponential
-transforms (one per root index): a pure tail integral for the top root, a
-pure head integral for the bottom root, and two-sided integrals in between,
-each with the neighbouring spectral gaps as rates.  The class bound rho_i
+The admissibility class for perturbations is measured by one exponential
+transform per root index, shaped like the printed (adjoint) Green kernel:
+on each side of the diagonal that carries kernel modes, the rate of that
+side's slowest mode (KernelModes.slowest), which is the neighbouring spectral
+gap, lam_i - lam_{i-1} on [t0, t] and lam_i - lam_{i+1} on [t, inf).  The top
+root thus gets a pure tail integral, the bottom root a pure head integral and
+the two in between both.  The class bound rho_i
 is the largest value of these transforms over the nodes of a dense panel
 grid, computed by the same head/tail recurrences as the Picard operator.  It
 is a maximum over nodes, not an enclosure of the supremum over t.
@@ -26,51 +29,33 @@ import numpy as np
 from . import exprlang
 from .errors import TailNotConvergent
 from .greens import kernel_for_root, L_functional
-from .quadrature import (adaptive_interval, adaptive_semi_infinite, exponential_tail_seed,
-                         graded_nodes, head_transform, make_panels, tail_transform)
+from .quadrature import (adaptive_interval, adaptive_semi_infinite, graded_nodes, make_panels,
+                         two_sided_transform)
 from .spectra import CharacteristicData
 
 H2_TOL = 1e-6
 RHO_GRID_NODES = 4096
 
 
-def _gap_rates(cd: CharacteristicData, i: int):
-    """(head_rate, tail_rate) for the class transform of root i.
-
-    head kernel: exp(-head_rate*(t-s)) on [t0, t], head_rate > 0;
-    tail kernel: exp(-tail_rate*(t-s)) on [t, inf), tail_rate < 0.
-    Either may be None (pure one-sided transforms at the extreme roots).
-    """
-    lam = cd.lam
-    if i == 1:
-        return None, lam[1] - lam[0]
-    if i == 2:
-        return lam[0] - lam[1], lam[2] - lam[1]
-    if i == 3:
-        return lam[1] - lam[2], lam[3] - lam[2]
-    if i == 4:
-        return lam[2] - lam[3], None
-    raise ValueError("root index must be 1..4")
-
-
 def F_operator_eval(cd: CharacteristicData, i: int, E, t, t0, quad_tol=1e-12):
     """Class transform of |E| for root i evaluated at time t, by adaptive
     quadrature: the pointwise reference route for rho_bound's panel
-    transforms."""
+    transforms.  Its kernel is exp(rate*(t-s)) at the slowest modes of the
+    printed (adjoint) kernel, as in rho_bound."""
     if not callable(E):
         E = exprlang.parse(str(E))
-    head_rate, tail_rate = _gap_rates(cd, i)
+    head_rate, tail_rate = kernel_for_root(cd, i).modes("adjoint").slowest()
     total = 0.0
     if head_rate is not None and t > t0:
         total += adaptive_interval(
-            lambda s: np.exp(-head_rate * (t - s)) * np.abs(np.asarray(E(s), dtype=float)),
+            lambda s: np.exp(head_rate * (t - s)) * np.abs(np.asarray(E(s), dtype=float)),
             t0, t, quad_tol,
         )
     if tail_rate is not None:
-        # kernel decays in s at rate -tail_rate > 0
+        # kernel decays in s at rate tail_rate > 0
         total += adaptive_semi_infinite(
-            lambda s: np.exp(-tail_rate * (t - s)) * np.abs(np.asarray(E(s), dtype=float)),
-            t, -tail_rate, quad_tol,
+            lambda s: np.exp(tail_rate * (t - s)) * np.abs(np.asarray(E(s), dtype=float)),
+            t, tail_rate, quad_tol,
         )
     return float(total)
 
@@ -93,19 +78,13 @@ def rho_bound(cd: CharacteristicData, i: int, r, t0, t_span=None,
     samples = t0 + np.concatenate([[0.0], np.geomspace(1e-3, t_span, n_samples - 1)])
     panels = make_panels(np.union1d(graded_nodes(t0, t0 + t_span, RHO_GRID_NODES), samples))
     at_samples = np.searchsorted(panels.nodes, samples)
-    head_rate, tail_rate = _gap_rates(cd, i)
+    head_rate, tail_rate = kernel_for_root(cd, i).modes("adjoint").slowest()
     rho = 0.0
     for rj in exprs:
         if exprlang.is_zero(rj):
             continue
-        f_gl = np.abs(rj(panels.gl_x))
-        transform = np.zeros(panels.nodes.size)
-        if head_rate is not None:
-            transform += head_transform(panels, f_gl, -head_rate)
-        if tail_rate is not None:
-            seed = exponential_tail_seed(lambda s: np.abs(rj(s)), float(panels.nodes[-1]),
-                                         -tail_rate, quad_tol, first_width=float(panels.widths[-1]))
-            transform += tail_transform(panels, f_gl, -tail_rate, seed)
+        transform = two_sided_transform(panels, lambda s: np.abs(rj(s)), np.abs(rj(panels.gl_x)),
+                                        head_rate, tail_rate, quad_tol)
         values = transform[at_samples]
         tail = values[-8:]
         if values.max() > 0 and np.any(np.diff(tail) > 1e-12 + 1e-6 * values.max()):

@@ -31,6 +31,7 @@ from .quadrature import (
     head_transform,
     make_panels,
     tail_transform,
+    two_sided_transform,
 )
 from .riccati import RiccatiSystem, eval_F
 
@@ -64,16 +65,13 @@ class IntegralOperator:
         self.modes = sys.kernel.modes(orientation)
         self._omega_gl = np.asarray(sys.omega(self.panels.gl_x), dtype=float)
         self._omega_nodes = np.asarray(sys.omega(self.panels.nodes), dtype=float)
-        self._zero_forcing = not np.any(self._omega_gl)
-        self._seeds = {}
-        for m in self.modes.tail:
-            if self._zero_forcing:
-                self._seeds[m.rate] = 0.0
-            else:
-                self._seeds[m.rate] = exponential_tail_seed(
-                    sys.omega, float(self.panels.nodes[-1]), m.rate, quad_tol,
-                    first_width=float(self.panels.widths[-1]),
-                )
+        # a forcing that vanishes on the grid is taken to vanish past it
+        self._seeds = self._tail_seeds(sys.omega) if np.any(self._omega_gl) else {}
+
+    def _tail_seeds(self, forcing):
+        """{tail rate: integral of the forcing past the grid at that rate}."""
+        return {m.rate: exponential_tail_seed(forcing, self.panels, m.rate, self.quad_tol)
+                for m in self.modes.tail}
 
     # -- forcing samples -----------------------------------------------------
 
@@ -88,7 +86,7 @@ class IntegralOperator:
         )
         return f_gl, f_nodes
 
-    def _assemble(self, f_gl, f_nodes) -> GridFunction:
+    def _assemble(self, f_gl, f_nodes, seeds) -> GridFunction:
         n = self.panels.nodes.size
         ch = np.zeros((4, n))
         for m in self.modes.head:
@@ -96,7 +94,7 @@ class IntegralOperator:
             for d in range(4):
                 ch[d] += m.coef * m.rate**d * h
         for m in self.modes.tail:
-            k = tail_transform(self.panels, f_gl, m.rate, self._seeds.get(m.rate, 0.0))
+            k = tail_transform(self.panels, f_gl, m.rate, seeds.get(m.rate, 0.0))
             for d in range(4):
                 ch[d] += m.coef * m.rate**d * k
         ch[3] += self.modes.jump * f_nodes
@@ -104,26 +102,14 @@ class IntegralOperator:
 
     def apply(self, z: GridFunction | None) -> GridFunction:
         """T z (z = None means the zero function)."""
-        return self._assemble(*self._forcing(z))
+        return self._assemble(*self._forcing(z), self._seeds)
 
     def apply_forcing(self, forcing) -> GridFunction:
-        """Kernel integral of an arbitrary forcing callable (probe use).
-
-        The tail seed beyond the grid is recomputed for the probe."""
+        """Kernel integral of an arbitrary forcing callable (probe use),
+        with the tail seeds beyond the grid taken from that forcing."""
         f_gl = np.asarray(forcing(self.panels.gl_x), dtype=float)
         f_nodes = np.asarray(forcing(self.panels.nodes), dtype=float)
-        saved = self._seeds
-        try:
-            self._seeds = {
-                m.rate: exponential_tail_seed(
-                    forcing, float(self.panels.nodes[-1]), m.rate, self.quad_tol,
-                    first_width=float(self.panels.widths[-1]),
-                )
-                for m in self.modes.tail
-            }
-            return self._assemble(f_gl, f_nodes)
-        finally:
-            self._seeds = saved
+        return self._assemble(f_gl, f_nodes, self._tail_seeds(forcing))
 
 
 def apply_T(sys: RiccatiSystem, z: GridFunction, orientation="direct",
@@ -237,16 +223,12 @@ def phi_sequence(a_const, rho, varsigma, n):
 # --- pointwise decay envelope -----------------------------------------------
 
 def beta_interval(sys: RiccatiSystem):
-    """Admissible beta interval per root index: [gap, 0) for i = 1..3
-    (with the index-specific neighbouring gap), (0, gap] for i = 4."""
-    g = sys.kernel.gamma
-    if sys.i == 1:
-        return (g[0], 0.0)
-    if sys.i == 2:
-        return (g[1], 0.0)
-    if sys.i == 3:
-        return (g[2], 0.0)
-    return (0.0, g[2])
+    """Admissible beta interval, from the slowest direct-kernel modes:
+    [head rate, 0) = [lam_{i+1} - lam_i, 0) when the kernel has head modes
+    (i = 1..3), else (0, tail rate] = (0, lam_3 - lam_4] (i = 4), where beta
+    governs the tail side."""
+    head, tail = sys.kernel.modes("direct").slowest()
+    return (head, 0.0) if head is not None else (0.0, tail)
 
 
 def envelope_integral(sys: RiccatiSystem, nodes, beta, quad_tol=QUAD_TOL,
@@ -262,32 +244,18 @@ def envelope_integral(sys: RiccatiSystem, nodes, beta, quad_tol=QUAD_TOL,
     is the printed envelope for i = 1, 4 and the gap-split envelope for
     i = 2, 3; with the direct modes it bounds the delivered fixed point.
     """
-    modes = sys.kernel.modes(orientation)
+    head_rate, tail_rate = sys.kernel.modes(orientation).slowest()
     rate_beta = beta if orientation == "direct" else -beta
+    if head_rate is not None and rate_beta < 0:
+        head_rate = rate_beta
+    if tail_rate is not None and rate_beta > 0:
+        tail_rate = rate_beta
     panels = make_panels(nodes)
     p_gl = np.abs(np.asarray(sys.omega(panels.gl_x), dtype=float))
-    envelope = np.zeros(panels.nodes.size)
     if not np.any(p_gl):
-        return envelope
-
-    def head_part(rate):
-        return head_transform(panels, p_gl, rate)
-
-    def tail_part(rate):
-        seed = exponential_tail_seed(
-            lambda s: np.abs(sys.omega(s)), float(panels.nodes[-1]), rate,
-            quad_tol, first_width=float(panels.widths[-1]),
-        )
-        return tail_transform(panels, p_gl, rate, seed)
-
-    for side, slowest, governed, transform in (
-        (modes.head, max, rate_beta < 0, head_part),
-        (modes.tail, min, rate_beta > 0, tail_part),
-    ):
-        if side:
-            rate = rate_beta if governed else slowest(m.rate for m in side)
-            envelope += transform(rate)
-    return envelope
+        return np.zeros(panels.nodes.size)
+    return two_sided_transform(panels, lambda s: np.abs(sys.omega(s)), p_gl,
+                               head_rate, tail_rate, quad_tol)
 
 
 def envelope_check(sys: RiccatiSystem, z: GridFunction, beta, phi,
@@ -297,12 +265,8 @@ def envelope_check(sys: RiccatiSystem, z: GridFunction, beta, phi,
 
     Returns (verdict, max_ratio, envelope_values)."""
     lo, hi = beta_interval(sys)
-    if sys.i == 4:
-        if not (lo < beta <= hi):
-            raise ValueError(f"beta={beta} outside ({lo}, {hi}] for i=4")
-    else:
-        if not (lo <= beta < hi):
-            raise ValueError(f"beta={beta} outside [{lo}, {hi}) for i={sys.i}")
+    if beta == 0.0 or not lo <= beta <= hi:
+        raise ValueError(f"beta={beta} outside [{lo}, {hi}] or zero for i={sys.i}")
     envelope = envelope_integral(sys, z.nodes, beta, quad_tol, orientation)
     numerator = np.abs(z.value) + np.abs(z.d1) + np.abs(z.d2)
     den = phi * envelope

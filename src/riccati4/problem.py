@@ -54,8 +54,8 @@ class ProblemSpec:
             raise ValidationError("eta must lie in (0,0.5)")
         if self.nodes < 64:
             raise ValidationError("nodes must be at least 64")
-        if self.t_max is not None and not self.t_max > self.t0:
-            raise ValidationError("t_max must exceed t0")
+        if self.t_max is not None and not self.t0 < self.t_max < math.inf:
+            raise ValidationError("t_max must be finite and exceed t0")
         if self.max_iter < 1:
             raise ValidationError("max_iter must be positive")
         for tol in ("fp_tol", "quad_tol", "root_tol", "gap_tol"):

@@ -100,20 +100,22 @@ def tail_transform(grid: PanelGrid, f_gl: np.ndarray, rate: float,
     return out
 
 
-def exponential_tail_seed(f, t_max: float, rate: float, quad_tol: float,
-                          first_width: float = 0.5, growth: float = 1.4,
-                          max_panels: int = 400) -> float:
-    """integral_{t_max}^{inf} exp(rate*(t_max - s)) f(s) ds for callable f.
+def exponential_tail_seed(f, grid: PanelGrid, rate: float, quad_tol: float,
+                          growth: float = 1.4, max_panels: int = 400) -> float:
+    """integral_{t_max}^{inf} exp(rate*(t_max - s)) f(s) ds for callable f,
+    with t_max the last node of grid: the tail_seed of tail_transform.
 
-    Panels grow geometrically; stops once a panel contributes less than
-    quad_tol / 10.  Raises TailNotConvergent when the cap is hit first.
-    Requires rate > 0 so the kernel itself decays.
+    Panels start as wide as the last grid panel and grow geometrically;
+    stops once a panel contributes less than quad_tol / 10.  Raises
+    TailNotConvergent when the cap is hit first.  Requires rate > 0 so the
+    kernel itself decays.
     """
     if rate <= 0.0:
         raise ValueError("tail seed needs a positive decay rate")
+    t_max = float(grid.nodes[-1])
     total = 0.0
     left = t_max
-    width = first_width
+    width = float(grid.widths[-1])
     for _ in range(max_panels):
         right = left + width
         half = 0.5 * width
@@ -129,6 +131,20 @@ def exponential_tail_seed(f, t_max: float, rate: float, quad_tol: float,
     raise TailNotConvergent(
         f"tail integral past t={t_max} did not settle below {quad_tol:g}"
     )
+
+
+def two_sided_transform(grid: PanelGrid, f, f_gl: np.ndarray, head_rate, tail_rate,
+                        quad_tol: float) -> np.ndarray:
+    """head_transform at head_rate plus tail_transform at tail_rate, the tail
+    seeded past the grid by exponential_tail_seed of the callable f (whose
+    GL samples are f_gl).  A rate of None drops its side."""
+    out = np.zeros(grid.nodes.size)
+    if head_rate is not None:
+        out += head_transform(grid, f_gl, head_rate)
+    if tail_rate is not None:
+        seed = exponential_tail_seed(f, grid, tail_rate, quad_tol)
+        out += tail_transform(grid, f_gl, tail_rate, seed)
+    return out
 
 
 def adaptive_interval(f, a: float, b: float, tol: float, max_depth: int = 30) -> float:

@@ -47,8 +47,9 @@ def _root_keys():
 
 
 def _default_beta(sys):
+    """The gap end of the admissible beta interval."""
     lo, hi = picard.beta_interval(sys)
-    return hi if sys.i == 4 else lo
+    return lo or hi
 
 
 def _write_csv(path, header, rows):

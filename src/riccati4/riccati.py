@@ -119,11 +119,6 @@ def eval_F(sys: RiccatiSystem, t, x1, x2=None, x3=None):
     return out if out.ndim else float(out)
 
 
-def forcing(sys: RiccatiSystem, t, x1, x2=None, x3=None):
-    """Right-hand side Omega(t) + F(t, x)."""
-    return sys.omega(t) + eval_F(sys, t, x1, x2, x3)
-
-
 # --- residuals ---------------------------------------------------------------
 
 def residual_profile(sys: RiccatiSystem, z: GridFunction):

@@ -99,10 +99,17 @@ class CharacteristicData:
 
     def gamma_for(self, i):
         """Shifted roots for 1-based root index i."""
-        return self.gamma[i - 1]
+        return self.gamma[_root_index(i)]
 
     def lam_for(self, i):
-        return self.lam[i - 1]
+        return self.lam[_root_index(i)]
+
+
+def _root_index(i):
+    """0-based position of 1-based root index i (no wrap-around for i = 0)."""
+    if i not in (1, 2, 3, 4):
+        raise ValueError("root index must be 1..4")
+    return i - 1
 
 
 def vieta_coefficients(lam):

@@ -112,13 +112,6 @@ def vandermonde_target(cd):
     return out
 
 
-def wronskian_raw(fss, t):
-    """Unnormalized Wronskian; carries the exp(sum integral(lam_i + z_i))
-    growth factor, reported alongside the normalized determinant."""
-    log_scale = sum(float(fs.log_y_at(t)) for fs in fss)
-    return wronskian_normalized(fss, t) * math.exp(log_scale)
-
-
 def asymptotic_integral_formula(fs: FundamentalSolution, sys: RiccatiSystem):
     """Predicted log y from the asymptotic representation
     lam (t - t0) + (1/pi_i) * integral of [p(lam_i, s) + F(s, z, z', z'')].

@@ -97,3 +97,11 @@ def test_preset_biharmonic_roundtrip(tmp_path, capsys):
     code = main(["analyze", "--config", str(target), "--out",
                  str(tmp_path / "out"), "--roots", "1"])
     assert code == 0
+
+
+def test_exit_code_infinite_horizon(tmp_path, capsys):
+    config = tmp_path / "inf.ini"
+    config.write_text(EPS_CONFIG.replace("nodes = 512", "nodes = 512\nt_max = inf"))
+    code = main(["report", "--config", str(config), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "t_max" in capsys.readouterr().err

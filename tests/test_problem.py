@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -111,3 +113,10 @@ def test_biharmonic_domain_validation():
         biharmonic_preset(4, 9.0)
     with pytest.raises(ValidationError):
         biharmonic_preset(6, 5.0)  # needs p > 5
+
+
+@pytest.mark.parametrize("t_max", [math.inf, math.nan])
+def test_t_max_must_be_finite(t_max):
+    spec = ProblemSpec(a3=0.0, a2=-5.0, a1=0.0, a0=4.0, t_max=t_max)
+    with pytest.raises(ValidationError, match="t_max"):
+        spec.validate()

@@ -67,3 +67,11 @@ def test_random_quartics_recover_roots(raw):
     assert sum(cd.lam) == pytest.approx(-a[0], abs=1e-9)
     for i in (1, 2, 3, 4):
         assert np.max(np.abs(shifted_cubic_residuals(cd, i))) <= 1e-9
+
+
+@pytest.mark.parametrize("i", [0, 5])
+def test_root_index_out_of_range(cd_test, i):
+    with pytest.raises(ValueError, match="root index"):
+        cd_test.gamma_for(i)
+    with pytest.raises(ValueError, match="root index"):
+        cd_test.lam_for(i)

@@ -12,8 +12,14 @@ from riccati4.synthesis import (
     fundamental_solution,
     vandermonde_target,
     wronskian_normalized,
-    wronskian_raw,
 )
+
+
+def wronskian_raw(fss, t):
+    """Unnormalized Wronskian; carries the exp(sum integral(lam_i + z_i))
+    growth factor on top of the normalized determinant."""
+    log_scale = sum(float(fs.log_y_at(t)) for fs in fss)
+    return wronskian_normalized(fss, t) * math.exp(log_scale)
 
 
 @pytest.fixture(scope="module")
