@@ -5,6 +5,11 @@ auxiliary third-derivative channel used only to interpolate z'' between
 nodes.  Interpolation is cubic Hermite per channel, pairing each channel
 with the next one as its slope, so the three channels stay mutually
 consistent to interpolation accuracy.
+
+The Hermite basis depends only on where the points sit in their intervals,
+so at the fixed Gauss-Legendre nodes of a panel grid it is computed once
+(``PanelGrid.hermite_basis``) and ``channels_on`` only combines it with the
+node values; ``channels_at`` serves arbitrary points.
 """
 
 from __future__ import annotations
@@ -17,20 +22,32 @@ from scipy.interpolate import CubicSpline
 from .errors import NonFinite
 
 
-def hermite_eval(nodes, values, slopes, x):
-    """Vectorized cubic Hermite evaluation at points x inside [nodes[0], nodes[-1]]."""
-    x = np.asarray(x, dtype=float)
-    idx = np.clip(np.searchsorted(nodes, x, side="right") - 1, 0, nodes.size - 2)
-    h = nodes[idx + 1] - nodes[idx]
-    u = (x - nodes[idx]) / h
+def hermite_basis(left, width, x):
+    """Cubic Hermite basis (h00, h10 * width, h01, h11 * width) at points x of
+    the intervals [left, left + width]; combine it with hermite_combine."""
+    u = (x - left) / width
     u2 = u * u
     u3 = u2 * u
     h00 = 2.0 * u3 - 3.0 * u2 + 1.0
     h10 = u3 - 2.0 * u2 + u
     h01 = -2.0 * u3 + 3.0 * u2
     h11 = u3 - u2
-    return (h00 * values[idx] + h10 * h * slopes[idx]
-            + h01 * values[idx + 1] + h11 * h * slopes[idx + 1])
+    return h00, h10 * width, h01, h11 * width
+
+
+def hermite_combine(basis, v_left, s_left, v_right, s_right):
+    """Hermite interpolant from its basis and the values and slopes at the
+    interval ends."""
+    h00, h10, h01, h11 = basis
+    return h00 * v_left + h10 * s_left + h01 * v_right + h11 * s_right
+
+
+def hermite_eval(nodes, values, slopes, x):
+    """Vectorized cubic Hermite evaluation at points x inside [nodes[0], nodes[-1]]."""
+    x = np.asarray(x, dtype=float)
+    idx = np.clip(np.searchsorted(nodes, x, side="right") - 1, 0, nodes.size - 2)
+    basis = hermite_basis(nodes[idx], nodes[idx + 1] - nodes[idx], x)
+    return hermite_combine(basis, values[idx], slopes[idx], values[idx + 1], slopes[idx + 1])
 
 
 @dataclass(frozen=True)
@@ -79,6 +96,20 @@ class GridFunction:
         z1 = hermite_eval(self.nodes, self.d1, self.d2, x)
         z2 = hermite_eval(self.nodes, self.d2, self.d3, x)
         return z, z1, z2
+
+    def channels_on(self, panels):
+        """(z, z', z'') at the Gauss-Legendre nodes of a PanelGrid built on
+        this function's nodes, shape (N-1, GL order); equal to
+        channels_at(panels.gl_x) bit for bit, from the grid's cached basis."""
+        if panels.nodes is not self.nodes and not np.array_equal(panels.nodes, self.nodes):
+            raise ValueError("panel grid is built on other nodes")
+        basis = panels.hermite_basis
+
+        def channel(values, slopes):
+            return hermite_combine(basis, values[:-1, None], slopes[:-1, None],
+                                   values[1:, None], slopes[1:, None])
+
+        return channel(self.value, self.d1), channel(self.d1, self.d2), channel(self.d2, self.d3)
 
     def norm_c02(self):
         """sup over nodes of |z| + |z'| + |z''|."""

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import NonFinite, StepUnderflow
-from .riccati import RiccatiSystem, eval_F
+from .riccati import F_nested, RiccatiSystem, sample_coefficients
 from .synthesis import FundamentalSolution
 
 ORACLE_TOL = 1e-10
@@ -68,8 +68,9 @@ def riccati_rhs(sys: RiccatiSystem):
     b2, b1, b0 = sys.b
 
     def rhs(t, x):
+        k = sample_coefficients(sys, t)
         x3 = (
-            sys.omega(t) + eval_F(sys, t, x[0], x[1], x[2])
+            k.omega + F_nested(sys, k, x[0], x[1], x[2])
             - b2 * x[2] - b1 * x[1] - b0 * x[0]
         )
         return (x[1], x[2], x3)
@@ -133,8 +134,10 @@ def cross_validate(fs: FundamentalSolution, sys: RiccatiSystem,
         out["riccati_error"] = float(np.max(np.abs(ztraj.states[0] - z_synth)))
         out["riccati_direction"] = "forward"
     elif all(g > 0 for g in sys.kernel.gamma):
-        # bottom root: unstable forward, contract backward
-        idx = int(np.argmin(np.abs(fs.nodes - t_end)))
+        # bottom root: unstable forward, contract backward, from the node
+        # nearest t_end but never from t0 itself (a near-resonant spectrum
+        # has a horizon so long that its first panel is wider than the span)
+        idx = max(1, int(np.argmin(np.abs(fs.nodes - t_end))))
         t_start = float(fs.nodes[idx])
         xb = (fs.z.value[idx], fs.z.d1[idx], fs.z.d2[idx])
         t_eval_b = np.linspace(t_start, t0, 101)

@@ -33,7 +33,7 @@ from .quadrature import (
     tail_transform,
     two_sided_transform,
 )
-from .riccati import RiccatiSystem, eval_F
+from .riccati import F_nested, RiccatiSystem, sample_coefficients
 
 FP_TOL = 1e-10
 QUAD_TOL = 1e-12
@@ -63,8 +63,11 @@ class IntegralOperator:
         self.quad_tol = quad_tol
         self.panels: PanelGrid = make_panels(nodes)
         self.modes = sys.kernel.modes(orientation)
-        self._omega_gl = np.asarray(sys.omega(self.panels.gl_x), dtype=float)
-        self._omega_nodes = np.asarray(sys.omega(self.panels.nodes), dtype=float)
+        # Omega and the F coefficients sampled once at the points T evaluates
+        self._coef_gl = sample_coefficients(sys, self.panels.gl_x)
+        self._coef_nodes = sample_coefficients(sys, self.panels.nodes)
+        self._omega_gl = np.broadcast_to(self._coef_gl.omega, self.panels.gl_x.shape)
+        self._omega_nodes = np.broadcast_to(self._coef_nodes.omega, self.panels.nodes.shape)
         # a forcing that vanishes on the grid is taken to vanish past it
         self._seeds = self._tail_seeds(sys.omega) if np.any(self._omega_gl) else {}
 
@@ -78,11 +81,10 @@ class IntegralOperator:
     def _forcing(self, z: GridFunction | None):
         if z is None:
             return self._omega_gl, self._omega_nodes
-        x = self.panels.gl_x
-        z0, z1, z2 = z.channels_at(x)
-        f_gl = self._omega_gl + eval_F(self.sys, x, z0, z1, z2)
-        f_nodes = self._omega_nodes + eval_F(
-            self.sys, self.panels.nodes, z.value, z.d1, z.d2
+        z0, z1, z2 = z.channels_on(self.panels)
+        f_gl = self._omega_gl + F_nested(self.sys, self._coef_gl, z0, z1, z2)
+        f_nodes = self._omega_nodes + F_nested(
+            self.sys, self._coef_nodes, z.value, z.d1, z.d2
         )
         return f_gl, f_nodes
 

@@ -5,15 +5,22 @@ Gauss-Legendre nodes of order 16 inside each panel.  Exponential-kernel
 integrals against sampled data are evaluated by stable one-panel recurrences
 (prefix sums for integrals from t0, suffix sums for integrals to infinity),
 so every exponent that is ever formed stays bounded by rate * panel width.
+The recurrences run over Python floats and build their output array once.
+
+A PanelGrid also caches the cubic Hermite basis at its Gauss-Legendre nodes
+(``hermite_basis``), so a GridFunction on the same nodes is interpolated
+there (``GridFunction.channels_on``) without locating a single point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import TailNotConvergent
+from .grid import hermite_basis
 
 GL_ORDER = 16
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(GL_ORDER)
@@ -37,6 +44,16 @@ class PanelGrid:
     @property
     def widths(self):
         return self.nodes[1:] - self.nodes[:-1]
+
+    @cached_property
+    def hermite_basis(self):
+        """Cubic Hermite basis at gl_x, computed on first use; checks once
+        that every Gauss-Legendre node lies in its own panel."""
+        left = self.nodes[:-1, None]
+        right = self.nodes[1:, None]
+        if not np.all((left <= self.gl_x) & (self.gl_x < right)):
+            raise ValueError("Gauss-Legendre nodes outside their panels")
+        return hermite_basis(left, right - left, self.gl_x)
 
 
 def make_panels(nodes) -> PanelGrid:
@@ -73,13 +90,12 @@ def head_transform(grid: PanelGrid, f_gl: np.ndarray, rate: float) -> np.ndarray
     right = grid.nodes[1:, None]
     panel = ((grid.gl_w * np.exp(rate * (right - grid.gl_x))) * f_gl).sum(axis=1)
     decay = np.exp(rate * grid.widths)
-    out = np.empty(grid.nodes.size)
-    out[0] = 0.0
+    out = [0.0]
     acc = 0.0
-    for k in range(panel.size):
-        acc = decay[k] * acc + panel[k]
-        out[k + 1] = acc
-    return out
+    for d, p in zip(decay.tolist(), panel.tolist()):
+        acc = d * acc + p
+        out.append(acc)
+    return np.array(out)
 
 
 def tail_transform(grid: PanelGrid, f_gl: np.ndarray, rate: float,
@@ -91,13 +107,12 @@ def tail_transform(grid: PanelGrid, f_gl: np.ndarray, rate: float,
     left = grid.nodes[:-1, None]
     panel = ((grid.gl_w * np.exp(rate * (left - grid.gl_x))) * f_gl).sum(axis=1)
     decay = np.exp(-rate * grid.widths)
-    out = np.empty(grid.nodes.size)
     acc = float(tail_seed)
-    out[-1] = acc
-    for k in range(panel.size - 1, -1, -1):
-        acc = decay[k] * acc + panel[k]
-        out[k] = acc
-    return out
+    out = [acc]
+    for d, p in zip(reversed(decay.tolist()), reversed(panel.tolist())):
+        acc = d * acc + p
+        out.append(acc)
+    return np.array(out[::-1])
 
 
 def exponential_tail_seed(f, grid: PanelGrid, rate: float, quad_tol: float,

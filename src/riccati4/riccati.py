@@ -15,11 +15,26 @@ The constant vector uses the expansion-consistent values
 validated by the lift/residual equivalence below, which ties the residual of
 the fourth-order equation at y = exp(integral(lam + z)) to y times the
 residual of this third-order form for arbitrary smooth z.
+
+F is evaluated in the nested (Horner) form
+
+    F = b x2 + h x3 + C0 x2^2
+        + x1 (a + p x2 + C2 x3 + x1 (q + C4 x2 + x1 (s + C6 x1))),
+
+with (a, b, h) = Lambda1, p = Lambda2_0 + C1, q = Lambda2_1 + C3 and
+s = Lambda2_2 + C5 combined ahead of time, so no power is ever taken of an
+array.  Sample once: ``sample_coefficients`` evaluates each perturbation
+r0..r3 once per set of sample points and returns Omega with the six
+t-dependent coefficients; a perturbation that is syntactically zero gives
+the scalar 0.0.  A caller that applies F repeatedly at fixed points (the
+Picard operator, the oracle's right-hand side) samples once and calls
+``F_nested``; ``eval_F`` composes the two.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -28,6 +43,32 @@ from . import exprlang
 from .grid import GridFunction
 from .greens import GreenKernel, kernel_for_root
 from .spectra import CharacteristicData, shifted_cubic_coeffs
+
+
+class Coefficients(NamedTuple):
+    """Omega and the six t-dependent coefficients of the nested F at a set of
+    sample points; each entry is an array, or a float when the perturbations
+    it depends on are all syntactically zero."""
+
+    omega: object
+    a: object   # Lambda1_0, multiplies x1
+    b: object   # Lambda1_1, multiplies x2
+    h: object   # Lambda1_2, multiplies x3
+    p: object   # Lambda2_0 + C_1, multiplies x1 x2
+    q: object   # Lambda2_1 + C_3, multiplies x1^2
+    s: object   # Lambda2_2 + C_5, multiplies x1^3
+
+
+def _omega(lam, r0, r1, r2, r3):
+    return -(lam**3 * r3 + lam**2 * r2 + lam * r1 + r0)
+
+
+def _lambda1(lam, r1, r2, r3):
+    return (-(3.0 * lam**2 * r3 + 2.0 * lam * r2 + r1), -(3.0 * lam * r3 + r2), -r3)
+
+
+def _lambda2(lam, r2, r3):
+    return (-3.0 * r3, -(3.0 * lam * r3 + r2), -r3)
 
 
 @dataclass(frozen=True)
@@ -42,9 +83,7 @@ class RiccatiSystem:
 
     def omega(self, t):
         """Omega(t) = -(lam^3 r3 + lam^2 r2 + lam r1 + r0)."""
-        lam = self.lam
-        r0, r1, r2, r3 = self.r
-        return -(lam**3 * r3(t) + lam**2 * r2(t) + lam * r1(t) + r0(t))
+        return _omega(self.lam, *(rj(t) for rj in self.r))
 
     def p_value(self, t):
         """p(lam_i, t) = lam^3 r3 + lam^2 r2 + lam r1 + r0 = -Omega(t)."""
@@ -52,21 +91,11 @@ class RiccatiSystem:
 
     def lambda1(self, t):
         """(b(t), f(t), h(t)) multiplying (x1, x2, x3)."""
-        lam = self.lam
-        _, r1, r2, r3 = self.r
-        r1v, r2v, r3v = r1(t), r2(t), r3(t)
-        return (
-            -(3.0 * lam**2 * r3v + 2.0 * lam * r2v + r1v),
-            -(3.0 * lam * r3v + r2v),
-            -r3v,
-        )
+        return _lambda1(self.lam, *(rj(t) for rj in self.r[1:]))
 
     def lambda2(self, t):
         """(p(t), f(t), h(t)) multiplying (x1 x2, x1^2, x1^3); p = 3h = -3 r3."""
-        lam = self.lam
-        _, _, r2, r3 = self.r
-        r2v, r3v = r2(t), r3(t)
-        return (-3.0 * r3v, -(3.0 * lam * r3v + r2v), -r3v)
+        return _lambda2(self.lam, *(rj(t) for rj in self.r[2:]))
 
 
 def build_system(cd: CharacteristicData, r, i: int) -> RiccatiSystem:
@@ -99,6 +128,27 @@ def build_system(cd: CharacteristicData, r, i: int) -> RiccatiSystem:
     )
 
 
+def sample_coefficients(sys: RiccatiSystem, t) -> Coefficients:
+    """Omega and the F coefficients at t, evaluating each of r0..r3 once;
+    a perturbation that is syntactically zero is not evaluated at all."""
+    lam = sys.lam
+    r0, r1, r2, r3 = (0.0 if exprlang.is_zero(rj) else rj(t) for rj in sys.r)
+    a, b, h = _lambda1(lam, r1, r2, r3)
+    l2 = _lambda2(lam, r2, r3)
+    c = sys.C
+    return Coefficients(_omega(lam, r0, r1, r2, r3), a, b, h,
+                        l2[0] + c[1], l2[1] + c[3], l2[2] + c[5])
+
+
+def F_nested(sys: RiccatiSystem, k: Coefficients, x1, x2, x3):
+    """F(x1, x2, x3) from sampled coefficients, in the nested (Horner) form;
+    x1, x2, x3 broadcast against the sample points of k."""
+    c = sys.C
+    return (k.b * x2 + k.h * x3 + c[0] * x2 * x2
+            + x1 * (k.a + k.p * x2 + c[2] * x3
+                    + x1 * (k.q + c[4] * x2 + x1 * (k.s + c[6] * x1))))
+
+
 def eval_F(sys: RiccatiSystem, t, x1, x2=None, x3=None):
     """F(t, x1, x2, x3); accepts a 3-sequence or three scalars/arrays."""
     if x2 is None:
@@ -106,16 +156,7 @@ def eval_F(sys: RiccatiSystem, t, x1, x2=None, x3=None):
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
     x3 = np.asarray(x3, dtype=float)
-    l1 = sys.lambda1(t)
-    l2 = sys.lambda2(t)
-    f_hat1 = l1[0] * x1 + l1[1] * x2 + l1[2] * x3
-    f_hat2 = l2[0] * x1 * x2 + l2[1] * x1**2 + l2[2] * x1**3
-    c = sys.C
-    gamma_part = (
-        c[0] * x2**2 + c[1] * x1 * x2 + c[2] * x1 * x3 + c[3] * x1**2
-        + c[4] * x1**2 * x2 + c[5] * x1**3 + c[6] * x1**4
-    )
-    out = f_hat1 + f_hat2 + gamma_part
+    out = np.asarray(F_nested(sys, sample_coefficients(sys, t), x1, x2, x3))
     return out if out.ndim else float(out)
 
 

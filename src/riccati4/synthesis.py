@@ -56,7 +56,7 @@ class FundamentalSolution:
 def fundamental_solution(sys: RiccatiSystem, z: GridFunction, cd) -> FundamentalSolution:
     """Assemble y_i from a converged z on its grid."""
     panels = make_panels(z.nodes)
-    z_gl, _, _ = z.channels_at(panels.gl_x)
+    z_gl, _, _ = z.channels_on(panels)
     log_y = cumulative_integral(panels, sys.lam + z_gl)
     pi_i = 1.0
     for k in range(4):
@@ -120,7 +120,7 @@ def asymptotic_integral_formula(fs: FundamentalSolution, sys: RiccatiSystem):
     direct product construction)."""
     panels = make_panels(fs.nodes)
     x = panels.gl_x
-    z0, z1, z2 = fs.z.channels_at(x)
+    z0, z1, z2 = fs.z.channels_on(panels)
     integrand = sys.p_value(x) + eval_F(sys, x, z0, z1, z2)
     correction = cumulative_integral(panels, integrand) / fs.pi_i
     predicted = fs.lam * (fs.nodes - fs.nodes[0]) + correction

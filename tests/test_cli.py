@@ -105,3 +105,15 @@ def test_exit_code_infinite_horizon(tmp_path, capsys):
     code = main(["report", "--config", str(config), "--out", str(tmp_path / "o")])
     assert code == 2
     assert "t_max" in capsys.readouterr().err
+
+
+def test_near_resonant_spectrum_exits_cleanly(tmp_path, capsys):
+    # gaps of about 4.4e-8 give a horizon near 6e8, so the node nearest the
+    # end of the oracle's span is t0 itself
+    config = tmp_path / "near.ini"
+    config.write_text("[equation]\na2 = -2.0000001\na0 = 1.0000001\n")
+    code = main(["report", "--config", str(config), "--out", str(tmp_path / "o")])
+    assert code in (0, 1)
+    assert "Traceback" not in capsys.readouterr().err
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert report["roots"]["4"]["oracle"]["riccati_direction"] == "backward"

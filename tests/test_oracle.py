@@ -8,6 +8,7 @@ from riccati4.oracle import (
     cross_validate,
     integrate_linear4,
     integrate_riccati,
+    riccati_rhs,
 )
 from riccati4.riccati import build_system
 from riccati4.synthesis import fundamental_solution
@@ -58,3 +59,19 @@ def test_cross_validation_epsilon(cd_test, eps_systems, eps_solutions):
         if i == 4:
             assert sub["riccati_direction"] == "backward"
             assert sub["riccati_error"] <= 1e-8
+
+
+def test_riccati_rhs_evaluates_each_perturbation_once(cd_test, monkeypatch):
+    r = ("0.002*exp(-1.3*t)", "0.001*exp(-t)", "-0.003*exp(-2*t)", "0.001*exp(-0.7*t)")
+    sys = build_system(cd_test, r, 3)
+    rhs = riccati_rhs(sys)
+    counts = {}
+    original = exprlang.FunctionExpr.__call__
+
+    def counting(self, t):
+        counts[id(self)] = counts.get(id(self), 0) + 1
+        return original(self, t)
+
+    monkeypatch.setattr(exprlang.FunctionExpr, "__call__", counting)
+    rhs(0.4, np.array([1e-3, -2e-3, 5e-4]))
+    assert counts == {id(rj): 1 for rj in sys.r}

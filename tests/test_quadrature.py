@@ -29,6 +29,34 @@ def f(s):
 F_GL = f(GRID.gl_x)
 
 
+def head_loop(grid, f_gl, rate):
+    """head_transform with its recurrence indexing numpy scalars."""
+    right = grid.nodes[1:, None]
+    panel = ((grid.gl_w * np.exp(rate * (right - grid.gl_x))) * f_gl).sum(axis=1)
+    decay = np.exp(rate * grid.widths)
+    out = np.empty(grid.nodes.size)
+    out[0] = 0.0
+    acc = 0.0
+    for k in range(panel.size):
+        acc = decay[k] * acc + panel[k]
+        out[k + 1] = acc
+    return out
+
+
+def tail_loop(grid, f_gl, rate, tail_seed):
+    """tail_transform with its recurrence indexing numpy scalars."""
+    left = grid.nodes[:-1, None]
+    panel = ((grid.gl_w * np.exp(rate * (left - grid.gl_x))) * f_gl).sum(axis=1)
+    decay = np.exp(-rate * grid.widths)
+    out = np.empty(grid.nodes.size)
+    acc = float(tail_seed)
+    out[-1] = acc
+    for k in range(panel.size - 1, -1, -1):
+        acc = decay[k] * acc + panel[k]
+        out[k] = acc
+    return out
+
+
 def head_closed(t, rate):
     """integral_{T0}^{t} exp(rate (t - s)) exp(-s) ds, rate != -1."""
     return (np.exp(rate * (t - T0) - T0) - np.exp(-t)) / (rate + 1.0)
@@ -51,6 +79,14 @@ def test_tail_seed_and_transform_closed_form(rate):
     assert seed == pytest.approx(tail_closed(T_MAX, rate), rel=1e-12)
     np.testing.assert_allclose(tail_transform(GRID, F_GL, rate, seed), tail_closed(T, rate),
                                rtol=1e-12)
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.7, 2.5])
+def test_transforms_equal_the_numpy_scalar_loop(rate):
+    f_gl = F_GL * np.sin(3.0 * GRID.gl_x)
+    assert np.array_equal(head_transform(GRID, f_gl, -rate), head_loop(GRID, f_gl, -rate))
+    assert np.array_equal(tail_transform(GRID, f_gl, rate, 0.3),
+                          tail_loop(GRID, f_gl, rate, 0.3))
 
 
 def test_tail_seed_rejects_growth_and_nonpositive_rate():

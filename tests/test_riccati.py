@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from riccati4 import exprlang
 from riccati4.grid import GridFunction
 from riccati4.riccati import (
     build_system,
     eval_F,
     lift_residual_equivalence,
     residual_profile,
+    sample_coefficients,
 )
 from riccati4.spectra import characteristic_data
 
@@ -26,6 +28,66 @@ def exp_sum(coefs, rates):
         return tuple(out)
 
     return derivs
+
+
+def eval_F_monomial(sys, t, x1, x2, x3):
+    """F summed monomial by monomial, and the sum of the monomials' moduli."""
+    x1 = np.asarray(x1, dtype=float)
+    x2 = np.asarray(x2, dtype=float)
+    x3 = np.asarray(x3, dtype=float)
+    l1 = sys.lambda1(t)
+    l2 = sys.lambda2(t)
+    f_hat1 = l1[0] * x1 + l1[1] * x2 + l1[2] * x3
+    f_hat2 = l2[0] * x1 * x2 + l2[1] * x1**2 + l2[2] * x1**3
+    c = sys.C
+    gamma_part = (
+        c[0] * x2**2 + c[1] * x1 * x2 + c[2] * x1 * x3 + c[3] * x1**2
+        + c[4] * x1**2 * x2 + c[5] * x1**3 + c[6] * x1**4
+    )
+    terms = (l1[0] * x1, l1[1] * x2, l1[2] * x3, l2[0] * x1 * x2, l2[1] * x1**2,
+             l2[2] * x1**3, c[0] * x2**2, c[1] * x1 * x2, c[2] * x1 * x3,
+             c[3] * x1**2, c[4] * x1**2 * x2, c[5] * x1**3, c[6] * x1**4)
+    return f_hat1 + f_hat2 + gamma_part, sum(np.abs(term) for term in terms)
+
+
+R_ALL = ("0.02*exp(-0.7*t)", "-0.03*sin(2*t)*exp(-t)", "0.05*cos(t)", "-0.04*exp(-0.3*t)")
+
+
+@pytest.mark.parametrize("i", [1, 2, 3, 4])
+def test_nested_F_matches_monomial_form(cd_test, i):
+    sys = build_system(cd_test, R_ALL, i)
+    rng = np.random.default_rng(i)
+    t = rng.uniform(0.0, 6.0, 500)
+    xs = rng.standard_normal((3, 500)) * rng.choice([1e-3, 0.1, 2.0], (3, 500))
+    cases = [(t, *xs)] + [(float(t[k]), *map(float, xs[:, k])) for k in range(20)]
+    for tk, x1, x2, x3 in cases:
+        reference, scale = eval_F_monomial(sys, tk, x1, x2, x3)
+        value = eval_F(sys, tk, x1, x2, x3)
+        assert np.shape(value) == np.shape(reference)
+        assert np.all(np.abs(value - reference) <= 32.0 * np.finfo(float).eps * scale)
+
+
+def test_zero_perturbations_give_scalar_coefficients(cd_test, r_eps):
+    ts = np.linspace(0.0, 5.0, 11)
+    for i in (1, 2, 3, 4):
+        sys = build_system(cd_test, r_eps, i)
+        k = sample_coefficients(sys, ts)
+        assert all(isinstance(v, float) for v in k[1:])
+        assert np.array_equal(k.omega, sys.omega(ts))
+
+
+def test_sampling_evaluates_each_perturbation_once(cd_test, monkeypatch):
+    sys = build_system(cd_test, R_ALL, 2)
+    calls = []
+    original = exprlang.FunctionExpr.__call__
+
+    def counting(self, t):
+        calls.append(self.source)
+        return original(self, t)
+
+    monkeypatch.setattr(exprlang.FunctionExpr, "__call__", counting)
+    sample_coefficients(sys, np.linspace(0.0, 1.0, 5))
+    assert sorted(calls) == sorted(R_ALL)
 
 
 def test_build_system_zero_perturbation(cd_test, r_zero):
