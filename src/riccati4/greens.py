@@ -222,6 +222,9 @@ def L_functional(kernel: GreenKernel, E, t, t0, quad_tol=1e-12,
     the grid).  The integral is split at the diagonal s = t and each part
     weighted by the kernel modes of its own side; the semi-infinite part is
     truncated once windows stop contributing (TailNotConvergent otherwise).
+
+    This is the adaptive reference route for the functional.  The pipeline
+    no longer calls it: hypotheses.check_h2 evaluates L on fixed panels.
     """
     if hasattr(E, "channels_at"):
         grid_E = E

@@ -11,6 +11,18 @@ is the largest value of these transforms over the nodes of a dense panel
 grid, computed by the same head/tail recurrences as the Picard operator.  It
 is a maximum over nodes, not an enclosure of the supremum over t.
 
+The decay hypothesis H2 is checked on the kernel functional
+L(t) = integral of w(|t - s|) |r_j(s)| ds, where w = |g| + |g_t| + |g_tt| of
+the printed kernel depends only on u = |t - s|.  Each of its three inner
+sums has at most three exponential terms and so at most two real zeros
+(Laguerre's rule of signs), located once per root with brentq.  With them as
+breakpoints, L is integrated on fixed Gauss-Legendre panels in u: one tail
+grid of H2_TAIL_LENGTHS slowest-mode decay lengths shared by every sample
+time, and per sample time one head grid on [0, t - t0] graded toward both
+ends.  The grading is steep enough that the first panel is no wider than the
+decay length of the fastest kernel mode, however long the sample window.
+The adaptive route (greens.L_functional) is kept as the reference.
+
 The contraction constants are assembled from the Green-kernel branch bounds:
 delta_w_i is the kernel normalization delta_gamma, alpha_{j,i} the branch
 coefficient sums at derivative order j, A_i their normalized total, and
@@ -22,19 +34,23 @@ pattern whose displayed form disagrees with the kernel constants.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
 from . import exprlang
 from .errors import TailNotConvergent
-from .greens import kernel_for_root, L_functional
+from .greens import kernel_for_root
 from .quadrature import (adaptive_interval, adaptive_semi_infinite, graded_nodes, make_panels,
                          two_sided_transform)
 from .spectra import CharacteristicData
 
 H2_TOL = 1e-6
 RHO_GRID_NODES = 4096
+H2_PANELS = 200          # Gauss-Legendre panels per side of the diagonal in check_h2
+H2_TAIL_LENGTHS = 40.0   # check_h2 tail grid length, in slowest-mode decay lengths
 
 
 def F_operator_eval(cd: CharacteristicData, i: int, E, t, t0, quad_tol=1e-12):
@@ -174,6 +190,90 @@ def smallness_check(rho, a_const, varsigma):
 
 # --- decay hypothesis ----------------------------------------------------------
 
+def _exp_sum_zeros(coefs, rates, hi):
+    """Sorted zeros in (0, hi) of u -> sum_k coefs[k] * exp(rates[k] * u).
+
+    A sum of n terms has at most n - 1 real zeros (Laguerre's rule of signs).
+    Scaled by exp(-max(rates) * u), so that no exponent is positive, the sum
+    is monotone between consecutive zeros of its derivative, a sum of one
+    term fewer whose zeros are found the same way; brentq finds the zero of
+    each piece whose ends differ in sign."""
+    top = max(rates)
+    shifted = [rate - top for rate in rates]
+
+    def scaled(u):
+        return sum(c * math.exp(rate * u) for c, rate in zip(coefs, shifted))
+
+    slope = [(c * rate, rate) for c, rate in zip(coefs, shifted) if rate != 0.0]
+    cuts = [0.0, hi]
+    if len(slope) > 1:
+        cuts[1:1] = _exp_sum_zeros(*zip(*slope), hi)
+    return [brentq(scaled, a, b) for a, b in zip(cuts[:-1], cuts[1:])
+            if np.sign(scaled(a)) * np.sign(scaled(b)) < 0.0]
+
+
+def _weight(modes, side, u):
+    """w(u) = |g| + |g_t| + |g_tt| of the kernel at distance u >= 0 from the
+    diagonal on one side ("head": s = t - u, "tail": s = t + u)."""
+    dt = u if side == "head" else -u
+    return sum(np.abs(modes.side_eval(dt, d, side)) for d in range(3))
+
+
+def _kinks(modes, side, hi):
+    """Zeros in (0, hi) of the three inner sums of _weight: its kinks."""
+    sign, sided = (1.0, modes.head) if side == "head" else (-1.0, modes.tail)
+    return np.array([z for d in range(3) for z in _exp_sum_zeros(
+        [m.coef * m.rate**d for m in sided], [sign * m.rate for m in sided], hi)])
+
+
+def _graded(length, n_panels, modes):
+    """n_panels + 1 nodes on [0, length] graded toward 0 like u**p, with p >= 2
+    large enough that the first panel is no wider than the decay length of
+    the fastest kernel mode (of either side)."""
+    fast = max(abs(m.rate) for m in modes.head + modes.tail)
+    return graded_nodes(0.0, length, n_panels + 1,
+                        max(2.0, math.log(length * fast) / math.log(n_panels)))
+
+
+def _head_rule(modes, sample_ts, t0):
+    """(s, weights, owner) of the head side, or None when no sample lies
+    past t0: for each sample t, H2_PANELS panels on [0, t - t0] graded toward
+    both ends (u = 0 carries the kernel scale, u = t - t0 the perturbation's
+    near t0), with the kinks as extra breakpoints, flattened; s = t - u,
+    weights are w(u) times the Gauss-Legendre weights, owner the sample
+    index of each node."""
+    lengths = sample_ts - t0
+    if not np.any(lengths > 0.0):
+        return None
+    kinks = _kinks(modes, "head", lengths.max())
+    grids = {}
+    for k, length in enumerate(lengths):
+        if length > 0.0:
+            half = _graded(0.5 * length, H2_PANELS // 2, modes)
+            grids[k] = make_panels(np.unique(np.concatenate([half, length - half,
+                                                             kinks[kinks < length]])))
+    u = np.concatenate([grid.gl_x.ravel() for grid in grids.values()])
+    owner = np.concatenate([np.full(grid.gl_x.size, k) for k, grid in grids.items()])
+    weights = np.concatenate([grid.gl_w.ravel() for grid in grids.values()])
+    return sample_ts[owner] - u, weights * _weight(modes, "head", u), owner
+
+
+def _tail_rule(modes, sample_ts):
+    """(s, weights, last) of the tail side: one grid of H2_PANELS panels on
+    [0, U], U = H2_TAIL_LENGTHS decay lengths of the slowest tail mode,
+    graded away from u = 0, with the kinks as extra breakpoints;
+    s = t + u for every sample (shape samples x panels x nodes), weights
+    w(u) times the Gauss-Legendre weights, last the mask of the panels in
+    the last decay length."""
+    rate = modes.slowest()[1]
+    span = H2_TAIL_LENGTHS / rate
+    panels = make_panels(np.union1d(_graded(span, H2_PANELS, modes),
+                                    _kinks(modes, "tail", span)))
+    s = sample_ts[:, None, None] + panels.gl_x
+    weights = panels.gl_w * _weight(modes, "tail", panels.gl_x)
+    return s, weights, panels.nodes[:-1] >= span - 1.0 / rate
+
+
 @dataclass
 class DecayReport:
     verdict: str                 # "PASS" | "FAIL"
@@ -184,23 +284,40 @@ class DecayReport:
 
 def check_h2(cd: CharacteristicData, i: int, r, sample_ts=None, t0=0.0,
              h2_tol=H2_TOL, quad_tol=1e-10):
-    """Evaluate the kernel functional of each perturbation at increasing
+    """Evaluate the kernel functional L of each perturbation at increasing
     times; PASS when the curve decays below h2_tol by the last sample.
-    The fitted exponential rate of the tail is reported."""
-    exprs = [exprlang.as_expr(rj) for rj in r]
-    kernel = kernel_for_root(cd, i)
+    The fitted exponential rate of the tail is reported.
+
+    L(t) = integral over [t0, inf) of w(|t - s|) |r_j(s)| ds, where w is
+    |g| + |g_t| + |g_tt| of the adjoint kernel on the side of s, runs on the
+    fixed panels of _head_rule and _tail_rule, built once per root; |r_j| is
+    evaluated in one call per side over all sample times and nodes.  The
+    tail must settle: when its panels in the last decay length still
+    contribute more than max(0.1 quad_tol, 1e-15 times the total),
+    TailNotConvergent is raised.
+    """
+    exprs = [rj for rj in map(exprlang.as_expr, r) if not exprlang.is_zero(rj)]
     if sample_ts is None:
-        span = 40.0 / cd.min_gap
-        sample_ts = t0 + np.linspace(0.0, span, 12)
+        sample_ts = t0 + np.linspace(0.0, 40.0 / cd.min_gap, 12)
     sample_ts = np.asarray(sample_ts, dtype=float)
 
+    modes = kernel_for_root(cd, i).modes("adjoint")
+    head_side = _head_rule(modes, sample_ts, t0) if modes.head else None
+    tail_side = _tail_rule(modes, sample_ts) if modes.tail else None
     curve = np.zeros_like(sample_ts)
     for rj in exprs:
-        if exprlang.is_zero(rj):
-            continue
-        vals = np.array([
-            L_functional(kernel, rj, t, t0, quad_tol=quad_tol) for t in sample_ts
-        ])
+        vals = np.zeros_like(sample_ts)
+        if head_side is not None:
+            s, weights, owner = head_side
+            vals += np.bincount(owner, weights * np.abs(rj(s)), minlength=sample_ts.size)
+        if tail_side is not None:
+            s, weights, last = tail_side
+            per_panel = (weights * np.abs(rj(s))).sum(axis=2)
+            total = per_panel.sum(axis=1)
+            if np.any(per_panel[:, last].sum(axis=1) > np.maximum(0.1 * quad_tol, 1e-15 * total)):
+                raise TailNotConvergent(
+                    f"decay functional of {rj.source!r} not settling on the tail grid")
+            vals += total
         curve = np.maximum(curve, vals)
 
     samples = [(float(t), float(v)) for t, v in zip(sample_ts, curve)]

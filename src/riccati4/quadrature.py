@@ -26,11 +26,12 @@ GL_ORDER = 16
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(GL_ORDER)
 
 
-def graded_nodes(t0: float, t_max: float, n: int) -> np.ndarray:
-    """n strictly increasing nodes on [t0, t_max], denser near t0
-    (square-root grading: spacing grows like sqrt(t - t0))."""
+def graded_nodes(t0: float, t_max: float, n: int, power: float = 2.0) -> np.ndarray:
+    """n strictly increasing nodes t0 + (t_max - t0) * u**power, u uniform on
+    [0, 1]: denser near t0 (the default is square-root grading, spacing
+    growing like sqrt(t - t0))."""
     u = np.linspace(0.0, 1.0, n)
-    return t0 + (t_max - t0) * u**2
+    return t0 + (t_max - t0) * u**power
 
 
 @dataclass(frozen=True)

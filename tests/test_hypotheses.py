@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from riccati4 import exprlang
+from riccati4.errors import TailNotConvergent
+from riccati4.greens import L_functional, kernel_for_root
 from riccati4.hypotheses import (
     F_operator_eval,
     alpha_displayed,
@@ -143,6 +147,83 @@ def test_h2_constant_fails(cd_test):
     report = check_h2(cd_test, 1, ["1", "0", "0", "0"],
                       sample_ts=np.linspace(0.0, 12.0, 8))
     assert report.verdict == "FAIL"
+
+
+def test_h2_growing_perturbation_raises(cd_test):
+    # the tail integrand decays like exp(-u/2): not settled within the grid
+    with pytest.raises(TailNotConvergent):
+        check_h2(cd_test, 1, ("exp(0.5*t)", "0", "0", "0"))
+
+
+def test_h2_pure_tail_root_decays_at_the_perturbation_rate(cd_test):
+    # root 1 has tail modes only, so L(t) = L(t0) exp(-(t - t0)) exactly
+    report = check_h2(cd_test, 1, ("0.001*exp(-t)", "0", "0", "0"))
+    ts, values = np.array(report.samples).T
+    np.testing.assert_allclose(values / values[0], np.exp(-(ts - ts[0])), rtol=1e-10)
+    assert report.fitted_rate == pytest.approx(-1.0, abs=1e-9)
+
+
+def _small_gap_h2(gap, i):
+    """check_h2 of r0 = 0.001 exp(-t) at root i of the spectrum
+    (2, 1, -1, -1 - gap), whose bottom gap is small: the head side of roots 3
+    and 4 integrates over [t0, t] against the spike of exp(-s) at s = t0.
+    Returns the report, the adjoint modes, the inner sums of the head weight
+    and the kinks of that weight in (0, t)."""
+    cd = characteristic_data(tuple(np.poly([2.0, 1.0, -1.0, -1.0 - gap])[1:]))
+    modes = kernel_for_root(cd, i).modes("adjoint")
+
+    def inner(u, d):
+        return sum(m.coef * m.rate**d * np.exp(m.rate * u) for m in modes.head)
+
+    def kinks(t):
+        u = np.geomspace(1e-6, t, 20001)
+        return [brentq(inner, u[k], u[k + 1], args=(d,)) for d in range(3)
+                for k in np.flatnonzero(inner(u[:-1], d) * inner(u[1:], d) < 0.0)]
+
+    return check_h2(cd, i, ("0.001*exp(-t)", "0", "0", "0")), modes, inner, kinks
+
+
+def test_h2_small_gap_matches_quad():
+    report, _, inner, kinks = _small_gap_h2(0.002, 4)
+    for t, value in report.samples[1:]:
+        reference = quad(
+            lambda s: sum(abs(inner(t - s, d)) for d in range(3)) * 0.001 * math.exp(-s),
+            0.0, t, points=[t - z for z in kinks(t)], epsabs=0.0, epsrel=1e-12, limit=500)[0]
+        assert value == pytest.approx(reference, rel=1e-6, abs=0.0)
+
+
+@pytest.mark.parametrize("i", [3, 4])
+def test_h2_near_resonant_matches_closed_form(i):
+    # gap 1e-5: the samples run to t = 4e6, while the kernel and the
+    # perturbation vary on unit scales.  Between kinks the weight is one
+    # exponential sum, integrated in closed form; root 3 adds one tail mode.
+    report, modes, inner, kinks = _small_gap_h2(1e-5, i)
+    assert len(modes.tail) == (1 if i == 3 else 0)
+    for t, value in report.samples:
+        reference = sum(0.001 * math.exp(-t) * abs(m.coef * m.rate**d) / (m.rate + 1.0)
+                        for m in modes.tail for d in range(3))
+        cuts = np.unique([0.0, t, *kinks(t)]) if t > 0.0 else []
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            signs = [np.sign(inner(0.5 * (lo + hi), d)) for d in range(3)]
+            for m in modes.head:
+                amp = sum(sign * m.coef * m.rate**d for d, sign in enumerate(signs))
+                rate = m.rate + 1.0
+                reference += 0.001 * amp * (math.exp(rate * hi - t) - math.exp(rate * lo - t)) / rate
+        assert value == pytest.approx(reference, rel=1e-8, abs=0.0)
+
+
+@pytest.mark.parametrize("problem", ["test", "hard"])
+@pytest.mark.parametrize("i", [1, 2, 3, 4])
+def test_h2_matches_adaptive_route(cd_test, problem, i):
+    cd, perturbations = (cd_test, _TEST_R) if problem == "test" else (_HARD_CD, _HARD_R)
+    kernel = kernel_for_root(cd, i)
+    for rj in perturbations:
+        report = check_h2(cd, i, (rj, "0", "0", "0"))
+        # the kinks of |r_j| itself are not panel breakpoints
+        tol = 1e-9 if rj in _TEST_R[1:] else 1e-10
+        for t, value in report.samples:
+            reference = L_functional(kernel, exprlang.parse(rj), t, 0.0, quad_tol=1e-12)
+            assert value == pytest.approx(reference, abs=tol)
 
 
 def test_envelope_report_epsilon(cd_test, r_eps):
