@@ -280,12 +280,15 @@ def envelope_check(sys: RiccatiSystem, z: GridFunction, beta, phi,
 
 
 def first_iterate_ratio(sys: RiccatiSystem, nodes, a_const, beta,
-                        orientation="adjoint", quad_tol=QUAD_TOL):
+                        orientation="adjoint", quad_tol=QUAD_TOL, envelope=None):
     """sup_t |T0(t)| / (A * E_i(t)): the first-step envelope sharpness, with
-    T and E_i of the same orientation."""
+    T and E_i of the same orientation.  envelope, when given, is E_i on the
+    nodes as envelope_check returns it (same beta, quad_tol and orientation);
+    otherwise it is built here."""
     op = IntegralOperator(sys, nodes, orientation, quad_tol)
     t0_iterate = op.apply(None)
-    envelope = envelope_integral(sys, nodes, beta, quad_tol, orientation)
+    if envelope is None:
+        envelope = envelope_integral(sys, nodes, beta, quad_tol, orientation)
     mask = a_const * envelope > 1e-300
     if not np.any(mask):
         return 0.0

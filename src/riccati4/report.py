@@ -6,14 +6,21 @@ kernel, residual-certified, the envelope and first-iterate certificates of
 that same fixed point, synthesis of the fundamental solution, and oracle
 cross-validation.  Results land in a schema-stable report.json plus CSV
 series; the exit code is 0 only when every requested check passes.
+
+The CSV writer formats each float once, as the shortest round-trip repr of
+its value, block by block of rows; the node column is formatted once per run
+and its text shared by every file.  Rows are comma-separated with CRLF line
+ends and no quoting: the bytes csv.writer's excel dialect writes for the
+same numbers.
 """
 
 from __future__ import annotations
 
-import csv
+import functools
 import json
 import math
 import os
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,14 +59,43 @@ def _default_beta(sys):
     return lo or hi
 
 
-def _write_csv(path, header, rows):
+def _text(array):
+    """A float array as the repr strings of its values."""
+    return list(map(repr, array.tolist()))
+
+
+_BLOCK_ROWS = 1024
+
+
+def _write_csv(path, header, columns):
+    """Write the header, then the rows of the columns, _BLOCK_ROWS rows at a
+    time so that memory stays flat.  A column is either a list of text,
+    formatted already (the shared node column), or a float array, formatted
+    here one block at a time."""
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(rows)
+        handle.write(",".join(header) + "\r\n")
+        for lo in range(0, len(columns[0]), _BLOCK_ROWS):
+            block = [c[lo:lo + _BLOCK_ROWS] for c in columns]
+            text = [_text(b) if isinstance(b, np.ndarray) else b for b in block]
+            handle.write("\r\n".join(map(",".join, zip(*text))) + "\r\n")
 
 
-def _run_root(spec: ProblemSpec, cd, i, mode, out_dir):
+@dataclass
+class _RunShared:
+    """What every root of one run shares: the output directory (None writes
+    no files) and the node grid (None in analyze mode)."""
+
+    out_dir: str | None
+    nodes: np.ndarray | None
+
+    @functools.cached_property
+    def node_text(self):
+        """The grid as CSV text, formatted on the first write."""
+        return _text(self.nodes)
+
+
+def _run_root(spec: ProblemSpec, cd, i, mode, run: _RunShared):
+    out_dir, nodes = run.out_dir, run.nodes
     result = _root_keys()
     sys = build_system(cd, spec.parsed_r(), i)
     result["lambda"] = _num(sys.lam)
@@ -93,7 +129,6 @@ def _run_root(spec: ProblemSpec, cd, i, mode, out_dir):
             result["pass"] = all(checks)
             return result, None
 
-        nodes = picard.default_grid(cd, spec.t0, spec.nodes, spec.t_max)
         snapshots = [] if spec.trace else None
         collect = (lambda n, z: snapshots.append((n, z))) if spec.trace else None
         z, trace = picard.iterate_to_fixed_point(
@@ -119,23 +154,27 @@ def _run_root(spec: ProblemSpec, cd, i, mode, out_dir):
             _write_csv(
                 os.path.join(out_dir, f"z_root{i}.csv"),
                 ["t", "z", "dz", "d2z"],
-                zip(z.nodes, z.value, z.d1, z.d2),
+                [run.node_text, z.value, z.d1, z.d2],
             )
             if spec.trace and snapshots:
-                rows = []
-                for n, snap in snapshots:
-                    rows.extend(zip([n] * snap.nodes.size, snap.nodes,
-                                    snap.value, snap.d1, snap.d2))
-                _write_csv(os.path.join(out_dir, f"trace_root{i}.csv"),
-                           ["iter", "t", "z", "dz", "d2z"], rows)
+                iters, snaps = zip(*snapshots)
+                _write_csv(
+                    os.path.join(out_dir, f"trace_root{i}.csv"),
+                    ["iter", "t", "z", "dz", "d2z"],
+                    [[str(n) for n in iters for _ in range(nodes.size)],
+                     run.node_text * len(snaps),
+                     *(np.concatenate([getattr(s, ch) for s in snaps])
+                       for ch in ("value", "d1", "d2"))],
+                )
 
         # envelope certificates of the delivered z, with the envelope shaped
         # like the kernel that produced it
         beta = _default_beta(sys)
         certs = {"beta": _num(beta), "envelope_ratio_max": None,
                  "envelope_ok": None, "first_iterate_ratio": None}
+        envelope = None
         if env.Phi is not None:
-            ok, ratio, _ = picard.envelope_check(
+            ok, ratio, envelope = picard.envelope_check(
                 sys, z, beta, env.Phi, quad_tol=spec.quad_tol,
                 orientation=trace.orientation,
             )
@@ -144,7 +183,7 @@ def _run_root(spec: ProblemSpec, cd, i, mode, out_dir):
             checks.append(ok)
         certs["first_iterate_ratio"] = _num(picard.first_iterate_ratio(
             sys, nodes, env.A, beta, orientation=trace.orientation,
-            quad_tol=spec.quad_tol,
+            quad_tol=spec.quad_tol, envelope=envelope,
         ))
         result["certificates"] = certs
 
@@ -170,7 +209,7 @@ def _run_root(spec: ProblemSpec, cd, i, mode, out_dir):
             _write_csv(
                 os.path.join(out_dir, f"ratios_root{i}.csv"),
                 ["t", "y", "y1_over_y", "y2_over_y", "y3_over_y", "y4_over_y"],
-                zip(fs.nodes, np.exp(log_y), *ratios),
+                [run.node_text, np.exp(log_y), *ratios],
             )
 
         val = oracle.cross_validate(fs, sys)
@@ -234,9 +273,13 @@ def run_report(spec: ProblemSpec, roots=(1, 2, 3, 4), out_dir=None,
     if any(i not in (1, 2, 3, 4) for i in roots):
         raise ValueError("root indices must be within 1..4")
 
+    nodes = (None if mode == "analyze"
+             else picard.default_grid(cd, spec.t0, spec.nodes, spec.t_max))
+    run = _RunShared(out_dir, nodes)
+
     solutions = {}
     for i in roots:
-        result, fs = _run_root(spec, cd, i, mode, out_dir)
+        result, fs = _run_root(spec, cd, i, mode, run)
         report["roots"][str(i)] = result
         if fs is not None:
             solutions[i] = fs
@@ -257,11 +300,13 @@ def run_report(spec: ProblemSpec, roots=(1, 2, 3, 4), out_dir=None,
         }
         flags.append(rel <= WRONSKIAN_REL_TOL)
         if out_dir and mode == "report":
-            sample = solutions[1].nodes[:: max(1, solutions[1].nodes.size // 256)]
+            step = max(1, nodes.size // 256)
             _write_csv(
                 os.path.join(out_dir, "wronskian.csv"),
                 ["t", "w_normalized"],
-                ((t, synthesis.wronskian_normalized(fss, t)) for t in sample),
+                [run.node_text[::step],
+                 np.array([synthesis.wronskian_normalized(fss, t)
+                           for t in nodes[::step]])],
             )
 
     report["overall_pass"] = bool(flags) and all(flags)

@@ -202,6 +202,23 @@ def test_direct_envelope_certifies_delivered_fixed_point(cd_test, r_eps, eps_sys
         assert 0.0 < first <= 1.0
 
 
+def test_first_iterate_ratio_reuses_the_checked_envelope(cd_test, r_eps, eps_systems,
+                                                        eps_solutions, nodes_1024):
+    """Passing the envelope envelope_check returned gives the same ratio, bit
+    for bit, as building it again."""
+    for i in (1, 2, 3, 4):
+        sys = eps_systems[i]
+        z, _ = eps_solutions[i]
+        env = envelope_report(cd_test, i, r_eps, 0.25)
+        lo, hi = beta_interval(sys)
+        beta = hi if i == 4 else lo
+        _, _, envelope = envelope_check(sys, z, beta, env.Phi, orientation="direct")
+        built = first_iterate_ratio(sys, nodes_1024, env.A, beta, orientation="direct")
+        reused = first_iterate_ratio(sys, nodes_1024, env.A, beta,
+                                     orientation="direct", envelope=envelope)
+        assert reused == built
+
+
 def test_orientation_fixed_points_differ_by_first_iterates(eps_systems, nodes_1024):
     """The two orientations converge to different objects whose gap is, to
     second order in the perturbation, the gap of their first iterates (the

@@ -1,10 +1,15 @@
+import csv
+import io
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from riccati4.picard import default_grid
 from riccati4.problem import ProblemSpec
-from riccati4.report import run_report
+from riccati4.report import _text, _write_csv, run_report
+from riccati4.spectra import characteristic_data
 
 EPS_SPEC = ProblemSpec(a3=0.0, a2=-5.0, a1=0.0, a0=4.0,
                        r0="0.001*exp(-t)", nodes=512)
@@ -73,3 +78,62 @@ def test_root_subset_skips_wronskian(tmp_path):
     assert code == 0
     assert report["wronskian"] is None
     assert list(report["roots"]) == ["1"]
+
+
+# floats whose text is easy to get wrong: specials, signed zero, the smallest
+# subnormal, both sides of repr's switches to exponent form, the largest double
+AWKWARD = [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324, 1e-05,
+           0.0001, 1e16, 1e15, 1.7976931348623157e+308, 0.1]
+
+
+def test_csv_writer_bytes_match_csv_module(tmp_path):
+    # more rows than one write block, so block joins are covered
+    values = np.tile(np.array(AWKWARD), 250)
+    counts = list(range(1, values.size + 1))
+    header = ["iter", "x", "x_text"]
+    reference = io.StringIO(newline="")
+    writer = csv.writer(reference)
+    writer.writerow(header)
+    writer.writerows(zip(counts, values, values))
+    path = tmp_path / "series.csv"
+    # an int text column, a float array and the same floats as text
+    _write_csv(path, header, [[str(n) for n in counts], values, _text(values)])
+    assert path.read_bytes() == reference.getvalue().encode()
+
+
+def _columns(path):
+    """{header: column text} of a CSV file written by run_report."""
+    lines = path.read_bytes().decode().split("\r\n")
+    assert lines[-1] == ""            # the last line ends in CRLF too
+    rows = [line.split(",") for line in lines[1:-1]]
+    return dict(zip(lines[0].split(","), zip(*rows)))
+
+
+@pytest.fixture(scope="module")
+def traced_report(tmp_path_factory):
+    out = tmp_path_factory.mktemp("traced")
+    report, _ = run_report(replace(EPS_SPEC, trace=True), out_dir=str(out))
+    return report, out
+
+
+def test_run_files_share_one_node_column(traced_report):
+    report, out = traced_report
+    grid = default_grid(characteristic_data(EPS_SPEC.a), EPS_SPEC.t0, EPS_SPEC.nodes)
+    for path in out.glob("*.csv"):
+        data = path.read_bytes()
+        assert data.endswith(b"\r\n") and data.count(b"\n") == data.count(b"\r\n")
+    t = _columns(out / "z_root1.csv")["t"]
+    # every double of the grid reads back exactly
+    assert [float(x) for x in t] == grid.tolist()
+    for i in (1, 2, 3, 4):
+        assert _columns(out / f"z_root{i}.csv")["t"] == t
+        assert _columns(out / f"ratios_root{i}.csv")["t"] == t
+    step = max(1, grid.size // 256)
+    assert _columns(out / "wronskian.csv")["t"] == t[::step]
+
+    trace = _columns(out / "trace_root1.csv")
+    n_iter = report["roots"]["1"]["solve"]["n_iter"]
+    assert len(trace["iter"]) == n_iter * grid.size
+    assert trace["iter"] == tuple(str(n) for n in range(1, n_iter + 1)
+                                  for _ in range(grid.size))
+    assert trace["t"] == t * n_iter

@@ -19,3 +19,14 @@ def test_epsilon_study_smoke(capsys):
     assert row[1] == "5.000e-04"
     assert row[3] == "20.2312"
     assert float(row[6]) <= 1.0
+
+
+def test_dump_reports_is_reproducible(tmp_path):
+    dump = load_script("dump_reports").dump
+    trees = []
+    for name in ("a", "b"):
+        (target,) = dump(tmp_path / name, ["standard"], [0])
+        assert target.name == "standard-seed0"
+        trees.append({p.name: p.read_bytes() for p in target.iterdir()})
+    assert "report.json" in trees[0] and "wronskian.csv" in trees[0]
+    assert trees[0] == trees[1]
