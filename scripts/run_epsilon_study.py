@@ -28,7 +28,7 @@ A = (0.0, -5.0, 0.0, 4.0)
 def study(eps_values):
     cd = characteristic_data(A)
     print(f"roots: {cd.lam}   min gap: {cd.min_gap}")
-    nodes = default_grid(cd, 0.0, 2048)
+    grid = default_grid(cd, 0.0, 2048)
     header = (f"{'eps':>8} {'rho1':>10} {'rho*A*vs':>10} {'Phi':>9} "
               f"{'iters':>5} {'residual':>10} {'env ratio':>10}")
     print(header)
@@ -42,7 +42,7 @@ def study(eps_values):
         row = f"{eps:8.4g} {rho1:10.3e} {rho1 * a1 * vs1:10.3e} "
         row += f"{phi:9.4f} " if phi else f"{'--':>9} "
         try:
-            z, trace = iterate_to_fixed_point(sys1, nodes)
+            z, trace = iterate_to_fixed_point(sys1, grid)
             residual = float(np.max(np.abs(residual_profile(sys1, z))))
             row += f"{trace.n_iter:5d} {residual:10.2e} "
             if phi:

@@ -23,7 +23,6 @@ from .hypotheses import (
 from .oracle import cross_validate, integrate_linear4, integrate_riccati
 from .picard import (
     IntegralOperator,
-    apply_T,
     envelope_check,
     iterate_to_fixed_point,
     phi_sequence,

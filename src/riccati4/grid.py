@@ -1,25 +1,29 @@
 """Sampled functions on [t0, t_max] with value and derivative channels.
 
-A GridFunction stores z, z', z'' at the panel boundary nodes plus an
-auxiliary third-derivative channel used only to interpolate z'' between
-nodes.  Interpolation is cubic Hermite per channel, pairing each channel
-with the next one as its slope, so the three channels stay mutually
-consistent to interpolation accuracy.
+A GridFunction carries the PanelGrid it lives on and stores z, z', z'' at
+the panel boundary nodes plus an auxiliary third-derivative channel used
+only to interpolate z'' between nodes.  Interpolation is cubic Hermite per
+channel, pairing each channel with the next one as its slope, so the three
+channels stay mutually consistent to interpolation accuracy.
 
 The Hermite basis depends only on where the points sit in their intervals,
 so at the fixed Gauss-Legendre nodes of a panel grid it is computed once
 (``PanelGrid.hermite_basis``) and ``channels_on`` only combines it with the
-node values; ``channels_at`` serves arbitrary points.
+node values; ``channels_at`` serves arbitrary points.  Every function of a
+run shares the run's one grid, so the basis is computed once per run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import NonFinite
+
+if TYPE_CHECKING:
+    from .quadrature import PanelGrid
 
 
 def hermite_basis(left, width, x):
@@ -52,7 +56,7 @@ def hermite_eval(nodes, values, slopes, x):
 
 @dataclass(frozen=True)
 class GridFunction:
-    nodes: np.ndarray
+    grid: PanelGrid
     value: np.ndarray
     d1: np.ndarray
     d2: np.ndarray
@@ -66,21 +70,13 @@ class GridFunction:
                 raise NonFinite("grid function has non-finite samples")
 
     @classmethod
-    def zero(cls, nodes):
-        nodes = np.asarray(nodes, dtype=float)
-        z = np.zeros_like(nodes)
-        return cls(nodes=nodes, value=z, d1=z.copy(), d2=z.copy(), d3=z.copy())
+    def zero(cls, grid: PanelGrid):
+        z = np.zeros_like(grid.nodes)
+        return cls(grid=grid, value=z, d1=z.copy(), d2=z.copy(), d3=z.copy())
 
-    @classmethod
-    def from_channels(cls, nodes, value, d1, d2, d3=None):
-        nodes = np.asarray(nodes, dtype=float)
-        value = np.asarray(value, dtype=float)
-        d1 = np.asarray(d1, dtype=float)
-        d2 = np.asarray(d2, dtype=float)
-        if d3 is None:
-            # fallback slope channel from a spline through d2
-            d3 = CubicSpline(nodes, d2)(nodes, 1)
-        return cls(nodes=nodes, value=value, d1=d1, d2=d2, d3=np.asarray(d3, dtype=float))
+    @property
+    def nodes(self):
+        return self.grid.nodes
 
     @property
     def t0(self):
@@ -97,13 +93,11 @@ class GridFunction:
         z2 = hermite_eval(self.nodes, self.d2, self.d3, x)
         return z, z1, z2
 
-    def channels_on(self, panels):
-        """(z, z', z'') at the Gauss-Legendre nodes of a PanelGrid built on
-        this function's nodes, shape (N-1, GL order); equal to
-        channels_at(panels.gl_x) bit for bit, from the grid's cached basis."""
-        if panels.nodes is not self.nodes and not np.array_equal(panels.nodes, self.nodes):
-            raise ValueError("panel grid is built on other nodes")
-        basis = panels.hermite_basis
+    def channels_on(self):
+        """(z, z', z'') at the Gauss-Legendre nodes of this function's grid,
+        shape (N-1, GL order); equal to channels_at(grid.gl_x) bit for bit,
+        from the grid's cached basis."""
+        basis = self.grid.hermite_basis
 
         def channel(values, slopes):
             return hermite_combine(basis, values[:-1, None], slopes[:-1, None],

@@ -7,6 +7,10 @@ is a short sum of exponentials, each output channel is assembled from
 prefix/suffix recurrences whose factors stay bounded by exp(rate * panel
 width); no large exponent is ever formed.
 
+A run works on one PanelGrid, the one ``default_grid`` returns: the
+operator, the fixed-point iteration and the envelope take it, and every
+GridFunction they produce carries it.
+
 Orientation: the solver uses the ``direct`` (dichotomy-split) kernel, the
 one that inverts the shifted cubic.  ``resolve_orientation`` is the residual
 ground-truth test that confirms this choice; it is a library entry point and
@@ -47,33 +51,34 @@ def default_t_max(cd, t0, truncation=TRUNCATION):
     return t0 + math.log(1.0 / truncation) / cd.min_gap
 
 
-def default_grid(cd, t0, n_nodes=DEFAULT_NODES, t_max=None):
+def default_grid(cd, t0, n_nodes=DEFAULT_NODES, t_max=None) -> PanelGrid:
+    """The panel grid of a run on n_nodes graded nodes over [t0, t_max]."""
     if t_max is None:
         t_max = default_t_max(cd, t0)
-    return graded_nodes(t0, t_max, n_nodes)
+    return make_panels(graded_nodes(t0, t_max, n_nodes))
 
 
 class IntegralOperator:
     """T for one Riccati system on a fixed panel grid."""
 
-    def __init__(self, sys: RiccatiSystem, nodes, orientation="direct",
+    def __init__(self, sys: RiccatiSystem, grid: PanelGrid, orientation="direct",
                  quad_tol=QUAD_TOL):
         self.sys = sys
         self.orientation = orientation
         self.quad_tol = quad_tol
-        self.panels: PanelGrid = make_panels(nodes)
+        self.grid = grid
         self.modes = sys.kernel.modes(orientation)
         # Omega and the F coefficients sampled once at the points T evaluates
-        self._coef_gl = sample_coefficients(sys, self.panels.gl_x)
-        self._coef_nodes = sample_coefficients(sys, self.panels.nodes)
-        self._omega_gl = np.broadcast_to(self._coef_gl.omega, self.panels.gl_x.shape)
-        self._omega_nodes = np.broadcast_to(self._coef_nodes.omega, self.panels.nodes.shape)
+        self._coef_gl = sample_coefficients(sys, self.grid.gl_x)
+        self._coef_nodes = sample_coefficients(sys, self.grid.nodes)
+        self._omega_gl = np.broadcast_to(self._coef_gl.omega, self.grid.gl_x.shape)
+        self._omega_nodes = np.broadcast_to(self._coef_nodes.omega, self.grid.nodes.shape)
         # a forcing that vanishes on the grid is taken to vanish past it
         self._seeds = self._tail_seeds(sys.omega) if np.any(self._omega_gl) else {}
 
     def _tail_seeds(self, forcing):
         """{tail rate: integral of the forcing past the grid at that rate}."""
-        return {m.rate: exponential_tail_seed(forcing, self.panels, m.rate, self.quad_tol)
+        return {m.rate: exponential_tail_seed(forcing, self.grid, m.rate, self.quad_tol)
                 for m in self.modes.tail}
 
     # -- forcing samples -----------------------------------------------------
@@ -81,7 +86,9 @@ class IntegralOperator:
     def _forcing(self, z: GridFunction | None):
         if z is None:
             return self._omega_gl, self._omega_nodes
-        z0, z1, z2 = z.channels_on(self.panels)
+        if z.grid is not self.grid:
+            raise ValueError("z lives on another panel grid")
+        z0, z1, z2 = z.channels_on()
         f_gl = self._omega_gl + F_nested(self.sys, self._coef_gl, z0, z1, z2)
         f_nodes = self._omega_nodes + F_nested(
             self.sys, self._coef_nodes, z.value, z.d1, z.d2
@@ -89,18 +96,18 @@ class IntegralOperator:
         return f_gl, f_nodes
 
     def _assemble(self, f_gl, f_nodes, seeds) -> GridFunction:
-        n = self.panels.nodes.size
+        n = self.grid.nodes.size
         ch = np.zeros((4, n))
         for m in self.modes.head:
-            h = head_transform(self.panels, f_gl, m.rate)
+            h = head_transform(self.grid, f_gl, m.rate)
             for d in range(4):
                 ch[d] += m.coef * m.rate**d * h
         for m in self.modes.tail:
-            k = tail_transform(self.panels, f_gl, m.rate, seeds.get(m.rate, 0.0))
+            k = tail_transform(self.grid, f_gl, m.rate, seeds.get(m.rate, 0.0))
             for d in range(4):
                 ch[d] += m.coef * m.rate**d * k
         ch[3] += self.modes.jump * f_nodes
-        return GridFunction(self.panels.nodes, ch[0], ch[1], ch[2], ch[3])
+        return GridFunction(self.grid, ch[0], ch[1], ch[2], ch[3])
 
     def apply(self, z: GridFunction | None) -> GridFunction:
         """T z (z = None means the zero function)."""
@@ -109,15 +116,9 @@ class IntegralOperator:
     def apply_forcing(self, forcing) -> GridFunction:
         """Kernel integral of an arbitrary forcing callable (probe use),
         with the tail seeds beyond the grid taken from that forcing."""
-        f_gl = np.asarray(forcing(self.panels.gl_x), dtype=float)
-        f_nodes = np.asarray(forcing(self.panels.nodes), dtype=float)
+        f_gl = np.asarray(forcing(self.grid.gl_x), dtype=float)
+        f_nodes = np.asarray(forcing(self.grid.nodes), dtype=float)
         return self._assemble(f_gl, f_nodes, self._tail_seeds(forcing))
-
-
-def apply_T(sys: RiccatiSystem, z: GridFunction, orientation="direct",
-            quad_tol=QUAD_TOL) -> GridFunction:
-    """One application of T on z's own grid."""
-    return IntegralOperator(sys, z.nodes, orientation, quad_tol).apply(z)
 
 
 # --- orientation ground-truth test -------------------------------------------
@@ -134,11 +135,12 @@ def resolve_orientation(sys: RiccatiSystem, t0=0.0, n_nodes=1536,
     sigma = 1.37 * gmax + 0.7071
     probe = lambda s: np.exp(-sigma * (np.asarray(s, dtype=float) - t0))
     t_max = t0 + math.log(1e10) / min(abs(g) for g in sys.kernel.gamma)
-    nodes = graded_nodes(t0, t_max, n_nodes)
+    grid = make_panels(graded_nodes(t0, t_max, n_nodes))
+    nodes = grid.nodes
     b2, b1, b0 = sys.b
     residuals = {}
     for orientation in ("direct", "adjoint"):
-        op = IntegralOperator(sys, nodes, orientation, quad_tol=1e-13)
+        op = IntegralOperator(sys, grid, orientation, quad_tol=1e-13)
         z = op.apply_forcing(probe)
         z3 = CubicSpline(nodes, z.d2)(nodes, 1)
         res = z3 + b2 * z.d2 + b1 * z.d1 + b0 * z.value - probe(nodes)
@@ -165,7 +167,7 @@ class IterationTrace:
     orientation: str = ""
 
 
-def iterate_to_fixed_point(sys: RiccatiSystem, nodes, fp_tol=FP_TOL,
+def iterate_to_fixed_point(sys: RiccatiSystem, grid: PanelGrid, fp_tol=FP_TOL,
                            max_iter=MAX_ITER, eta=0.25, orientation="direct",
                            quad_tol=QUAD_TOL, snapshot=None):
     """Plain Picard iteration from omega_0 = 0.
@@ -175,10 +177,10 @@ def iterate_to_fixed_point(sys: RiccatiSystem, nodes, fp_tol=FP_TOL,
     at the cap.  snapshot, when given, is called with (iteration, GridFunction)
     after every step.
     """
-    op = IntegralOperator(sys, nodes, orientation, quad_tol)
+    op = IntegralOperator(sys, grid, orientation, quad_tol)
     trace = IterationTrace(orientation=orientation)
 
-    z = GridFunction.zero(op.panels.nodes)
+    z = GridFunction.zero(grid)
     previous = z
     for n in range(1, max_iter + 1):
         z_new = op.apply(None if n == 1 else previous)
@@ -233,9 +235,9 @@ def beta_interval(sys: RiccatiSystem):
     return (head, 0.0) if head is not None else (0.0, tail)
 
 
-def envelope_integral(sys: RiccatiSystem, nodes, beta, quad_tol=QUAD_TOL,
+def envelope_integral(sys: RiccatiSystem, grid: PanelGrid, beta, quad_tol=QUAD_TOL,
                       orientation="adjoint"):
-    """E_i(t) on the nodes: exponential transforms of |p(lam_i, s)| shaped
+    """E_i(t) on the grid nodes: exponential transforms of |p(lam_i, s)| shaped
     like the kernel of the given orientation.
 
     Each side of the diagonal that carries kernel modes contributes one
@@ -252,11 +254,10 @@ def envelope_integral(sys: RiccatiSystem, nodes, beta, quad_tol=QUAD_TOL,
         head_rate = rate_beta
     if tail_rate is not None and rate_beta > 0:
         tail_rate = rate_beta
-    panels = make_panels(nodes)
-    p_gl = np.abs(np.asarray(sys.omega(panels.gl_x), dtype=float))
+    p_gl = np.abs(np.asarray(sys.omega(grid.gl_x), dtype=float))
     if not np.any(p_gl):
-        return np.zeros(panels.nodes.size)
-    return two_sided_transform(panels, lambda s: np.abs(sys.omega(s)), p_gl,
+        return np.zeros(grid.nodes.size)
+    return two_sided_transform(grid, lambda s: np.abs(sys.omega(s)), p_gl,
                                head_rate, tail_rate, quad_tol)
 
 
@@ -269,7 +270,7 @@ def envelope_check(sys: RiccatiSystem, z: GridFunction, beta, phi,
     lo, hi = beta_interval(sys)
     if beta == 0.0 or not lo <= beta <= hi:
         raise ValueError(f"beta={beta} outside [{lo}, {hi}] or zero for i={sys.i}")
-    envelope = envelope_integral(sys, z.nodes, beta, quad_tol, orientation)
+    envelope = envelope_integral(sys, z.grid, beta, quad_tol, orientation)
     numerator = np.abs(z.value) + np.abs(z.d1) + np.abs(z.d2)
     den = phi * envelope
     tiny = 1e-300
@@ -279,16 +280,16 @@ def envelope_check(sys: RiccatiSystem, z: GridFunction, beta, phi,
     return max_ratio <= 1.0 + 1e-9, max_ratio, envelope
 
 
-def first_iterate_ratio(sys: RiccatiSystem, nodes, a_const, beta,
+def first_iterate_ratio(sys: RiccatiSystem, grid: PanelGrid, a_const, beta,
                         orientation="adjoint", quad_tol=QUAD_TOL, envelope=None):
     """sup_t |T0(t)| / (A * E_i(t)): the first-step envelope sharpness, with
     T and E_i of the same orientation.  envelope, when given, is E_i on the
-    nodes as envelope_check returns it (same beta, quad_tol and orientation);
-    otherwise it is built here."""
-    op = IntegralOperator(sys, nodes, orientation, quad_tol)
+    grid nodes as envelope_check returns it (same beta, quad_tol and
+    orientation); otherwise it is built here."""
+    op = IntegralOperator(sys, grid, orientation, quad_tol)
     t0_iterate = op.apply(None)
     if envelope is None:
-        envelope = envelope_integral(sys, nodes, beta, quad_tol, orientation)
+        envelope = envelope_integral(sys, grid, beta, quad_tol, orientation)
     mask = a_const * envelope > 1e-300
     if not np.any(mask):
         return 0.0

@@ -7,9 +7,11 @@ integrals against sampled data are evaluated by stable one-panel recurrences
 so every exponent that is ever formed stays bounded by rate * panel width.
 The recurrences run over Python floats and build their output array once.
 
-A PanelGrid also caches the cubic Hermite basis at its Gauss-Legendre nodes
-(``hermite_basis``), so a GridFunction on the same nodes is interpolated
-there (``GridFunction.channels_on``) without locating a single point.
+A PanelGrid is the grid object of a run: ``picard.default_grid`` builds it
+once, and every GridFunction carries the grid it lives on.  It caches the
+cubic Hermite basis at its Gauss-Legendre nodes (``hermite_basis``), so a
+GridFunction is interpolated there (``GridFunction.channels_on``) without
+locating a single point, and the basis is computed once per run.
 """
 
 from __future__ import annotations

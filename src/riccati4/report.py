@@ -4,8 +4,10 @@ One run executes, per requested root index in turn: the hypothesis checks
 and contraction constants, the Picard solve with the direct (dichotomy)
 kernel, residual-certified, the envelope and first-iterate certificates of
 that same fixed point, synthesis of the fundamental solution, and oracle
-cross-validation.  Results land in a schema-stable report.json plus CSV
-series; the exit code is 0 only when every requested check passes.
+cross-validation.  Every stage of every root works on the run's one panel
+grid (``picard.default_grid``), built once per run.  Results land in a
+schema-stable report.json plus CSV series; the exit code is 0 only when
+every requested check passes.
 
 The CSV writer formats each float once, as the shortest round-trip repr of
 its value, block by block of rows; the node column is formatted once per run
@@ -27,6 +29,7 @@ import numpy as np
 from . import hypotheses, oracle, picard, synthesis
 from .errors import SolverError
 from .problem import ProblemSpec
+from .quadrature import PanelGrid
 from .riccati import build_system, residual_profile
 from .spectra import characteristic_data
 
@@ -83,19 +86,19 @@ def _write_csv(path, header, columns):
 @dataclass
 class _RunShared:
     """What every root of one run shares: the output directory (None writes
-    no files) and the node grid (None in analyze mode)."""
+    no files) and the panel grid (None in analyze mode)."""
 
     out_dir: str | None
-    nodes: np.ndarray | None
+    grid: PanelGrid | None
 
     @functools.cached_property
     def node_text(self):
-        """The grid as CSV text, formatted on the first write."""
-        return _text(self.nodes)
+        """The grid nodes as CSV text, formatted on the first write."""
+        return _text(self.grid.nodes)
 
 
 def _run_root(spec: ProblemSpec, cd, i, mode, run: _RunShared):
-    out_dir, nodes = run.out_dir, run.nodes
+    out_dir, grid = run.out_dir, run.grid
     result = _root_keys()
     sys = build_system(cd, spec.parsed_r(), i)
     result["lambda"] = _num(sys.lam)
@@ -132,7 +135,7 @@ def _run_root(spec: ProblemSpec, cd, i, mode, run: _RunShared):
         snapshots = [] if spec.trace else None
         collect = (lambda n, z: snapshots.append((n, z))) if spec.trace else None
         z, trace = picard.iterate_to_fixed_point(
-            sys, nodes, fp_tol=spec.fp_tol, max_iter=spec.max_iter,
+            sys, grid, fp_tol=spec.fp_tol, max_iter=spec.max_iter,
             eta=spec.eta, quad_tol=spec.quad_tol, snapshot=collect,
         )
         residual_max = float(np.max(np.abs(residual_profile(sys, z))))
@@ -161,7 +164,7 @@ def _run_root(spec: ProblemSpec, cd, i, mode, run: _RunShared):
                 _write_csv(
                     os.path.join(out_dir, f"trace_root{i}.csv"),
                     ["iter", "t", "z", "dz", "d2z"],
-                    [[str(n) for n in iters for _ in range(nodes.size)],
+                    [[str(n) for n in iters for _ in range(grid.nodes.size)],
                      run.node_text * len(snaps),
                      *(np.concatenate([getattr(s, ch) for s in snaps])
                        for ch in ("value", "d1", "d2"))],
@@ -182,7 +185,7 @@ def _run_root(spec: ProblemSpec, cd, i, mode, run: _RunShared):
             certs["envelope_ok"] = ok
             checks.append(ok)
         certs["first_iterate_ratio"] = _num(picard.first_iterate_ratio(
-            sys, nodes, env.A, beta, orientation=trace.orientation,
+            sys, grid, env.A, beta, orientation=trace.orientation,
             quad_tol=spec.quad_tol, envelope=envelope,
         ))
         result["certificates"] = certs
@@ -273,9 +276,9 @@ def run_report(spec: ProblemSpec, roots=(1, 2, 3, 4), out_dir=None,
     if any(i not in (1, 2, 3, 4) for i in roots):
         raise ValueError("root indices must be within 1..4")
 
-    nodes = (None if mode == "analyze"
-             else picard.default_grid(cd, spec.t0, spec.nodes, spec.t_max))
-    run = _RunShared(out_dir, nodes)
+    grid = (None if mode == "analyze"
+            else picard.default_grid(cd, spec.t0, spec.nodes, spec.t_max))
+    run = _RunShared(out_dir, grid)
 
     solutions = {}
     for i in roots:
@@ -300,13 +303,13 @@ def run_report(spec: ProblemSpec, roots=(1, 2, 3, 4), out_dir=None,
         }
         flags.append(rel <= WRONSKIAN_REL_TOL)
         if out_dir and mode == "report":
-            step = max(1, nodes.size // 256)
+            step = max(1, grid.nodes.size // 256)
             _write_csv(
                 os.path.join(out_dir, "wronskian.csv"),
                 ["t", "w_normalized"],
                 [run.node_text[::step],
                  np.array([synthesis.wronskian_normalized(fss, t)
-                           for t in nodes[::step]])],
+                           for t in grid.nodes[::step]])],
             )
 
     report["overall_pass"] = bool(flags) and all(flags)

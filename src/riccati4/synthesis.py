@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridFunction, hermite_eval
-from .quadrature import cumulative_integral, make_panels
+from .quadrature import cumulative_integral
 from .riccati import RiccatiSystem, eval_F, log_derivative_ratios
 
 
@@ -38,14 +38,10 @@ class FundamentalSolution:
     def y_at(self, ts):
         return np.exp(self.log_y_at(ts))
 
-    def ratios(self, ts=None):
-        """(y'/y, y''/y, y'''/y, y''''/y) at the nodes (or at ts)."""
-        if ts is None:
-            z0, z1, z2, z3 = self.z.value, self.z.d1, self.z.d2, self.z.d3
-        else:
-            z0, z1, z2 = self.z.channels_at(ts)
-            z3 = hermite_eval(self.nodes, self.z.d3, np.gradient(self.z.d3, self.nodes), ts)
-        return log_derivative_ratios(self.lam, z0, z1, z2, z3)
+    def ratios(self):
+        """(y'/y, y''/y, y'''/y, y''''/y) at the nodes."""
+        z = self.z
+        return log_derivative_ratios(self.lam, z.value, z.d1, z.d2, z.d3)
 
     def initial_state(self):
         """(y, y', y'', y''') at t0; y(t0) = 1 by the normalization."""
@@ -55,9 +51,8 @@ class FundamentalSolution:
 
 def fundamental_solution(sys: RiccatiSystem, z: GridFunction, cd) -> FundamentalSolution:
     """Assemble y_i from a converged z on its grid."""
-    panels = make_panels(z.nodes)
-    z_gl, _, _ = z.channels_on(panels)
-    log_y = cumulative_integral(panels, sys.lam + z_gl)
+    z_gl, _, _ = z.channels_on()
+    log_y = cumulative_integral(z.grid, sys.lam + z_gl)
     pi_i = 1.0
     for k in range(4):
         if k + 1 != sys.i:
@@ -65,21 +60,12 @@ def fundamental_solution(sys: RiccatiSystem, z: GridFunction, cd) -> Fundamental
     return FundamentalSolution(i=sys.i, lam=sys.lam, z=z, log_y=log_y, pi_i=pi_i)
 
 
-def derivative_ratio_limits(fs: FundamentalSolution, ts=None, ratio_tol=1e-4):
-    """|y^(l)/y - lam^l| for l = 1..4 at the sample times.
+def derivative_ratio_limits(fs: FundamentalSolution, ratio_tol=1e-4):
+    """|y^(l)/y - lam^l| for l = 1..4 at the nodes.
 
-    Returns (errors array shape (4, len(ts)), verdict string): PASS when all
-    four errors at the final time are below ratio_tol."""
-    if ts is None:
-        ts = fs.nodes
-    ts = np.asarray(ts, dtype=float)
-    idx = np.searchsorted(fs.nodes, ts)
-    idx = np.clip(idx, 0, fs.nodes.size - 1)
-    z0 = fs.z.value[idx]
-    z1 = fs.z.d1[idx]
-    z2 = fs.z.d2[idx]
-    z3 = fs.z.d3[idx]
-    ratios = log_derivative_ratios(fs.lam, z0, z1, z2, z3)
+    Returns (errors array shape (4, nodes), verdict string): PASS when all
+    four errors at the final node are below ratio_tol."""
+    ratios = fs.ratios()
     errors = np.vstack([
         np.abs(np.asarray(ratios[l]) - fs.lam ** (l + 1)) for l in range(4)
     ])
@@ -118,11 +104,10 @@ def asymptotic_integral_formula(fs: FundamentalSolution, sys: RiccatiSystem):
 
     Returns (predicted log_y at the nodes, relative gap profile against the
     direct product construction)."""
-    panels = make_panels(fs.nodes)
-    x = panels.gl_x
-    z0, z1, z2 = fs.z.channels_on(panels)
+    x = fs.z.grid.gl_x
+    z0, z1, z2 = fs.z.channels_on()
     integrand = sys.p_value(x) + eval_F(sys, x, z0, z1, z2)
-    correction = cumulative_integral(panels, integrand) / fs.pi_i
+    correction = cumulative_integral(fs.z.grid, integrand) / fs.pi_i
     predicted = fs.lam * (fs.nodes - fs.nodes[0]) + correction
     gap = np.abs(np.expm1(predicted - fs.log_y))
     return predicted, gap

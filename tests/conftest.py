@@ -26,7 +26,7 @@ def r_eps():
 
 
 @pytest.fixture(scope="session")
-def nodes_1024(cd_test):
+def grid_1024(cd_test):
     return default_grid(cd_test, 0.0, 1024)
 
 
@@ -36,10 +36,10 @@ def eps_systems(cd_test, r_eps):
 
 
 @pytest.fixture(scope="session")
-def eps_solutions(eps_systems, nodes_1024):
+def eps_solutions(eps_systems, grid_1024):
     """Converged direct-orientation fixed points for the epsilon problem."""
     out = {}
     for i, sys in eps_systems.items():
-        z, trace = iterate_to_fixed_point(sys, nodes_1024, orientation="direct")
+        z, trace = iterate_to_fixed_point(sys, grid_1024, orientation="direct")
         out[i] = (z, trace)
     return out

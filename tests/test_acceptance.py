@@ -68,7 +68,7 @@ def test_criterion_01_zero_perturbation_exactness(cd, grid):
         assert trace.converged and trace.n_iter == 1
         assert z.norm_c02() == 0.0
         solutions.append(fundamental_solution(sys, z, cd))
-    ts = grid[grid <= 10.0]
+    ts = grid.nodes[grid.nodes <= 10.0]
     for fs, lam in zip(solutions, cd.lam):
         y = fs.y_at(ts)
         exact = np.exp(lam * ts)
@@ -190,7 +190,7 @@ def test_criterion_07_envelope(cd, grid, eps_run):
 
     # quadrature envelope agrees with the closed form (eps/2) e^{-t}
     env = envelope_integral(sys, grid, -1.0)
-    closed = (EPS / 2.0) * np.exp(-grid)
+    closed = (EPS / 2.0) * np.exp(-grid.nodes)
     assert np.max(np.abs(env - closed) / closed) <= 1e-9
 
     ok_env, ratio, _ = envelope_check(sys, info["z_adj"], -1.0, phi)

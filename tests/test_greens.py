@@ -145,11 +145,12 @@ def test_L_functional_exponential_decay_rate():
 
 def test_L_functional_accepts_grid_function():
     from riccati4.grid import GridFunction
+    from riccati4.quadrature import make_panels
 
     k = GreenKernel.from_gamma((-1.0, -3.0, -4.0))
     t = np.linspace(0.0, 35.0, 900)
-    sampled = GridFunction.from_channels(
-        t, np.exp(-t), -np.exp(-t), np.exp(-t), -np.exp(-t))
+    sampled = GridFunction(
+        make_panels(t), np.exp(-t), -np.exp(-t), np.exp(-t), -np.exp(-t))
     direct = L_functional(k, exprlang.parse("exp(-t)"), 2.0, 0.0)
     via_grid = L_functional(k, sampled, 2.0, 0.0)
     assert via_grid == pytest.approx(direct, rel=1e-6)

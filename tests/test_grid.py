@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from riccati4.grid import GridFunction
+from riccati4.picard import IntegralOperator
 from riccati4.quadrature import PanelGrid, graded_nodes, make_panels
 
 
-def random_function(nodes, seed):
+def random_function(grid, seed):
     rng = np.random.default_rng(seed)
-    return GridFunction(nodes, *rng.standard_normal((4, nodes.size)))
+    return GridFunction(grid, *rng.standard_normal((4, grid.nodes.size)))
 
 
 def jittered_uniform(n, seed):
@@ -20,29 +21,22 @@ def jittered_uniform(n, seed):
 @pytest.mark.parametrize("nodes", [graded_nodes(0.0, 30.0, 8192), jittered_uniform(500, 4)],
                          ids=["graded-8192", "jittered-uniform"])
 def test_channels_on_equals_channels_at_bit_for_bit(nodes):
-    z = random_function(nodes, 1)
     panels = make_panels(nodes)
-    for on, at in zip(z.channels_on(panels), z.channels_at(panels.gl_x)):
+    z = random_function(panels, 1)
+    for on, at in zip(z.channels_on(), z.channels_at(panels.gl_x)):
         assert on.shape == panels.gl_x.shape
         assert np.array_equal(on, at)
 
 
-def test_channels_on_accepts_a_grid_on_equal_nodes():
-    nodes = graded_nodes(0.0, 5.0, 64)
-    z = random_function(nodes, 2)
-    panels = make_panels(nodes.copy())
-    assert np.array_equal(z.channels_on(panels)[2], z.channels_at(panels.gl_x)[2])
-
-
-def test_channels_on_refuses_a_foreign_grid():
-    nodes = graded_nodes(0.0, 5.0, 64)
-    z = random_function(nodes, 3)
+def test_operator_output_carries_the_operator_grid(eps_systems, grid_1024):
+    z = IntegralOperator(eps_systems[1], grid_1024).apply(None)
+    assert z.grid is grid_1024
+    for on, at in zip(z.channels_on(), z.channels_at(grid_1024.gl_x)):
+        assert np.array_equal(on, at)
+    # a function of another grid with as many nodes is refused, not
+    # combined with this operator's coefficient samples
     with pytest.raises(ValueError):
-        z.channels_on(make_panels(graded_nodes(0.0, 5.0, 65)))
-    shifted = nodes.copy()
-    shifted[10] += 1e-9
-    with pytest.raises(ValueError):
-        z.channels_on(make_panels(shifted))
+        IntegralOperator(eps_systems[1], make_panels(1.01 * grid_1024.nodes)).apply(z)
 
 
 def test_hermite_basis_checks_that_nodes_sit_in_their_panels():

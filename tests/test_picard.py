@@ -6,7 +6,6 @@ from riccati4.grid import GridFunction
 from riccati4.hypotheses import envelope_report
 from riccati4.picard import (
     IntegralOperator,
-    apply_T,
     beta_interval,
     default_grid,
     envelope_check,
@@ -21,25 +20,25 @@ from riccati4.riccati import build_system, residual_profile
 EPS = 1e-3
 
 
-def test_T_of_zero_without_forcing(cd_test, r_zero, nodes_1024):
+def test_T_of_zero_without_forcing(cd_test, r_zero, grid_1024):
     sys1 = build_system(cd_test, r_zero, 1)
     for orientation in ("direct", "adjoint"):
-        out = IntegralOperator(sys1, nodes_1024, orientation).apply(None)
+        out = IntegralOperator(sys1, grid_1024, orientation).apply(None)
         assert out.norm_c02() == 0.0
 
 
-def test_adjoint_first_iterate_closed_form(eps_systems, nodes_1024):
+def test_adjoint_first_iterate_closed_form(eps_systems, grid_1024):
     """T0 for the transposed kernel is -(eps/40) e^{-t}; at t=0: -2.5e-5."""
-    out = IntegralOperator(eps_systems[1], nodes_1024, "adjoint").apply(None)
-    expected = -(EPS / 40.0) * np.exp(-nodes_1024)
+    out = IntegralOperator(eps_systems[1], grid_1024, "adjoint").apply(None)
+    expected = -(EPS / 40.0) * np.exp(-grid_1024.nodes)
     assert np.max(np.abs(out.value - expected)) <= 1e-15
     assert out.value[0] == pytest.approx(-2.5e-5, rel=1e-10)
 
 
-def test_direct_first_iterate_closed_form(eps_systems, nodes_1024):
+def test_direct_first_iterate_closed_form(eps_systems, grid_1024):
     """The operator-inverting first iterate carries the resonant t e^{-t}."""
-    t = nodes_1024
-    out = IntegralOperator(eps_systems[1], nodes_1024, "direct").apply(None)
+    t = grid_1024.nodes
+    out = IntegralOperator(eps_systems[1], grid_1024, "direct").apply(None)
     expected = -EPS * (
         t * np.exp(-t) / 6.0
         - (np.exp(-t) - np.exp(-3.0 * t)) / 4.0
@@ -56,9 +55,9 @@ def test_orientation_resolution(eps_systems):
         assert probe["residuals"]["adjoint"] > 1e-3
 
 
-def test_zero_perturbation_converges_in_one_iteration(cd_test, r_zero, nodes_1024):
+def test_zero_perturbation_converges_in_one_iteration(cd_test, r_zero, grid_1024):
     sys1 = build_system(cd_test, r_zero, 1)
-    z, trace = iterate_to_fixed_point(sys1, nodes_1024, orientation="direct")
+    z, trace = iterate_to_fixed_point(sys1, grid_1024, orientation="direct")
     assert trace.converged and trace.n_iter == 1
     assert z.norm_c02() == 0.0
     assert trace.certificate == 0.0
@@ -77,24 +76,24 @@ def test_epsilon_problem_fixed_point(eps_systems, eps_solutions):
 
 def test_apply_T_reproduces_fixed_point(eps_systems, eps_solutions):
     z, _ = eps_solutions[2]
-    again = apply_T(eps_systems[2], z, orientation="direct")
+    again = IntegralOperator(eps_systems[2], z.grid, "direct").apply(z)
     assert again.diff_norm(z) <= 1e-10
 
 
-def test_contraction_between_nearby_states(eps_systems, nodes_1024):
+def test_contraction_between_nearby_states(eps_systems, grid_1024):
     """||T z1 - T z2|| <= k ||z1 - z2|| with k < 1 inside the small ball."""
     sys1 = eps_systems[1]
-    op = IntegralOperator(sys1, nodes_1024, "direct")
+    op = IntegralOperator(sys1, grid_1024, "direct")
     rng = np.random.default_rng(5)
-    t = nodes_1024
+    t = grid_1024.nodes
     for _ in range(5):
         a1, a2 = rng.uniform(0.5, 2.5, size=2)
         c1, c2 = rng.uniform(-5e-3, 5e-3, size=2)
-        z1 = GridFunction.from_channels(
-            t, c1 * np.exp(-a1 * t), -a1 * c1 * np.exp(-a1 * t),
+        z1 = GridFunction(
+            grid_1024, c1 * np.exp(-a1 * t), -a1 * c1 * np.exp(-a1 * t),
             a1**2 * c1 * np.exp(-a1 * t), -a1**3 * c1 * np.exp(-a1 * t))
-        z2 = GridFunction.from_channels(
-            t, c2 * np.exp(-a2 * t), -a2 * c2 * np.exp(-a2 * t),
+        z2 = GridFunction(
+            grid_1024, c2 * np.exp(-a2 * t), -a2 * c2 * np.exp(-a2 * t),
             a2**2 * c2 * np.exp(-a2 * t), -a2**3 * c2 * np.exp(-a2 * t))
         lhs = op.apply(z1).diff_norm(op.apply(z2))
         rhs = z1.diff_norm(z2)
@@ -104,12 +103,12 @@ def test_contraction_between_nearby_states(eps_systems, nodes_1024):
 def test_divergence_for_large_perturbation(cd_test):
     r = ["10*exp(-t)", "0", "0", "0"]
     sys3 = build_system(cd_test, r, 3)
-    nodes = default_grid(cd_test, 0.0, 512)
+    grid = default_grid(cd_test, 0.0, 512)
     with pytest.raises((Diverged, MaxIterExceeded)):
-        iterate_to_fixed_point(sys3, nodes, orientation="direct")
+        iterate_to_fixed_point(sys3, grid, orientation="direct")
 
 
-def test_derivative_channel_consistency(eps_solutions, nodes_1024):
+def test_derivative_channel_consistency(eps_solutions, grid_1024):
     """Channel 1 of the fixed point is the numeric derivative of channel 0."""
     z, _ = eps_solutions[1]
     t = z.nodes
@@ -154,39 +153,39 @@ def test_phi_sequence():
         phi_sequence(14.0, 1.0 / (14.0 * 44.0), 44.0, 5)
 
 
-def test_envelope_closed_form_and_check(eps_systems, nodes_1024):
+def test_envelope_closed_form_and_check(eps_systems, grid_1024):
     sys1 = eps_systems[1]
-    env = envelope_integral(sys1, nodes_1024, -1.0)
-    expected = (EPS / 2.0) * np.exp(-nodes_1024)
+    env = envelope_integral(sys1, grid_1024, -1.0)
+    expected = (EPS / 2.0) * np.exp(-grid_1024.nodes)
     assert np.max(np.abs(env - expected) / expected) <= 1e-10
 
-    z_adj, _ = iterate_to_fixed_point(sys1, nodes_1024, orientation="adjoint")
+    z_adj, _ = iterate_to_fixed_point(sys1, grid_1024, orientation="adjoint")
     ok, ratio, _ = envelope_check(sys1, z_adj, -1.0, 20.2312138724924)
     assert ok and 0.0 < ratio <= 1.0
 
 
-def test_envelope_zero_problem(cd_test, r_zero, nodes_1024):
+def test_envelope_zero_problem(cd_test, r_zero, grid_1024):
     sys1 = build_system(cd_test, r_zero, 1)
-    z = GridFunction.zero(nodes_1024)
+    z = GridFunction.zero(grid_1024)
     ok, ratio, _ = envelope_check(sys1, z, -1.0, 14.0)
     assert ok and ratio == 0.0
 
 
-def test_envelope_beta_validation(eps_systems, nodes_1024):
-    z = GridFunction.zero(nodes_1024)
+def test_envelope_beta_validation(eps_systems, grid_1024):
+    z = GridFunction.zero(grid_1024)
     with pytest.raises(ValueError):
         envelope_check(eps_systems[1], z, -1.5, 14.0)  # below lam2 - lam1
     with pytest.raises(ValueError):
         envelope_check(eps_systems[4], z, -0.5, 14.0)  # i=4 needs beta > 0
 
 
-def test_first_iterate_ratio_value(eps_systems, nodes_1024):
-    ratio = first_iterate_ratio(eps_systems[1], nodes_1024, 14.0, -1.0)
+def test_first_iterate_ratio_value(eps_systems, grid_1024):
+    ratio = first_iterate_ratio(eps_systems[1], grid_1024, 14.0, -1.0)
     assert ratio == pytest.approx(1.0 / 280.0, rel=1e-9)
 
 
 def test_direct_envelope_certifies_delivered_fixed_point(cd_test, r_eps, eps_systems,
-                                                        eps_solutions, nodes_1024):
+                                                        eps_solutions, grid_1024):
     """The direct-kernel envelope bounds the z the solver delivers, with the
     same Phi, and the direct first iterate stays below A times it."""
     for i in (1, 2, 3, 4):
@@ -197,13 +196,13 @@ def test_direct_envelope_certifies_delivered_fixed_point(cd_test, r_eps, eps_sys
         beta = hi if i == 4 else lo
         ok, ratio, _ = envelope_check(sys, z, beta, env.Phi, orientation="direct")
         assert ok and 0.0 < ratio <= 1.0
-        first = first_iterate_ratio(sys, nodes_1024, env.A, beta,
+        first = first_iterate_ratio(sys, grid_1024, env.A, beta,
                                     orientation="direct")
         assert 0.0 < first <= 1.0
 
 
 def test_first_iterate_ratio_reuses_the_checked_envelope(cd_test, r_eps, eps_systems,
-                                                        eps_solutions, nodes_1024):
+                                                        eps_solutions, grid_1024):
     """Passing the envelope envelope_check returned gives the same ratio, bit
     for bit, as building it again."""
     for i in (1, 2, 3, 4):
@@ -213,21 +212,21 @@ def test_first_iterate_ratio_reuses_the_checked_envelope(cd_test, r_eps, eps_sys
         lo, hi = beta_interval(sys)
         beta = hi if i == 4 else lo
         _, _, envelope = envelope_check(sys, z, beta, env.Phi, orientation="direct")
-        built = first_iterate_ratio(sys, nodes_1024, env.A, beta, orientation="direct")
-        reused = first_iterate_ratio(sys, nodes_1024, env.A, beta,
+        built = first_iterate_ratio(sys, grid_1024, env.A, beta, orientation="direct")
+        reused = first_iterate_ratio(sys, grid_1024, env.A, beta,
                                      orientation="direct", envelope=envelope)
         assert reused == built
 
 
-def test_orientation_fixed_points_differ_by_first_iterates(eps_systems, nodes_1024):
+def test_orientation_fixed_points_differ_by_first_iterates(eps_systems, grid_1024):
     """The two orientations converge to different objects whose gap is, to
     second order in the perturbation, the gap of their first iterates (the
     resonant head response the transposed kernel cannot produce)."""
     sys1 = eps_systems[1]
-    z_dir, _ = iterate_to_fixed_point(sys1, nodes_1024, orientation="direct")
-    z_adj, _ = iterate_to_fixed_point(sys1, nodes_1024, orientation="adjoint")
-    t0_dir = IntegralOperator(sys1, nodes_1024, "direct").apply(None)
-    t0_adj = IntegralOperator(sys1, nodes_1024, "adjoint").apply(None)
+    z_dir, _ = iterate_to_fixed_point(sys1, grid_1024, orientation="direct")
+    z_adj, _ = iterate_to_fixed_point(sys1, grid_1024, orientation="adjoint")
+    t0_dir = IntegralOperator(sys1, grid_1024, "direct").apply(None)
+    t0_adj = IntegralOperator(sys1, grid_1024, "adjoint").apply(None)
     gap = z_dir.value - z_adj.value
     assert np.max(np.abs(gap)) > 1e-5  # genuinely different objects
     second_order = np.max(np.abs(gap - (t0_dir.value - t0_adj.value)))

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from riccati4 import quadrature
 from riccati4.picard import default_grid
 from riccati4.problem import ProblemSpec
 from riccati4.report import _text, _write_csv, run_report
@@ -73,6 +74,22 @@ def test_wronskian_csv_written(eps_report):
     assert len(lines) > 100
 
 
+def test_one_hermite_basis_per_run(monkeypatch):
+    """Every stage of every root shares the run's one panel grid, so its
+    Hermite basis is computed once."""
+    calls = []
+    basis = quadrature.hermite_basis
+
+    def counted(*args):
+        calls.append(args)
+        return basis(*args)
+
+    monkeypatch.setattr(quadrature, "hermite_basis", counted)
+    report, _ = run_report(EPS_SPEC)
+    assert report["overall_pass"]
+    assert len(calls) == 1
+
+
 def test_root_subset_skips_wronskian(tmp_path):
     report, code = run_report(EPS_SPEC, roots=(1,), out_dir=str(tmp_path / "o"))
     assert code == 0
@@ -124,16 +141,16 @@ def test_run_files_share_one_node_column(traced_report):
         assert data.endswith(b"\r\n") and data.count(b"\n") == data.count(b"\r\n")
     t = _columns(out / "z_root1.csv")["t"]
     # every double of the grid reads back exactly
-    assert [float(x) for x in t] == grid.tolist()
+    assert [float(x) for x in t] == grid.nodes.tolist()
     for i in (1, 2, 3, 4):
         assert _columns(out / f"z_root{i}.csv")["t"] == t
         assert _columns(out / f"ratios_root{i}.csv")["t"] == t
-    step = max(1, grid.size // 256)
+    step = max(1, grid.nodes.size // 256)
     assert _columns(out / "wronskian.csv")["t"] == t[::step]
 
     trace = _columns(out / "trace_root1.csv")
     n_iter = report["roots"]["1"]["solve"]["n_iter"]
-    assert len(trace["iter"]) == n_iter * grid.size
+    assert len(trace["iter"]) == n_iter * grid.nodes.size
     assert trace["iter"] == tuple(str(n) for n in range(1, n_iter + 1)
-                                  for _ in range(grid.size))
+                                  for _ in range(grid.nodes.size))
     assert trace["t"] == t * n_iter

@@ -128,9 +128,9 @@ def test_F_pure_state_cubic(cd_test, r_zero):
     assert value == pytest.approx(-0.1981)
 
 
-def test_zero_residual_for_trivial_problem(cd_test, r_zero, nodes_1024):
+def test_zero_residual_for_trivial_problem(cd_test, r_zero, grid_1024):
     sys1 = build_system(cd_test, r_zero, 1)
-    z = GridFunction.zero(nodes_1024)
+    z = GridFunction.zero(grid_1024)
     assert np.max(np.abs(residual_profile(sys1, z))) == 0.0
 
 

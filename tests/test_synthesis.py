@@ -23,18 +23,18 @@ def wronskian_raw(fss, t):
 
 
 @pytest.fixture(scope="module")
-def trivial_solutions(cd_test, r_zero, nodes_1024):
+def trivial_solutions(cd_test, r_zero, grid_1024):
     out = []
     for i in (1, 2, 3, 4):
         sys = build_system(cd_test, r_zero, i)
-        out.append(fundamental_solution(sys, GridFunction.zero(nodes_1024), cd_test))
+        out.append(fundamental_solution(sys, GridFunction.zero(grid_1024), cd_test))
     return out
 
 
-def test_trivial_solution_is_pure_exponential(trivial_solutions, cd_test, nodes_1024):
+def test_trivial_solution_is_pure_exponential(trivial_solutions, cd_test, grid_1024):
     for fs, lam in zip(trivial_solutions, cd_test.lam):
         assert fs.y_at(np.array([fs.nodes[0]]))[0] == 1.0
-        ts = nodes_1024[nodes_1024 <= 10.0]
+        ts = grid_1024.nodes[grid_1024.nodes <= 10.0]
         y = fs.y_at(ts)
         exact = np.exp(lam * ts)
         assert np.max(np.abs(y - exact) / exact) <= 1e-10
