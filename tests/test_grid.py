@@ -39,6 +39,31 @@ def test_operator_output_carries_the_operator_grid(eps_systems, grid_1024):
         IntegralOperator(eps_systems[1], make_panels(1.01 * grid_1024.nodes)).apply(z)
 
 
+def test_channels_on_accepts_a_grid_on_equal_nodes(eps_systems):
+    nodes = graded_nodes(0.0, 5.0, 64)
+    z = random_function(make_panels(nodes), 2)
+    panels = make_panels(nodes.copy())
+    moved = GridFunction(panels, z.value, z.d1, z.d2, z.d3)
+    assert np.array_equal(moved.channels_on()[2], z.channels_at(panels.gl_x)[2])
+    # the operator of either grid gives the same T z bit for bit
+    tz = IntegralOperator(eps_systems[1], z.grid).apply(z)
+    tz_moved = IntegralOperator(eps_systems[1], panels).apply(moved)
+    for a, b in zip((tz.value, tz.d1, tz.d2, tz.d3),
+                    (tz_moved.value, tz_moved.d1, tz_moved.d2, tz_moved.d3)):
+        assert np.array_equal(a, b)
+
+
+def test_channels_on_refuses_a_foreign_grid(eps_systems):
+    nodes = graded_nodes(0.0, 5.0, 64)
+    z = random_function(make_panels(nodes), 3)
+    with pytest.raises(ValueError):
+        IntegralOperator(eps_systems[1], make_panels(graded_nodes(0.0, 5.0, 65))).apply(z)
+    shifted = nodes.copy()
+    shifted[10] += 1e-9
+    with pytest.raises(ValueError):
+        IntegralOperator(eps_systems[1], make_panels(shifted)).apply(z)
+
+
 def test_hermite_basis_checks_that_nodes_sit_in_their_panels():
     grid = make_panels(graded_nodes(0.0, 5.0, 64))
     bad = PanelGrid(nodes=grid.nodes, gl_x=np.roll(grid.gl_x, 1, axis=0), gl_w=grid.gl_w)
