@@ -11,7 +11,7 @@ direct adaptive integrator.
 from .errors import SolverError
 from .exprlang import FunctionExpr, parse
 from .grid import GridFunction
-from .greens import GreenKernel, L_functional, SignCase, classify_sign_pattern
+from .greens import GreenKernel, SignCase, classify_sign_pattern
 from .hypotheses import (
     F_operator_eval,
     check_h2,
@@ -25,7 +25,6 @@ from .picard import (
     IntegralOperator,
     envelope_check,
     iterate_to_fixed_point,
-    phi_sequence,
     resolve_orientation,
 )
 from .problem import ProblemSpec, biharmonic_preset, load_problem_spec

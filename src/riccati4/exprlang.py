@@ -324,6 +324,3 @@ def is_zero(expr: FunctionExpr) -> bool:
     while isinstance(node, Neg):
         node = node.arg
     return isinstance(node, Num) and node.value == 0.0
-
-
-ZERO = parse("0")

@@ -23,6 +23,11 @@ The pipeline solves and certifies with ``direct`` only.
 ``picard.resolve_orientation`` is the residual ground-truth test behind that
 choice, kept as a library entry point; the adjoint family remains available
 for evaluating the printed closed forms.
+
+The certificates of these properties (the second-derivative limits at the
+diagonal, the annihilating cubic, the pointwise exponential bound) and the
+adaptive decay functional L(E)(t) are test references; they live in
+tests/reference_routes.py.
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ZeroRoot
-from .quadrature import adaptive_interval, adaptive_semi_infinite
 from .spectra import GAP_TOL
 
 
@@ -159,20 +163,6 @@ class GreenKernel:
         dt = np.asarray(t, dtype=float) - np.asarray(s, dtype=float)
         return self.modes(orientation).eval(dt, d)
 
-    def second_derivative_limits(self, orientation="direct"):
-        """One-sided limits of d2g/dt2 at t = s, (head side, tail side)."""
-        m = self.modes(orientation)
-        head = sum(mode.coef * mode.rate**2 for mode in m.head)
-        tail = sum(mode.coef * mode.rate**2 for mode in m.tail)
-        return head, tail
-
-    def cubic_coeffs(self, orientation="direct"):
-        """(b2, b1, b0) of the monic cubic annihilating t -> g(t, s) off the
-        diagonal: the shifted cubic for direct, its reflection for adjoint."""
-        roots = self.gamma if orientation == "direct" else tuple(-x for x in self.gamma)
-        poly = np.poly(np.asarray(roots))
-        return tuple(float(c) for c in poly[1:])
-
     # --- exponential bounds -------------------------------------------------
 
     def kernel_bound(self, d, orientation="adjoint"):
@@ -193,63 +183,7 @@ class GreenKernel:
                 out[side] = (coef, -rate)
         return out
 
-    def bound_value(self, t, s, d, orientation="adjoint"):
-        """Pointwise value of the exponential bound at (t, s)."""
-        dt = np.asarray(t, dtype=float) - np.asarray(s, dtype=float)
-        bounds = self.kernel_bound(d, orientation)
-        scale = abs(self.delta_gamma)
-        out = np.zeros_like(np.asarray(dt, dtype=float))
-        if "head" in bounds:
-            coef, alpha = bounds["head"]
-            out = np.where(dt >= 0.0, coef / scale * np.exp(-alpha * np.maximum(dt, 0.0)), out)
-        if "tail" in bounds:
-            coef, alpha = bounds["tail"]
-            out = np.where(dt < 0.0, coef / scale * np.exp(-alpha * np.minimum(dt, 0.0)), out)
-        return out if np.ndim(out) else float(out)
-
 
 def kernel_for_root(cd, i, gap_tol=GAP_TOL) -> GreenKernel:
     """Green kernel for the shifted cubic of 1-based root index i."""
     return GreenKernel.from_gamma(cd.gamma_for(i), gap_tol=gap_tol)
-
-
-def L_functional(kernel: GreenKernel, E, t, t0, quad_tol=1e-12,
-                 orientation="adjoint"):
-    """L(E)(t) = integral over [t0, inf) of (|g| + |g_t| + |g_tt|) |E(s)| ds.
-
-    E may be a FunctionExpr, any callable accepting ndarray s, or a sampled
-    GridFunction (its value channel is interpolated and taken as zero beyond
-    the grid).  The integral is split at the diagonal s = t and each part
-    weighted by the kernel modes of its own side; the semi-infinite part is
-    truncated once windows stop contributing (TailNotConvergent otherwise).
-
-    This is the adaptive reference route for the functional.  The pipeline
-    no longer calls it: hypotheses.check_h2 evaluates L on fixed panels.
-    """
-    if hasattr(E, "channels_at"):
-        grid_E = E
-        t_hi = grid_E.t_max
-
-        def E(s):  # noqa: F811 - sampled function wrapper
-            s = np.asarray(s, dtype=float)
-            inside = s <= t_hi
-            return np.where(inside, grid_E.channels_at(np.minimum(s, t_hi))[0], 0.0)
-
-    modes = kernel.modes(orientation)
-
-    def weight(s, side):
-        s = np.asarray(s, dtype=float)
-        dt = t - s
-        total = np.zeros_like(s)
-        for d in (0, 1, 2):
-            total += np.abs(modes.side_eval(dt, d, side))
-        return total * np.abs(np.asarray(E(s), dtype=float))
-
-    head_part = 0.0
-    if modes.head and t > t0:
-        head_part = adaptive_interval(lambda s: weight(s, "head"), t0, t, quad_tol)
-    tail_part = 0.0
-    if modes.tail:
-        tail_part = adaptive_semi_infinite(lambda s: weight(s, "tail"), t, modes.slowest()[1],
-                                           quad_tol)
-    return head_part + tail_part

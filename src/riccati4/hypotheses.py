@@ -21,7 +21,8 @@ grid of H2_TAIL_LENGTHS slowest-mode decay lengths shared by every sample
 time, and per sample time one head grid on [0, t - t0] graded toward both
 ends.  The grading is steep enough that the first panel is no wider than the
 decay length of the fastest kernel mode, however long the sample window.
-The adaptive route (greens.L_functional) is kept as the reference.
+The tests check it against the adaptive route, L_functional in
+tests/reference_routes.py.
 
 The contraction constants are assembled from the Green-kernel branch bounds:
 delta_w_i is the kernel normalization delta_gamma, alpha_{j,i} the branch

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .errors import Diverged, MaxIterExceeded, NoLimit
+from .errors import Diverged, MaxIterExceeded
 from .grid import GridFunction
 from .quadrature import (
     PanelGrid,
@@ -207,21 +207,6 @@ def iterate_to_fixed_point(sys: RiccatiSystem, grid: PanelGrid, fp_tol=FP_TOL,
             trace.certificate = op.apply(z_new).diff_norm(z_new)
             return z_new, trace
     raise MaxIterExceeded(f"no convergence in {max_iter} iterations")
-
-
-def phi_sequence(a_const, rho, varsigma, n):
-    """Phi_1 = A, Phi_k = A (1 + Phi_{k-1} rho varsigma); returns
-    (sequence, limit A / (1 - rho A varsigma)).  NoLimit when the geometric
-    ratio rho A varsigma reaches 1."""
-    ratio = rho * a_const * varsigma
-    seq = []
-    phi = a_const
-    for _ in range(n):
-        seq.append(phi)
-        phi = a_const * (1.0 + phi * rho * varsigma)
-    if ratio >= 1.0:
-        raise NoLimit(f"rho * A * varsigma = {ratio:.6g} >= 1")
-    return seq, a_const / (1.0 - ratio)
 
 
 # --- pointwise decay envelope -----------------------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 import configparser
 import io
 import math
+import numbers
 from dataclasses import dataclass
 
 from . import exprlang
@@ -52,6 +53,9 @@ class ProblemSpec:
                 raise ValidationError(f"{name} must be finite")
         if not 0.0 < self.eta < 0.5:
             raise ValidationError("eta must lie in (0,0.5)")
+        for name in ("nodes", "max_iter"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValidationError(f"{name} must be an integer")
         if self.nodes < 64:
             raise ValidationError("nodes must be at least 64")
         if self.t_max is not None and not self.t0 < self.t_max < math.inf:

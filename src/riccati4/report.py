@@ -243,6 +243,9 @@ def run_report(spec: ProblemSpec, roots=(1, 2, 3, 4), out_dir=None,
                mode="report"):
     """Execute the pipeline and return (report dict, exit code)."""
     spec.validate()
+    roots = tuple(sorted(set(int(i) for i in roots)))
+    if any(i not in (1, 2, 3, 4) for i in roots):
+        raise ValueError("root indices must be within 1..4")
     report = {
         "problem": {
             "a": [spec.a3, spec.a2, spec.a1, spec.a0],
@@ -271,10 +274,6 @@ def run_report(spec: ProblemSpec, roots=(1, 2, 3, 4), out_dir=None,
         "roots": [_num(x) for x in cd.lam],
         "min_gap": _num(cd.min_gap),
     }
-
-    roots = tuple(sorted(set(int(i) for i in roots)))
-    if any(i not in (1, 2, 3, 4) for i in roots):
-        raise ValueError("root indices must be within 1..4")
 
     grid = (None if mode == "analyze"
             else picard.default_grid(cd, spec.t0, spec.nodes, spec.t_max))

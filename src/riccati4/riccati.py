@@ -12,9 +12,13 @@ C . (x2^2, x1 x2, x1 x3, x1^2, x1^2 x2, x1^3, x1^4).
 
 The constant vector uses the expansion-consistent values
     C = -(3, 12 lam + 3 a3, 4, 6 lam^2 + 3 lam a3 + a2, 6, 4 lam + a3, 1),
-validated by the lift/residual equivalence below, which ties the residual of
-the fourth-order equation at y = exp(integral(lam + z)) to y times the
-residual of this third-order form for arbitrary smooth z.
+and the perturbation maps are
+    Lambda1 = -(3 lam^2 r3 + 2 lam r2 + r1, 3 lam r3 + r2, r3),
+    Lambda2 = -(3 r3, 3 lam r3 + r2, r3).
+They are validated by the lift identity R4 = y R3, which ties the residual
+of the fourth-order equation at y = exp(integral(lam + z)) to y times the
+residual of this third-order form for arbitrary smooth z.  The identity is a
+test reference (tests/reference_routes.py, acceptance criterion 4).
 
 F is evaluated in the nested (Horner) form
 
@@ -63,14 +67,6 @@ def _omega(lam, r0, r1, r2, r3):
     return -(lam**3 * r3 + lam**2 * r2 + lam * r1 + r0)
 
 
-def _lambda1(lam, r1, r2, r3):
-    return (-(3.0 * lam**2 * r3 + 2.0 * lam * r2 + r1), -(3.0 * lam * r3 + r2), -r3)
-
-
-def _lambda2(lam, r2, r3):
-    return (-3.0 * r3, -(3.0 * lam * r3 + r2), -r3)
-
-
 @dataclass(frozen=True)
 class RiccatiSystem:
     i: int
@@ -88,14 +84,6 @@ class RiccatiSystem:
     def p_value(self, t):
         """p(lam_i, t) = lam^3 r3 + lam^2 r2 + lam r1 + r0 = -Omega(t)."""
         return -self.omega(t)
-
-    def lambda1(self, t):
-        """(b(t), f(t), h(t)) multiplying (x1, x2, x3)."""
-        return _lambda1(self.lam, *(rj(t) for rj in self.r[1:]))
-
-    def lambda2(self, t):
-        """(p(t), f(t), h(t)) multiplying (x1 x2, x1^2, x1^3); p = 3h = -3 r3."""
-        return _lambda2(self.lam, *(rj(t) for rj in self.r[2:]))
 
 
 def build_system(cd: CharacteristicData, r, i: int) -> RiccatiSystem:
@@ -133,11 +121,11 @@ def sample_coefficients(sys: RiccatiSystem, t) -> Coefficients:
     a perturbation that is syntactically zero is not evaluated at all."""
     lam = sys.lam
     r0, r1, r2, r3 = (0.0 if exprlang.is_zero(rj) else rj(t) for rj in sys.r)
-    a, b, h = _lambda1(lam, r1, r2, r3)
-    l2 = _lambda2(lam, r2, r3)
+    f = -(3.0 * lam * r3 + r2)          # Lambda1_1 = Lambda2_1
     c = sys.C
-    return Coefficients(_omega(lam, r0, r1, r2, r3), a, b, h,
-                        l2[0] + c[1], l2[1] + c[3], l2[2] + c[5])
+    return Coefficients(_omega(lam, r0, r1, r2, r3),
+                        -(3.0 * lam**2 * r3 + 2.0 * lam * r2 + r1), f, -r3,
+                        -3.0 * r3 + c[1], f + c[3], -r3 + c[5])
 
 
 def F_nested(sys: RiccatiSystem, k: Coefficients, x1, x2, x3):
@@ -189,45 +177,3 @@ def log_derivative_ratios(lam, z0, z1, z2, z3):
     r3 = w**3 + 3.0 * w * z1 + z2
     r4 = w**4 + 6.0 * w**2 * z1 + 3.0 * np.asarray(z1) ** 2 + 4.0 * w * z2 + z3
     return r1, r2, r3, r4
-
-
-def fourth_order_residual_over_y(sys: RiccatiSystem, t, z0, z1, z2, z3):
-    """Residual of the fourth-order equation divided by y, from the
-    logarithmic-derivative identities (independent of the C/Lambda maps)."""
-    a3, a2, a1, a0 = sys.a
-    r0e, r1e, r2e, r3e = sys.r
-    r1, r2, r3, r4 = log_derivative_ratios(sys.lam, z0, z1, z2, z3)
-    return (
-        r4
-        + (a3 + r3e(t)) * r3
-        + (a2 + r2e(t)) * r2
-        + (a1 + r1e(t)) * r1
-        + (a0 + r0e(t))
-    )
-
-
-def lift_residual_equivalence(sys: RiccatiSystem, z_derivs, t, t0=None):
-    """Master consistency check between the two equation levels.
-
-    z_derivs is a callable t -> (z, z', z'', z''') for a smooth test
-    function, vectorized over t.  Returns (R4, R3 * y) where R4 is the
-    fourth-order residual at y = exp(integral from t0 of (lam + z)) and R3
-    the third-order residual; the two must agree to roundoff when every
-    coefficient map is correct.
-    """
-    from .quadrature import adaptive_interval
-
-    if t0 is None:
-        t0 = t - 1.0
-
-    z0, z1, z2, z3 = z_derivs(t)
-    y_log = adaptive_interval(lambda s: sys.lam + z_derivs(s)[0], t0, t, 1e-13)
-    y = float(np.exp(y_log))
-
-    r4_over_y = fourth_order_residual_over_y(sys, t, z0, z1, z2, z3)
-    b2, b1, b0 = sys.b
-    r3_residual = (
-        z3 + b2 * z2 + b1 * z1 + b0 * z0
-        - sys.omega(t) - eval_F(sys, t, z0, z1, z2)
-    )
-    return float(r4_over_y * y), float(r3_residual * y)

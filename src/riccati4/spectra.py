@@ -163,9 +163,3 @@ def shifted_cubic_coeffs(cd: CharacteristicData, i: int):
     b1 = 6.0 * lam**2 + 3.0 * lam * a3 + a2
     b0 = 4.0 * lam**3 + 3.0 * lam**2 * a3 + 2.0 * lam * a2 + a1
     return (b2, b1, b0)
-
-
-def shifted_cubic_residuals(cd: CharacteristicData, i: int):
-    """Value of the shifted cubic at each gamma; all should vanish."""
-    b2, b1, b0 = shifted_cubic_coeffs(cd, i)
-    return tuple(((g + b2) * g + b1) * g + b0 for g in cd.gamma_for(i))

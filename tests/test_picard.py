@@ -12,10 +12,11 @@ from riccati4.picard import (
     envelope_integral,
     first_iterate_ratio,
     iterate_to_fixed_point,
-    phi_sequence,
     resolve_orientation,
 )
 from riccati4.riccati import build_system, residual_profile
+
+from reference_routes import phi_sequence
 
 EPS = 1e-3
 

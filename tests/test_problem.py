@@ -120,3 +120,16 @@ def test_t_max_must_be_finite(t_max):
     spec = ProblemSpec(a3=0.0, a2=-5.0, a1=0.0, a0=4.0, t_max=t_max)
     with pytest.raises(ValidationError, match="t_max"):
         spec.validate()
+
+
+@pytest.mark.parametrize("field, value", [("nodes", 100.5), ("nodes", 2048.0),
+                                          ("max_iter", 2.5), ("max_iter", "50")])
+def test_nodes_and_max_iter_must_be_integers(field, value):
+    spec = ProblemSpec(a3=0.0, a2=-5.0, a1=0.0, a0=4.0, **{field: value})
+    with pytest.raises(ValidationError, match=field):
+        spec.validate()
+
+
+def test_numpy_integer_nodes_accepted():
+    ProblemSpec(a3=0.0, a2=-5.0, a1=0.0, a0=4.0, nodes=np.int64(512),
+                max_iter=np.int32(20)).validate()

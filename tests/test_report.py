@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from riccati4 import quadrature
+from riccati4 import report as report_module
 from riccati4.picard import default_grid
 from riccati4.problem import ProblemSpec
 from riccati4.report import _text, _write_csv, run_report
@@ -95,6 +96,18 @@ def test_root_subset_skips_wronskian(tmp_path):
     assert code == 0
     assert report["wronskian"] is None
     assert list(report["roots"]) == ["1"]
+
+
+@pytest.mark.parametrize("roots", [(0,), (1, 5)])
+def test_bad_root_index_is_rejected_before_any_work(tmp_path, monkeypatch, roots):
+    def unexpected(*args, **kwargs):
+        raise AssertionError("the quartic was solved")
+
+    monkeypatch.setattr(report_module, "characteristic_data", unexpected)
+    out = tmp_path / "never"
+    with pytest.raises(ValueError, match="root indices"):
+        run_report(EPS_SPEC, roots=roots, out_dir=str(out))
+    assert not out.exists()
 
 
 # floats whose text is easy to get wrong: specials, signed zero, the smallest

@@ -30,3 +30,11 @@ def test_dump_reports_is_reproducible(tmp_path):
         trees.append({p.name: p.read_bytes() for p in target.iterdir()})
     assert "report.json" in trees[0] and "wronskian.csv" in trees[0]
     assert trees[0] == trees[1]
+
+
+def test_run_biharmonic_smoke(tmp_path, monkeypatch, capsys):
+    script = load_script("run_biharmonic")
+    monkeypatch.setattr("sys.argv", ["run_biharmonic.py", "--out", str(tmp_path)])
+    assert script.main() == 0
+    assert (tmp_path / "report.json").is_file()
+    assert "overall pass: True" in capsys.readouterr().out

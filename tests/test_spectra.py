@@ -8,9 +8,10 @@ from riccati4.spectra import (
     characteristic_data,
     order_and_check_h1,
     shifted_cubic_coeffs,
-    shifted_cubic_residuals,
     solve_quartic_real,
 )
+
+from reference_routes import shifted_cubic_residuals
 
 
 def test_hand_expanded_quartic():
