@@ -45,10 +45,6 @@ class MaxIterExceeded(SolverError):
     """Fixed-point iteration hit the iteration cap before converging."""
 
 
-class NoLimit(SolverError):
-    """Geometric envelope recursion has no limit (rho * A * varsigma >= 1)."""
-
-
 # --- expression language ---------------------------------------------------
 
 class ExpressionError(SolverError):

@@ -78,9 +78,6 @@ class FunctionExpr:
         with np.errstate(over="ignore", invalid="ignore"):
             return self._fn(t, shape)
 
-    def __str__(self):
-        return to_string(self.ast)
-
 
 class _Parser:
     def __init__(self, text: str):
@@ -277,44 +274,6 @@ def _compile(node):
     if isinstance(node, Bin) and node.op in _BINARY:
         op, left, right = _BINARY[node.op], _compile(node.left), _compile(node.right)
         return lambda t, shape: op(left(t, shape), right(t, shape))
-    raise TypeError(f"unknown AST node {node!r}")
-
-
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
-
-
-def _prec(node):
-    if isinstance(node, Bin):
-        return _PREC[node.op]
-    if isinstance(node, Neg):
-        return _PREC["neg"]
-    return 9
-
-
-def to_string(node) -> str:
-    """Render an AST; parse(to_string(ast)) evaluates identically."""
-    if isinstance(node, Num):
-        return repr(node.value)
-    if isinstance(node, Var):
-        return "t"
-    if isinstance(node, Neg):
-        inner = to_string(node.arg)
-        if _prec(node.arg) < _PREC["neg"]:
-            inner = f"({inner})"
-        return f"-{inner}"
-    if isinstance(node, Call):
-        return f"{node.func}({to_string(node.arg)})"
-    if isinstance(node, Bin):
-        lp, rp = _prec(node.left), _prec(node.right)
-        mine = _PREC[node.op]
-        left = to_string(node.left)
-        right = to_string(node.right)
-        # '-' and '/' are left associative, '^' right associative
-        if lp < mine or (node.op == "^" and lp == mine):
-            left = f"({left})"
-        if rp < mine or (node.op in "-/" and rp == mine):
-            right = f"({right})"
-        return f"{left} {node.op} {right}" if node.op in "+-" else f"{left}{node.op}{right}"
     raise TypeError(f"unknown AST node {node!r}")
 
 

@@ -48,10 +48,10 @@ class SignCase(enum.Enum):
     ALL_POS = "all_pos"
 
 
-def classify_sign_pattern(gamma, gap_tol=GAP_TOL) -> SignCase:
-    """Sign case of the descending triple; ZeroRoot when any |gamma| < gap_tol."""
+def classify_sign_pattern(gamma) -> SignCase:
+    """Sign case of the descending triple; ZeroRoot when any |gamma| < GAP_TOL."""
     g = tuple(sorted((float(x) for x in gamma), reverse=True))
-    if any(abs(x) < gap_tol for x in g):
+    if any(abs(x) < GAP_TOL for x in g):
         raise ZeroRoot(f"shifted root too close to zero: {g!r}")
     n_pos = sum(1 for x in g if x > 0)
     return (SignCase.ALL_NEG, SignCase.ONE_POS, SignCase.TWO_POS, SignCase.ALL_POS)[n_pos]
@@ -130,9 +130,9 @@ class GreenKernel:
     case: SignCase
 
     @classmethod
-    def from_gamma(cls, gamma, gap_tol=GAP_TOL):
+    def from_gamma(cls, gamma):
         g = tuple(sorted((float(x) for x in gamma), reverse=True))
-        case = classify_sign_pattern(g, gap_tol=gap_tol)
+        case = classify_sign_pattern(g)
         g1, g2, g3 = g
         dg = (g2 - g1) * (g3 - g2) * (g3 - g1)
         return cls(gamma=g, delta_gamma=dg, case=case)
@@ -184,6 +184,6 @@ class GreenKernel:
         return out
 
 
-def kernel_for_root(cd, i, gap_tol=GAP_TOL) -> GreenKernel:
+def kernel_for_root(cd, i) -> GreenKernel:
     """Green kernel for the shifted cubic of 1-based root index i."""
-    return GreenKernel.from_gamma(cd.gamma_for(i), gap_tol=gap_tol)
+    return GreenKernel.from_gamma(cd.gamma_for(i))

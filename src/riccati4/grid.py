@@ -79,10 +79,6 @@ class GridFunction:
         return self.grid.nodes
 
     @property
-    def t0(self):
-        return float(self.nodes[0])
-
-    @property
     def t_max(self):
         return float(self.nodes[-1])
 

@@ -24,6 +24,10 @@ decay length of the fastest kernel mode, however long the sample window.
 The tests check it against the adaptive route, L_functional in
 tests/reference_routes.py.
 
+Both rho and H2 settle their tails to TAIL_TOL = 1e-10, a module constant
+that is not a run's quad_tol (1e-12 by default); H2 passes below
+H2_TOL = 1e-6.
+
 The contraction constants are assembled from the Green-kernel branch bounds:
 delta_w_i is the kernel normalization delta_gamma, alpha_{j,i} the branch
 coefficient sums at derivative order j, A_i their normalized total, and
@@ -49,7 +53,9 @@ from .quadrature import (adaptive_interval, adaptive_semi_infinite, graded_nodes
 from .spectra import CharacteristicData
 
 H2_TOL = 1e-6
+TAIL_TOL = 1e-10         # tails of rho and H2; not a run's quad_tol
 RHO_GRID_NODES = 4096
+RHO_SAMPLES = 256        # log-spaced sample offsets of rho_bound's tail check
 H2_PANELS = 200          # Gauss-Legendre panels per side of the diagonal in check_h2
 H2_TAIL_LENGTHS = 40.0   # check_h2 tail grid length, in slowest-mode decay lengths
 
@@ -77,22 +83,21 @@ def F_operator_eval(cd: CharacteristicData, i: int, E, t, t0, quad_tol=1e-12):
     return float(total)
 
 
-def rho_bound(cd: CharacteristicData, i: int, r, t0, t_span=None,
-              n_samples=256, quad_tol=1e-10):
+def rho_bound(cd: CharacteristicData, i: int, r, t0):
     """Class bound of root i: max over j and over the nodes of one dense
     panel grid of the transform of r_j (a maximum over nodes, not an
     enclosure of the supremum).
 
     The grid joins RHO_GRID_NODES graded nodes on a window of 40 / min_gap
-    decay lengths with n_samples log-spaced offsets; the panel head/tail
-    recurrences give F_operator_eval at every node.  The transform at the
+    decay lengths with RHO_SAMPLES log-spaced offsets; the panel head/tail
+    recurrences give F_operator_eval at every node, the tail seeded past the
+    window to TAIL_TOL.  The transform at the
     offsets must be non-increasing at the end of the window or
     TailNotConvergent is raised.
     """
     exprs = [exprlang.as_expr(rj) for rj in r]
-    if t_span is None:
-        t_span = 40.0 / cd.min_gap
-    samples = t0 + np.concatenate([[0.0], np.geomspace(1e-3, t_span, n_samples - 1)])
+    t_span = 40.0 / cd.min_gap
+    samples = t0 + np.concatenate([[0.0], np.geomspace(1e-3, t_span, RHO_SAMPLES - 1)])
     panels = make_panels(np.union1d(graded_nodes(t0, t0 + t_span, RHO_GRID_NODES), samples))
     at_samples = np.searchsorted(panels.nodes, samples)
     head_rate, tail_rate = kernel_for_root(cd, i).modes("adjoint").slowest()
@@ -101,7 +106,7 @@ def rho_bound(cd: CharacteristicData, i: int, r, t0, t_span=None,
         if exprlang.is_zero(rj):
             continue
         transform = two_sided_transform(panels, lambda s: np.abs(rj(s)), np.abs(rj(panels.gl_x)),
-                                        head_rate, tail_rate, quad_tol)
+                                        head_rate, tail_rate, TAIL_TOL)
         values = transform[at_samples]
         tail = values[-8:]
         if values.max() > 0 and np.any(np.diff(tail) > 1e-12 + 1e-6 * values.max()):
@@ -280,13 +285,11 @@ class DecayReport:
     verdict: str                 # "PASS" | "FAIL"
     samples: list                # [(t, L value), ...] per perturbation, flattened max
     fitted_rate: float | None
-    tol: float
 
 
-def check_h2(cd: CharacteristicData, i: int, r, sample_ts=None, t0=0.0,
-             h2_tol=H2_TOL, quad_tol=1e-10):
+def check_h2(cd: CharacteristicData, i: int, r, sample_ts=None, t0=0.0):
     """Evaluate the kernel functional L of each perturbation at increasing
-    times; PASS when the curve decays below h2_tol by the last sample.
+    times; PASS when the curve decays below H2_TOL by the last sample.
     The fitted exponential rate of the tail is reported.
 
     L(t) = integral over [t0, inf) of w(|t - s|) |r_j(s)| ds, where w is
@@ -294,7 +297,7 @@ def check_h2(cd: CharacteristicData, i: int, r, sample_ts=None, t0=0.0,
     fixed panels of _head_rule and _tail_rule, built once per root; |r_j| is
     evaluated in one call per side over all sample times and nodes.  The
     tail must settle: when its panels in the last decay length still
-    contribute more than max(0.1 quad_tol, 1e-15 times the total),
+    contribute more than max(0.1 TAIL_TOL, 1e-15 times the total),
     TailNotConvergent is raised.
     """
     exprs = [rj for rj in map(exprlang.as_expr, r) if not exprlang.is_zero(rj)]
@@ -315,7 +318,7 @@ def check_h2(cd: CharacteristicData, i: int, r, sample_ts=None, t0=0.0,
             s, weights, last = tail_side
             per_panel = (weights * np.abs(rj(s))).sum(axis=2)
             total = per_panel.sum(axis=1)
-            if np.any(per_panel[:, last].sum(axis=1) > np.maximum(0.1 * quad_tol, 1e-15 * total)):
+            if np.any(per_panel[:, last].sum(axis=1) > np.maximum(0.1 * TAIL_TOL, 1e-15 * total)):
                 raise TailNotConvergent(
                     f"decay functional of {rj.source!r} not settling on the tail grid")
             vals += total
@@ -323,11 +326,11 @@ def check_h2(cd: CharacteristicData, i: int, r, sample_ts=None, t0=0.0,
 
     samples = [(float(t), float(v)) for t, v in zip(sample_ts, curve)]
     if curve.max() == 0.0:
-        return DecayReport("PASS", samples, None, h2_tol)
+        return DecayReport("PASS", samples, None)
 
     tail = curve[len(curve) // 2:]
     decaying = np.all(np.diff(tail) <= 1e-12 + 1e-9 * curve.max())
-    below = curve[-1] <= h2_tol
+    below = curve[-1] <= H2_TOL
     rate = None
     positive = curve > curve.max() * 1e-14
     if positive.sum() >= 3:
@@ -335,14 +338,13 @@ def check_h2(cd: CharacteristicData, i: int, r, sample_ts=None, t0=0.0,
         logs = np.log(curve[positive])
         rate = float(np.polyfit(ts, logs, 1)[0])
     verdict = "PASS" if (decaying and below) else "FAIL"
-    return DecayReport(verdict, samples, rate, h2_tol)
+    return DecayReport(verdict, samples, rate)
 
 
 # --- aggregate report ----------------------------------------------------------
 
 @dataclass
 class EnvelopeReport:
-    i: int
     eta: float
     delta_w: float
     alpha: tuple
@@ -356,13 +358,11 @@ class EnvelopeReport:
     h2: DecayReport
 
 
-def envelope_report(cd: CharacteristicData, i: int, r, eta, t0=0.0,
-                    h2_tol=H2_TOL) -> EnvelopeReport:
+def envelope_report(cd: CharacteristicData, i: int, r, eta, t0=0.0) -> EnvelopeReport:
     delta_w, alpha, a_const, varsigma = contraction_constants(cd, i, eta)
     rho = rho_bound(cd, i, r, t0)
     ok, phi = smallness_check(rho, a_const, varsigma)
     return EnvelopeReport(
-        i=i,
         eta=eta,
         delta_w=delta_w,
         alpha=alpha,
@@ -373,5 +373,5 @@ def envelope_report(cd: CharacteristicData, i: int, r, eta, t0=0.0,
         rho=rho,
         smallness_ok=ok,
         Phi=phi,
-        h2=check_h2(cd, i, r, t0=t0, h2_tol=h2_tol),
+        h2=check_h2(cd, i, r, t0=t0),
     )

@@ -5,6 +5,9 @@ integrated with an embedded high-order Runge-Kutta pair (DOP853) and compared
 against the formula-based constructions.  Forward integration is reliable for
 the dominant mode only; subdominant modes are validated through logarithmic
 derivatives on short spans and, for the bottom root, a backward Riccati run.
+
+cross_validate integrates at ORACLE_TOL over SPAN_DOMINANT time units for
+the dominant root and at most SPAN_SUBDOMINANT for the others.
 """
 
 from __future__ import annotations
@@ -20,20 +23,19 @@ from .riccati import F_nested, RiccatiSystem, sample_coefficients
 from .synthesis import FundamentalSolution
 
 ORACLE_TOL = 1e-10
+SPAN_DOMINANT = 5.0
+SPAN_SUBDOMINANT = 3.0
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    times: np.ndarray
-    states: np.ndarray  # (n_state, n_times)
-    tol: float
+    states: np.ndarray  # (n_state, len(t_eval))
 
 
-def _solve(rhs, t_span, y0, tol, t_eval=None):
+def _solve(rhs, t_span, y0, t_eval, tol):
     sol = solve_ivp(
         rhs, t_span, np.asarray(y0, dtype=float),
         method="DOP853", rtol=tol, atol=tol * 1e-2, t_eval=t_eval,
-        dense_output=t_eval is None,
     )
     if not sol.success:
         raise StepUnderflow(f"direct integration failed: {sol.message}")
@@ -59,9 +61,9 @@ def linear4_rhs(a, r_exprs):
     return rhs
 
 
-def integrate_linear4(a, r_exprs, y0, t_span, tol=ORACLE_TOL, t_eval=None) -> Trajectory:
-    sol = _solve(linear4_rhs(a, r_exprs), t_span, y0, tol, t_eval)
-    return Trajectory(times=sol.t, states=sol.y, tol=tol)
+def integrate_linear4(a, r_exprs, y0, t_span, t_eval, tol=ORACLE_TOL) -> Trajectory:
+    sol = _solve(linear4_rhs(a, r_exprs), t_span, y0, t_eval, tol)
+    return Trajectory(states=sol.y)
 
 
 def riccati_rhs(sys: RiccatiSystem):
@@ -78,14 +80,13 @@ def riccati_rhs(sys: RiccatiSystem):
     return rhs
 
 
-def integrate_riccati(sys: RiccatiSystem, x0, t_span, tol=ORACLE_TOL,
-                      t_eval=None) -> Trajectory:
-    sol = _solve(riccati_rhs(sys), t_span, x0, tol, t_eval)
-    return Trajectory(times=sol.t, states=sol.y, tol=tol)
+def integrate_riccati(sys: RiccatiSystem, x0, t_span, t_eval,
+                      tol=ORACLE_TOL) -> Trajectory:
+    sol = _solve(riccati_rhs(sys), t_span, x0, t_eval, tol)
+    return Trajectory(states=sol.y)
 
 
-def cross_validate(fs: FundamentalSolution, sys: RiccatiSystem,
-                   span_dominant=5.0, span_subdominant=3.0, tol=ORACLE_TOL):
+def cross_validate(fs: FundamentalSolution, sys: RiccatiSystem):
     """Compare the synthesized solution with direct integration.
 
     The dominant root (i = 1) is integrated forward in y and compared in
@@ -97,17 +98,16 @@ def cross_validate(fs: FundamentalSolution, sys: RiccatiSystem,
     out = {"mode": "forward_y" if fs.i == 1 else "log_derivative"}
 
     if fs.i == 1:
-        span = span_dominant
+        span = SPAN_DOMINANT
     else:
         # forward integration picks up the dominant mode at the local error
         # level; keep exp(gap * span) * tol safely below the comparison tol
         gap = max(sys.kernel.gamma[0], 1e-3)
-        span = min(span_subdominant, math.log(1e6) / gap)
+        span = min(SPAN_SUBDOMINANT, math.log(1e6) / gap)
     t_end = min(t0 + span, float(fs.nodes[-1]))
     t_eval = np.linspace(t0, t_end, 101)
 
-    traj = integrate_linear4(sys.a, sys.r, fs.initial_state(), (t0, t_end),
-                             tol=tol, t_eval=t_eval)
+    traj = integrate_linear4(sys.a, sys.r, fs.initial_state(), (t0, t_end), t_eval)
     out["span"] = [t0, t_end]
 
     if fs.i == 1:
@@ -129,7 +129,7 @@ def cross_validate(fs: FundamentalSolution, sys: RiccatiSystem,
     x0 = (fs.z.value[0], fs.z.d1[0], fs.z.d2[0])
     forward_stable = all(g < 0 for g in sys.kernel.gamma)
     if forward_stable:
-        ztraj = integrate_riccati(sys, x0, (t0, t_end), tol=tol, t_eval=t_eval)
+        ztraj = integrate_riccati(sys, x0, (t0, t_end), t_eval)
         z_synth = fs.z.channels_at(t_eval)[0]
         out["riccati_error"] = float(np.max(np.abs(ztraj.states[0] - z_synth)))
         out["riccati_direction"] = "forward"
@@ -141,7 +141,7 @@ def cross_validate(fs: FundamentalSolution, sys: RiccatiSystem,
         t_start = float(fs.nodes[idx])
         xb = (fs.z.value[idx], fs.z.d1[idx], fs.z.d2[idx])
         t_eval_b = np.linspace(t_start, t0, 101)
-        ztraj = integrate_riccati(sys, xb, (t_start, t0), tol=tol, t_eval=t_eval_b)
+        ztraj = integrate_riccati(sys, xb, (t_start, t0), t_eval_b)
         z_synth = fs.z.channels_at(t_eval_b)[0]
         out["riccati_error"] = float(np.max(np.abs(ztraj.states[0] - z_synth)))
         out["riccati_direction"] = "backward"

@@ -46,9 +46,9 @@ DEFAULT_NODES = 2048
 TRUNCATION = 1e-12
 
 
-def default_t_max(cd, t0, truncation=TRUNCATION):
-    """Horizon where exp(-min_gap * (t_max - t0)) < truncation."""
-    return t0 + math.log(1.0 / truncation) / cd.min_gap
+def default_t_max(cd, t0):
+    """Horizon where exp(-min_gap * (t_max - t0)) < TRUNCATION."""
+    return t0 + math.log(1.0 / TRUNCATION) / cd.min_gap
 
 
 def default_grid(cd, t0, n_nodes=DEFAULT_NODES, t_max=None) -> PanelGrid:
@@ -158,7 +158,6 @@ def resolve_orientation(sys: RiccatiSystem, t0=0.0, n_nodes=1536,
 
 @dataclass
 class IterationTrace:
-    norms: list = field(default_factory=list)      # ||omega_n||_0
     deltas: list = field(default_factory=list)     # ||omega_{n+1} - omega_n||_0
     contraction: list = field(default_factory=list)
     converged: bool = False
@@ -186,7 +185,6 @@ def iterate_to_fixed_point(sys: RiccatiSystem, grid: PanelGrid, fp_tol=FP_TOL,
         z_new = op.apply(None if n == 1 else previous)
         delta = z_new.diff_norm(previous)
         norm = z_new.norm_c02()
-        trace.norms.append(norm)
         trace.deltas.append(delta)
         if len(trace.deltas) >= 2 and trace.deltas[-2] > 0:
             trace.contraction.append(delta / trace.deltas[-2])

@@ -119,12 +119,12 @@ def tail_transform(grid: PanelGrid, f_gl: np.ndarray, rate: float,
 
 
 def exponential_tail_seed(f, grid: PanelGrid, rate: float, quad_tol: float,
-                          growth: float = 1.4, max_panels: int = 400) -> float:
+                          max_panels: int = 400) -> float:
     """integral_{t_max}^{inf} exp(rate*(t_max - s)) f(s) ds for callable f,
     with t_max the last node of grid: the tail_seed of tail_transform.
 
-    Panels start as wide as the last grid panel and grow geometrically;
-    stops once a panel contributes less than quad_tol / 10.  Raises
+    Panels start as wide as the last grid panel and grow by a factor 1.4
+    each; stops once a panel contributes less than quad_tol / 10.  Raises
     TailNotConvergent when the cap is hit first.  Requires rate > 0 so the
     kernel itself decays.
     """
@@ -145,7 +145,7 @@ def exponential_tail_seed(f, grid: PanelGrid, rate: float, quad_tol: float,
         if settled and (left - t_max) * rate > 35.0:
             return total
         left = right
-        width *= growth
+        width *= 1.4
     raise TailNotConvergent(
         f"tail integral past t={t_max} did not settle below {quad_tol:g}"
     )

@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -243,9 +244,10 @@ def run_report(spec: ProblemSpec, roots=(1, 2, 3, 4), out_dir=None,
                mode="report"):
     """Execute the pipeline and return (report dict, exit code)."""
     spec.validate()
-    roots = tuple(sorted(set(int(i) for i in roots)))
-    if any(i not in (1, 2, 3, 4) for i in roots):
-        raise ValueError("root indices must be within 1..4")
+    roots = tuple(roots)
+    if any(not isinstance(i, numbers.Integral) or i not in (1, 2, 3, 4) for i in roots):
+        raise ValueError("root indices must be integers within 1..4")
+    roots = tuple(sorted(set(map(int, roots))))
     report = {
         "problem": {
             "a": [spec.a3, spec.a2, spec.a1, spec.a0],

@@ -30,9 +30,10 @@ s = Lambda2_2 + C5 combined ahead of time, so no power is ever taken of an
 array.  Sample once: ``sample_coefficients`` evaluates each perturbation
 r0..r3 once per set of sample points and returns Omega with the six
 t-dependent coefficients; a perturbation that is syntactically zero gives
-the scalar 0.0.  A caller that applies F repeatedly at fixed points (the
-Picard operator, the oracle's right-hand side) samples once and calls
-``F_nested``; ``eval_F`` composes the two.
+the scalar 0.0.  Every pipeline stage that needs Omega or F (the Picard
+operator, the residual, the asymptotic formula, the oracle's right-hand
+side) samples once and reads Omega and ``F_nested`` from the same samples;
+``eval_F`` composes the two for one-off use.
 """
 
 from __future__ import annotations
@@ -80,10 +81,6 @@ class RiccatiSystem:
     def omega(self, t):
         """Omega(t) = -(lam^3 r3 + lam^2 r2 + lam r1 + r0)."""
         return _omega(self.lam, *(rj(t) for rj in self.r))
-
-    def p_value(self, t):
-        """p(lam_i, t) = lam^3 r3 + lam^2 r2 + lam r1 + r0 = -Omega(t)."""
-        return -self.omega(t)
 
 
 def build_system(cd: CharacteristicData, r, i: int) -> RiccatiSystem:
@@ -137,10 +134,8 @@ def F_nested(sys: RiccatiSystem, k: Coefficients, x1, x2, x3):
                     + x1 * (k.q + c[4] * x2 + x1 * (k.s + c[6] * x1))))
 
 
-def eval_F(sys: RiccatiSystem, t, x1, x2=None, x3=None):
-    """F(t, x1, x2, x3); accepts a 3-sequence or three scalars/arrays."""
-    if x2 is None:
-        x1, x2, x3 = x1
+def eval_F(sys: RiccatiSystem, t, x1, x2, x3):
+    """F(t, x1, x2, x3) for scalars or arrays that broadcast against t."""
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
     x3 = np.asarray(x3, dtype=float)
@@ -161,8 +156,8 @@ def residual_profile(sys: RiccatiSystem, z: GridFunction):
     z3 = CubicSpline(t, z.d2)(t, 1)
     b2, b1, b0 = sys.b
     lhs = z3 + b2 * z.d2 + b1 * z.d1 + b0 * z.value
-    rhs = sys.omega(t) + eval_F(sys, t, z.value, z.d1, z.d2)
-    return lhs - rhs
+    k = sample_coefficients(sys, t)
+    return lhs - (k.omega + F_nested(sys, k, z.value, z.d1, z.d2))
 
 
 def log_derivative_ratios(lam, z0, z1, z2, z3):

@@ -36,19 +36,19 @@ def _residual_scale(a, x):
     return ax**4 + abs(a3) * ax**3 + abs(a2) * ax**2 + abs(a1) * ax + abs(a0) + 1.0
 
 
-def solve_quartic_real(a, root_tol=ROOT_TOL, imag_tol=IMAG_TOL):
+def solve_quartic_real(a, root_tol=ROOT_TOL):
     """Return the four real roots of the monic quartic with coefficients
     (a3, a2, a1, a0), each polished to |p(root)| <= root_tol * scale.
 
     Raises ComplexRoots when an eigenvalue has imaginary part beyond
-    imag_tol * scale, IllConditioned when polishing stalls.
+    IMAG_TOL * scale, IllConditioned when polishing stalls.
     """
     a = tuple(float(c) for c in a)
     if len(a) != 4 or not all(np.isfinite(a)):
         raise ValueError("need four finite coefficients (a3, a2, a1, a0)")
     raw = np.roots([1.0, *a])
     scale = max(1.0, max(abs(r) for r in raw))
-    if np.any(np.abs(raw.imag) > imag_tol * scale):
+    if np.any(np.abs(raw.imag) > IMAG_TOL * scale):
         raise ComplexRoots(
             f"quartic has complex roots (max |Im| = {np.max(np.abs(raw.imag)):.3e})"
         )
@@ -147,9 +147,9 @@ def order_and_check_h1(roots, a=None, gap_tol=GAP_TOL):
     return CharacteristicData(a=tuple(float(c) for c in a), lam=lam)
 
 
-def characteristic_data(a, root_tol=ROOT_TOL, imag_tol=IMAG_TOL, gap_tol=GAP_TOL):
+def characteristic_data(a, root_tol=ROOT_TOL, gap_tol=GAP_TOL):
     """Solve the quartic for coefficients a and run the separation check."""
-    roots = solve_quartic_real(a, root_tol=root_tol, imag_tol=imag_tol)
+    roots = solve_quartic_real(a, root_tol=root_tol)
     return order_and_check_h1(roots, a=a, gap_tol=gap_tol)
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .grid import GridFunction, hermite_eval
 from .quadrature import cumulative_integral
-from .riccati import RiccatiSystem, eval_F, log_derivative_ratios
+from .riccati import F_nested, RiccatiSystem, log_derivative_ratios, sample_coefficients
 
 
 @dataclass(frozen=True)
@@ -104,9 +104,10 @@ def asymptotic_integral_formula(fs: FundamentalSolution, sys: RiccatiSystem):
 
     Returns (predicted log_y at the nodes, relative gap profile against the
     direct product construction)."""
-    x = fs.z.grid.gl_x
+    k = sample_coefficients(sys, fs.z.grid.gl_x)
     z0, z1, z2 = fs.z.channels_on()
-    integrand = sys.p_value(x) + eval_F(sys, x, z0, z1, z2)
+    # p(lam_i, s) = -Omega(s)
+    integrand = -k.omega + F_nested(sys, k, z0, z1, z2)
     correction = cumulative_integral(fs.z.grid, integrand) / fs.pi_i
     predicted = fs.lam * (fs.nodes - fs.nodes[0]) + correction
     gap = np.abs(np.expm1(predicted - fs.log_y))

@@ -13,18 +13,23 @@ called by the pipeline:
 * the lift identity R4 = y * R3 between the fourth-order residual at
   y = exp(integral(lam + z)) and the residual of the third-order form;
 * the shifted-cubic residuals and the Phi_k recursion of the envelope
-  constant.
+  constant, with NoLimit, the error it raises when the recursion diverges.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from riccati4.errors import NoLimit
+from riccati4.errors import SolverError
 from riccati4.greens import GreenKernel
 from riccati4.quadrature import adaptive_interval, adaptive_semi_infinite
 from riccati4.riccati import RiccatiSystem, eval_F, log_derivative_ratios
 from riccati4.spectra import CharacteristicData, shifted_cubic_coeffs
+
+
+class NoLimit(SolverError):
+    """Geometric envelope recursion has no limit (rho * A * varsigma >= 1)."""
+
 
 # --- Green kernel --------------------------------------------------------------
 

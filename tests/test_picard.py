@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from riccati4.errors import Diverged, MaxIterExceeded, NoLimit
+from riccati4.errors import Diverged, MaxIterExceeded
 from riccati4.grid import GridFunction
 from riccati4.hypotheses import envelope_report
 from riccati4.picard import (
@@ -16,7 +16,7 @@ from riccati4.picard import (
 )
 from riccati4.riccati import build_system, residual_profile
 
-from reference_routes import phi_sequence
+from reference_routes import NoLimit, phi_sequence
 
 EPS = 1e-3
 

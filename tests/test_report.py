@@ -98,7 +98,7 @@ def test_root_subset_skips_wronskian(tmp_path):
     assert list(report["roots"]) == ["1"]
 
 
-@pytest.mark.parametrize("roots", [(0,), (1, 5)])
+@pytest.mark.parametrize("roots", [(0,), (1, 5), (1.7,)])
 def test_bad_root_index_is_rejected_before_any_work(tmp_path, monkeypatch, roots):
     def unexpected(*args, **kwargs):
         raise AssertionError("the quartic was solved")

@@ -10,6 +10,7 @@ from riccati4.riccati import (
     sample_coefficients,
 )
 from riccati4.spectra import characteristic_data
+from riccati4.synthesis import asymptotic_integral_formula, fundamental_solution
 
 from reference_routes import lambda1, lambda2, lift_residual_equivalence
 
@@ -91,6 +92,28 @@ def test_sampling_evaluates_each_perturbation_once(cd_test, monkeypatch):
     assert sorted(calls) == sorted(R_ALL)
 
 
+@pytest.mark.parametrize("stage", ["residual_profile", "asymptotic_integral_formula"])
+def test_stage_evaluates_each_perturbation_once(cd_test, grid_1024, monkeypatch, stage):
+    r = ("0.002*exp(-1.3*t)", "0", "-0.003*exp(-2*t)", "0")
+    sys = build_system(cd_test, r, 2)
+    z = GridFunction.zero(grid_1024)
+    run = {
+        "residual_profile": lambda: residual_profile(sys, z),
+        "asymptotic_integral_formula": lambda: asymptotic_integral_formula(
+            fundamental_solution(sys, z, cd_test), sys),
+    }[stage]
+    calls = []
+    original = exprlang.FunctionExpr.__call__
+
+    def counting(self, t):
+        calls.append(self.source)
+        return original(self, t)
+
+    monkeypatch.setattr(exprlang.FunctionExpr, "__call__", counting)
+    run()
+    assert sorted(calls) == sorted(rj for rj in r if rj != "0")
+
+
 def test_build_system_zero_perturbation(cd_test, r_zero):
     sys2 = build_system(cd_test, r_zero, 2)
     assert sys2.b == pytest.approx((4.0, 1.0, -6.0))
@@ -111,7 +134,6 @@ def test_omega_single_perturbation(cd_test, r_eps):
     sys1 = build_system(cd_test, r_eps, 1)
     ts = np.linspace(0.0, 4.0, 9)
     assert np.allclose(sys1.omega(ts), -0.001 * np.exp(-ts), rtol=1e-15)
-    assert np.allclose(sys1.p_value(ts), 0.001 * np.exp(-ts), rtol=1e-15)
 
 
 def test_F_vanishes_at_origin(cd_test, r_eps):
