@@ -19,6 +19,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import NonFinite, StepUnderflow
+from .exprlang import is_zero
 from .riccati import F_nested, RiccatiSystem, sample_coefficients
 from .synthesis import FundamentalSolution
 
@@ -44,18 +45,20 @@ def _solve(rhs, t_span, y0, t_eval, tol):
     return sol
 
 
+def _coefficient(a_k, r_k):
+    """t -> a_k + r_k(t); a perturbation that is syntactically zero is never
+    evaluated."""
+    if is_zero(r_k):
+        return lambda t: a_k
+    return lambda t: a_k + r_k(t)
+
+
 def linear4_rhs(a, r_exprs):
     """State (y, y', y'', y''') for the perturbed fourth-order equation."""
-    a3, a2, a1, a0 = a
-    r0, r1, r2, r3 = r_exprs
+    c0, c1, c2, c3 = map(_coefficient, reversed(a), r_exprs)
 
     def rhs(t, y):
-        y4 = -(
-            (a3 + r3(t)) * y[3]
-            + (a2 + r2(t)) * y[2]
-            + (a1 + r1(t)) * y[1]
-            + (a0 + r0(t)) * y[0]
-        )
+        y4 = -(c3(t) * y[3] + c2(t) * y[2] + c1(t) * y[1] + c0(t) * y[0])
         return (y[1], y[2], y[3], y4)
 
     return rhs

@@ -7,15 +7,18 @@ is a short sum of exponentials, each output channel is assembled from
 prefix/suffix recurrences whose factors stay bounded by exp(rate * panel
 width); no large exponent is ever formed.
 
-A run works on one PanelGrid, the one ``default_grid`` returns: the
-operator, the fixed-point iteration and the envelope take it, and every
-GridFunction they produce carries it.
+A run works on one PanelGrid, the one ``default_grid`` returns.  Each root
+builds one IntegralOperator on it, and the fixed-point iteration, the
+envelope and the first-iterate ratio all take that operator: they share its
+orientation, its quadrature tolerance, its grid and its Omega samples, and
+every GridFunction they produce carries its grid.  Omega is read only through
+``sample_coefficients``, on the grid and past it.
 
 Orientation: the solver uses the ``direct`` (dichotomy-split) kernel, the
 one that inverts the shifted cubic.  ``resolve_orientation`` is the residual
 ground-truth test that confirms this choice; it is a library entry point and
-is not run by the pipeline.  The ``adjoint`` family stays available for the
-envelope and first-iterate ratio as printed in the paper.
+is not run by the pipeline.  An operator built with ``orientation="adjoint"``
+gives the envelope and first-iterate ratio as printed in the paper.
 """
 
 from __future__ import annotations
@@ -74,7 +77,11 @@ class IntegralOperator:
         self._omega_gl = np.broadcast_to(self._coef_gl.omega, self.grid.gl_x.shape)
         self._omega_nodes = np.broadcast_to(self._coef_nodes.omega, self.grid.nodes.shape)
         # a forcing that vanishes on the grid is taken to vanish past it
-        self._seeds = self._tail_seeds(sys.omega) if np.any(self._omega_gl) else {}
+        self._seeds = self._tail_seeds(self.omega) if np.any(self._omega_gl) else {}
+
+    def omega(self, t):
+        """Omega at t, sampled as the operator samples it on the grid."""
+        return sample_coefficients(self.sys, t).omega
 
     def _tail_seeds(self, forcing):
         """{tail rate: integral of the forcing past the grid at that rate}."""
@@ -163,23 +170,20 @@ class IterationTrace:
     converged: bool = False
     n_iter: int = 0
     certificate: float = float("nan")              # ||T z* - z*||_0
-    orientation: str = ""
 
 
-def iterate_to_fixed_point(sys: RiccatiSystem, grid: PanelGrid, fp_tol=FP_TOL,
-                           max_iter=MAX_ITER, eta=0.25, orientation="direct",
-                           quad_tol=QUAD_TOL, snapshot=None):
-    """Plain Picard iteration from omega_0 = 0.
+def iterate_to_fixed_point(op: IntegralOperator, fp_tol=FP_TOL, max_iter=MAX_ITER,
+                           eta=0.25, snapshot=None):
+    """Plain Picard iteration of the operator op from omega_0 = 0.
 
-    Returns (z, trace).  Raises Diverged when the iterate leaves the eta
-    ball by a factor 10 or deltas grow three steps in a row; MaxIterExceeded
-    at the cap.  snapshot, when given, is called with (iteration, GridFunction)
-    after every step.
+    Returns (z, trace); z lives on op.grid.  Raises Diverged when the
+    iterate leaves the eta ball by a factor 10 or deltas grow three steps in
+    a row; MaxIterExceeded at the cap.  snapshot, when given, is called with
+    (iteration, GridFunction) after every step.
     """
-    op = IntegralOperator(sys, grid, orientation, quad_tol)
-    trace = IterationTrace(orientation=orientation)
+    trace = IterationTrace()
 
-    z = GridFunction.zero(grid)
+    z = GridFunction.zero(op.grid)
     previous = z
     for n in range(1, max_iter + 1):
         z_new = op.apply(None if n == 1 else previous)
@@ -218,10 +222,9 @@ def beta_interval(sys: RiccatiSystem):
     return (head, 0.0) if head is not None else (0.0, tail)
 
 
-def envelope_integral(sys: RiccatiSystem, grid: PanelGrid, beta, quad_tol=QUAD_TOL,
-                      orientation="adjoint"):
-    """E_i(t) on the grid nodes: exponential transforms of |p(lam_i, s)| shaped
-    like the kernel of the given orientation.
+def envelope_integral(op: IntegralOperator, beta):
+    """E_i(t) on the grid nodes of op: exponential transforms of
+    |p(lam_i, s)| = |Omega(s)| shaped like the kernel of op's orientation.
 
     Each side of the diagonal that carries kernel modes contributes one
     transform (head: integral over [t0, t], tail: over [t, inf)) at the rate
@@ -230,30 +233,33 @@ def envelope_integral(sys: RiccatiSystem, grid: PanelGrid, beta, quad_tol=QUAD_T
     the mirrored rate -beta for the adjoint one.  With the adjoint modes this
     is the printed envelope for i = 1, 4 and the gap-split envelope for
     i = 2, 3; with the direct modes it bounds the delivered fixed point.
+    |Omega| is read from op's samples, and past the grid from op.omega.
     """
-    head_rate, tail_rate = sys.kernel.modes(orientation).slowest()
-    rate_beta = beta if orientation == "direct" else -beta
+    head_rate, tail_rate = op.modes.slowest()
+    rate_beta = beta if op.orientation == "direct" else -beta
     if head_rate is not None and rate_beta < 0:
         head_rate = rate_beta
     if tail_rate is not None and rate_beta > 0:
         tail_rate = rate_beta
-    p_gl = np.abs(np.asarray(sys.omega(grid.gl_x), dtype=float))
+    p_gl = np.abs(op._omega_gl)
     if not np.any(p_gl):
-        return np.zeros(grid.nodes.size)
-    return two_sided_transform(grid, lambda s: np.abs(sys.omega(s)), p_gl,
-                               head_rate, tail_rate, quad_tol)
+        return np.zeros(op.grid.nodes.size)
+    return two_sided_transform(op.grid, lambda s: np.abs(op.omega(s)), p_gl,
+                               head_rate, tail_rate, op.quad_tol)
 
 
-def envelope_check(sys: RiccatiSystem, z: GridFunction, beta, phi,
-                   quad_tol=QUAD_TOL, orientation="adjoint"):
+def envelope_check(op: IntegralOperator, z: GridFunction, beta, phi):
     """Verify sum_j |z^(j)(t)| <= phi * E_i(t) on the grid, with E_i the
-    envelope of the given kernel orientation.
+    envelope of op (its orientation, tolerance and Omega samples).  z must
+    live on op.grid.
 
     Returns (verdict, max_ratio, envelope_values)."""
-    lo, hi = beta_interval(sys)
+    if z.grid is not op.grid:
+        raise ValueError("z lives on another panel grid")
+    lo, hi = beta_interval(op.sys)
     if beta == 0.0 or not lo <= beta <= hi:
-        raise ValueError(f"beta={beta} outside [{lo}, {hi}] or zero for i={sys.i}")
-    envelope = envelope_integral(sys, z.grid, beta, quad_tol, orientation)
+        raise ValueError(f"beta={beta} outside [{lo}, {hi}] or zero for i={op.sys.i}")
+    envelope = envelope_integral(op, beta)
     numerator = np.abs(z.value) + np.abs(z.d1) + np.abs(z.d2)
     den = phi * envelope
     tiny = 1e-300
@@ -263,16 +269,14 @@ def envelope_check(sys: RiccatiSystem, z: GridFunction, beta, phi,
     return max_ratio <= 1.0 + 1e-9, max_ratio, envelope
 
 
-def first_iterate_ratio(sys: RiccatiSystem, grid: PanelGrid, a_const, beta,
-                        orientation="adjoint", quad_tol=QUAD_TOL, envelope=None):
+def first_iterate_ratio(op: IntegralOperator, a_const, beta, envelope=None):
     """sup_t |T0(t)| / (A * E_i(t)): the first-step envelope sharpness, with
-    T and E_i of the same orientation.  envelope, when given, is E_i on the
-    grid nodes as envelope_check returns it (same beta, quad_tol and
-    orientation); otherwise it is built here."""
-    op = IntegralOperator(sys, grid, orientation, quad_tol)
+    T0 = op.apply(None) and E_i the envelope of op.  envelope, when given, is
+    E_i on the grid nodes as envelope_check returns it for op and the same
+    beta; otherwise it is built here."""
     t0_iterate = op.apply(None)
     if envelope is None:
-        envelope = envelope_integral(sys, grid, beta, quad_tol, orientation)
+        envelope = envelope_integral(op, beta)
     mask = a_const * envelope > 1e-300
     if not np.any(mask):
         return 0.0

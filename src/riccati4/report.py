@@ -3,11 +3,11 @@
 One run executes, per requested root index in turn: the hypothesis checks
 and contraction constants, the Picard solve with the direct (dichotomy)
 kernel, residual-certified, the envelope and first-iterate certificates of
-that same fixed point, synthesis of the fundamental solution, and oracle
-cross-validation.  Every stage of every root works on the run's one panel
-grid (``picard.default_grid``), built once per run.  Results land in a
-schema-stable report.json plus CSV series; the exit code is 0 only when
-every requested check passes.
+that same fixed point from the same Picard operator, synthesis of the
+fundamental solution, and oracle cross-validation.  Every stage of every root
+works on the run's one panel grid (``picard.default_grid``), built once per
+run.  Results land in a schema-stable report.json plus CSV series; the exit
+code is 0 only when every requested check passes.
 
 The CSV writer formats each float once, as the shortest round-trip repr of
 its value, block by block of rows; the node column is formatted once per run
@@ -135,13 +135,15 @@ def _run_root(spec: ProblemSpec, cd, i, mode, run: _RunShared):
 
         snapshots = [] if spec.trace else None
         collect = (lambda n, z: snapshots.append((n, z))) if spec.trace else None
+        # one operator T per root: the solve and both certificates use it
+        op = picard.IntegralOperator(sys, grid, quad_tol=spec.quad_tol)
         z, trace = picard.iterate_to_fixed_point(
-            sys, grid, fp_tol=spec.fp_tol, max_iter=spec.max_iter,
-            eta=spec.eta, quad_tol=spec.quad_tol, snapshot=collect,
+            op, fp_tol=spec.fp_tol, max_iter=spec.max_iter, eta=spec.eta,
+            snapshot=collect,
         )
         residual_max = float(np.max(np.abs(residual_profile(sys, z))))
         result["solve"] = {
-            "orientation": trace.orientation,
+            "orientation": op.orientation,
             "converged": trace.converged,
             "n_iter": trace.n_iter,
             "deltas": [_num(d) for d in trace.deltas],
@@ -178,16 +180,12 @@ def _run_root(spec: ProblemSpec, cd, i, mode, run: _RunShared):
                  "envelope_ok": None, "first_iterate_ratio": None}
         envelope = None
         if env.Phi is not None:
-            ok, ratio, envelope = picard.envelope_check(
-                sys, z, beta, env.Phi, quad_tol=spec.quad_tol,
-                orientation=trace.orientation,
-            )
+            ok, ratio, envelope = picard.envelope_check(op, z, beta, env.Phi)
             certs["envelope_ratio_max"] = _num(ratio)
             certs["envelope_ok"] = ok
             checks.append(ok)
         certs["first_iterate_ratio"] = _num(picard.first_iterate_ratio(
-            sys, grid, env.A, beta, orientation=trace.orientation,
-            quad_tol=spec.quad_tol, envelope=envelope,
+            op, env.A, beta, envelope=envelope,
         ))
         result["certificates"] = certs
 
@@ -245,8 +243,9 @@ def run_report(spec: ProblemSpec, roots=(1, 2, 3, 4), out_dir=None,
     """Execute the pipeline and return (report dict, exit code)."""
     spec.validate()
     roots = tuple(roots)
-    if any(not isinstance(i, numbers.Integral) or i not in (1, 2, 3, 4) for i in roots):
-        raise ValueError("root indices must be integers within 1..4")
+    if not roots or any(not isinstance(i, numbers.Integral) or i not in (1, 2, 3, 4)
+                        for i in roots):
+        raise ValueError("root indices must be one or more integers within 1..4")
     roots = tuple(sorted(set(map(int, roots))))
     report = {
         "problem": {

@@ -64,10 +64,6 @@ class Coefficients(NamedTuple):
     s: object   # Lambda2_2 + C_5, multiplies x1^3
 
 
-def _omega(lam, r0, r1, r2, r3):
-    return -(lam**3 * r3 + lam**2 * r2 + lam * r1 + r0)
-
-
 @dataclass(frozen=True)
 class RiccatiSystem:
     i: int
@@ -77,10 +73,6 @@ class RiccatiSystem:
     r: tuple                    # four FunctionExpr, indices 0..3
     C: np.ndarray               # 7 constants
     kernel: GreenKernel
-
-    def omega(self, t):
-        """Omega(t) = -(lam^3 r3 + lam^2 r2 + lam r1 + r0)."""
-        return _omega(self.lam, *(rj(t) for rj in self.r))
 
 
 def build_system(cd: CharacteristicData, r, i: int) -> RiccatiSystem:
@@ -120,7 +112,7 @@ def sample_coefficients(sys: RiccatiSystem, t) -> Coefficients:
     r0, r1, r2, r3 = (0.0 if exprlang.is_zero(rj) else rj(t) for rj in sys.r)
     f = -(3.0 * lam * r3 + r2)          # Lambda1_1 = Lambda2_1
     c = sys.C
-    return Coefficients(_omega(lam, r0, r1, r2, r3),
+    return Coefficients(-(lam**3 * r3 + lam**2 * r2 + lam * r1 + r0),
                         -(3.0 * lam**2 * r3 + 2.0 * lam * r2 + r1), f, -r3,
                         -3.0 * r3 + c[1], f + c[3], -r3 + c[5])
 

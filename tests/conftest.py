@@ -1,7 +1,7 @@
 import pytest
 
 from riccati4 import exprlang
-from riccati4.picard import default_grid, iterate_to_fixed_point
+from riccati4.picard import IntegralOperator, default_grid, iterate_to_fixed_point
 from riccati4.riccati import build_system
 from riccati4.spectra import characteristic_data
 
@@ -40,6 +40,6 @@ def eps_solutions(eps_systems, grid_1024):
     """Converged direct-orientation fixed points for the epsilon problem."""
     out = {}
     for i, sys in eps_systems.items():
-        z, trace = iterate_to_fixed_point(sys, grid_1024, orientation="direct")
+        z, trace = iterate_to_fixed_point(IntegralOperator(sys, grid_1024))
         out[i] = (z, trace)
     return out

@@ -9,7 +9,8 @@ called by the pipeline:
   that annihilates the kernel off the diagonal;
 * the decay functional L(E)(t) by adaptive quadrature (the pipeline
   integrates it on fixed panels in hypotheses.check_h2);
-* the perturbation maps Lambda1 and Lambda2, written out from r1..r3;
+* the forcing Omega and the perturbation maps Lambda1 and Lambda2, written
+  out from r0..r3;
 * the lift identity R4 = y * R3 between the fourth-order residual at
   y = exp(integral(lam + z)) and the residual of the third-order form;
 * the shifted-cubic residuals and the Phi_k recursion of the envelope
@@ -107,6 +108,13 @@ def L_functional(kernel: GreenKernel, E, t, t0, quad_tol=1e-12,
 # --- Riccati system ----------------------------------------------------------------
 
 
+def omega(sys: RiccatiSystem, t):
+    """Omega(t) = -(lam^3 r3 + lam^2 r2 + lam r1 + r0)."""
+    lam = sys.lam
+    r0, r1, r2, r3 = (rj(t) for rj in sys.r)
+    return -(lam**3 * r3 + lam**2 * r2 + lam * r1 + r0)
+
+
 def lambda1(sys: RiccatiSystem, t):
     """Lambda1 = (b(t), f(t), h(t)) multiplying (x1, x2, x3)."""
     lam = sys.lam
@@ -157,7 +165,7 @@ def lift_residual_equivalence(sys: RiccatiSystem, z_derivs, t, t0=None):
     b2, b1, b0 = sys.b
     r3_residual = (
         z3 + b2 * z2 + b1 * z1 + b0 * z0
-        - sys.omega(t) - eval_F(sys, t, z0, z1, z2)
+        - omega(sys, t) - eval_F(sys, t, z0, z1, z2)
     )
     return float(r4_over_y * y), float(r3_residual * y)
 

@@ -10,6 +10,7 @@ from riccati4.greens import GreenKernel
 from riccati4.hypotheses import contraction_constants, kernel_route_A, rho_bound, smallness_check
 from riccati4.oracle import cross_validate
 from riccati4.picard import (
+    IntegralOperator,
     default_grid,
     envelope_check,
     envelope_integral,
@@ -61,8 +62,8 @@ def eps_run(cd, grid):
     out = {}
     for i in (1, 2, 3, 4):
         sys = build_system(cd, r, i)
-        z, trace = iterate_to_fixed_point(sys, grid, orientation="direct")
-        z_adj, trace_adj = iterate_to_fixed_point(sys, grid, orientation="adjoint")
+        z, trace = iterate_to_fixed_point(IntegralOperator(sys, grid))
+        z_adj, trace_adj = iterate_to_fixed_point(IntegralOperator(sys, grid, "adjoint"))
         out[i] = dict(sys=sys, z=z, trace=trace, z_adj=z_adj, trace_adj=trace_adj)
     return out
 
@@ -72,7 +73,7 @@ def test_criterion_01_zero_perturbation_exactness(cd, grid):
     solutions = []
     for i in (1, 2, 3, 4):
         sys = build_system(cd, r, i)
-        z, trace = iterate_to_fixed_point(sys, grid, orientation="direct")
+        z, trace = iterate_to_fixed_point(IntegralOperator(sys, grid))
         assert trace.converged and trace.n_iter == 1
         assert z.norm_c02() == 0.0
         solutions.append(fundamental_solution(sys, z, cd))
@@ -197,14 +198,15 @@ def test_criterion_07_envelope(cd, grid, eps_run):
     assert ok and phi == pytest.approx(20.2312, rel=1e-4)
 
     # quadrature envelope agrees with the closed form (eps/2) e^{-t}
-    env = envelope_integral(sys, grid, -1.0)
+    adjoint = IntegralOperator(sys, grid, "adjoint")
+    env = envelope_integral(adjoint, -1.0)
     closed = (EPS / 2.0) * np.exp(-grid.nodes)
     assert np.max(np.abs(env - closed) / closed) <= 1e-9
 
-    ok_env, ratio, _ = envelope_check(sys, info["z_adj"], -1.0, phi)
+    ok_env, ratio, _ = envelope_check(adjoint, info["z_adj"], -1.0, phi)
     assert ok_env and ratio <= 1.0
 
-    fr = first_iterate_ratio(sys, grid, a1, -1.0)
+    fr = first_iterate_ratio(adjoint, a1, -1.0)
     assert fr == pytest.approx(1.0 / 280.0, rel=1e-6)
     announce(7, "envelope bound with Phi~20.23 and first-iterate ratio 1/280")
 

@@ -8,6 +8,7 @@ from riccati4.oracle import (
     cross_validate,
     integrate_linear4,
     integrate_riccati,
+    linear4_rhs,
     riccati_rhs,
 )
 from riccati4.riccati import build_system
@@ -75,3 +76,20 @@ def test_riccati_rhs_evaluates_each_perturbation_once(cd_test, monkeypatch):
     monkeypatch.setattr(exprlang.FunctionExpr, "__call__", counting)
     rhs(0.4, np.array([1e-3, -2e-3, 5e-4]))
     assert counts == {id(rj): 1 for rj in sys.r}
+
+
+def test_linear4_rhs_skips_zero_perturbations(monkeypatch):
+    r = tuple(map(exprlang.parse, ("0.002*exp(-1.3*t)", "0", "-0.003*exp(-2*t)", "0")))
+    rhs = linear4_rhs(A_TEST, r)
+    counts = {}
+    original = exprlang.FunctionExpr.__call__
+
+    def counting(self, t):
+        counts[id(self)] = counts.get(id(self), 0) + 1
+        return original(self, t)
+
+    monkeypatch.setattr(exprlang.FunctionExpr, "__call__", counting)
+    y = np.array([1.0, -2.0, 4.0, -8.0])
+    for call in (1, 2):
+        rhs(0.4 * call, y)
+        assert counts == {id(r[0]): call, id(r[2]): call}

@@ -14,6 +14,7 @@ from riccati4.picard import (
     iterate_to_fixed_point,
     resolve_orientation,
 )
+from riccati4.quadrature import graded_nodes, make_panels
 from riccati4.riccati import build_system, residual_profile
 
 from reference_routes import NoLimit, phi_sequence
@@ -58,7 +59,7 @@ def test_orientation_resolution(eps_systems):
 
 def test_zero_perturbation_converges_in_one_iteration(cd_test, r_zero, grid_1024):
     sys1 = build_system(cd_test, r_zero, 1)
-    z, trace = iterate_to_fixed_point(sys1, grid_1024, orientation="direct")
+    z, trace = iterate_to_fixed_point(IntegralOperator(sys1, grid_1024))
     assert trace.converged and trace.n_iter == 1
     assert z.norm_c02() == 0.0
     assert trace.certificate == 0.0
@@ -106,7 +107,7 @@ def test_divergence_for_large_perturbation(cd_test):
     sys3 = build_system(cd_test, r, 3)
     grid = default_grid(cd_test, 0.0, 512)
     with pytest.raises((Diverged, MaxIterExceeded)):
-        iterate_to_fixed_point(sys3, grid, orientation="direct")
+        iterate_to_fixed_point(IntegralOperator(sys3, grid))
 
 
 def test_derivative_channel_consistency(eps_solutions, grid_1024):
@@ -130,10 +131,10 @@ def test_integrating_d1_recovers_value(eps_solutions):
 
 def test_grid_refinement_stability(eps_systems, cd_test):
     sys1 = eps_systems[1]
-    za, _ = iterate_to_fixed_point(sys1, default_grid(cd_test, 0.0, 1024),
-                                   orientation="direct")
-    zb, _ = iterate_to_fixed_point(sys1, default_grid(cd_test, 0.0, 2048),
-                                   orientation="direct")
+    za, _ = iterate_to_fixed_point(
+        IntegralOperator(sys1, default_grid(cd_test, 0.0, 1024)))
+    zb, _ = iterate_to_fixed_point(
+        IntegralOperator(sys1, default_grid(cd_test, 0.0, 2048)))
     probes = za.nodes
     ca = za.channels_at(probes)
     cb = zb.channels_at(probes)
@@ -155,33 +156,53 @@ def test_phi_sequence():
 
 
 def test_envelope_closed_form_and_check(eps_systems, grid_1024):
-    sys1 = eps_systems[1]
-    env = envelope_integral(sys1, grid_1024, -1.0)
+    adjoint = IntegralOperator(eps_systems[1], grid_1024, "adjoint")
+    env = envelope_integral(adjoint, -1.0)
     expected = (EPS / 2.0) * np.exp(-grid_1024.nodes)
     assert np.max(np.abs(env - expected) / expected) <= 1e-10
 
-    z_adj, _ = iterate_to_fixed_point(sys1, grid_1024, orientation="adjoint")
-    ok, ratio, _ = envelope_check(sys1, z_adj, -1.0, 20.2312138724924)
+    z_adj, _ = iterate_to_fixed_point(adjoint)
+    ok, ratio, _ = envelope_check(adjoint, z_adj, -1.0, 20.2312138724924)
     assert ok and 0.0 < ratio <= 1.0
 
 
 def test_envelope_zero_problem(cd_test, r_zero, grid_1024):
     sys1 = build_system(cd_test, r_zero, 1)
     z = GridFunction.zero(grid_1024)
-    ok, ratio, _ = envelope_check(sys1, z, -1.0, 14.0)
+    ok, ratio, _ = envelope_check(IntegralOperator(sys1, grid_1024, "adjoint"), z, -1.0,
+                                  14.0)
     assert ok and ratio == 0.0
 
 
 def test_envelope_beta_validation(eps_systems, grid_1024):
     z = GridFunction.zero(grid_1024)
     with pytest.raises(ValueError):
-        envelope_check(eps_systems[1], z, -1.5, 14.0)  # below lam2 - lam1
+        envelope_check(IntegralOperator(eps_systems[1], grid_1024, "adjoint"), z, -1.5,
+                       14.0)  # below lam2 - lam1
     with pytest.raises(ValueError):
-        envelope_check(eps_systems[4], z, -0.5, 14.0)  # i=4 needs beta > 0
+        envelope_check(IntegralOperator(eps_systems[4], grid_1024, "adjoint"), z, -0.5,
+                       14.0)  # i=4 needs beta > 0
+
+
+@pytest.mark.parametrize("foreign", ["more_nodes", "shifted_node"])
+def test_envelope_check_refuses_a_function_of_another_grid(eps_systems, foreign):
+    """envelope_check takes z on the operator's own grid only, also when the
+    other grid has as many nodes and differs in one node by 1e-9."""
+    nodes = graded_nodes(0.0, 5.0, 64)
+    op = IntegralOperator(eps_systems[1], make_panels(nodes))
+    if foreign == "more_nodes":
+        other = graded_nodes(0.0, 5.0, 65)
+    else:
+        other = nodes.copy()
+        other[10] += 1e-9
+    z = GridFunction.zero(make_panels(other))
+    with pytest.raises(ValueError, match="another panel grid"):
+        envelope_check(op, z, -1.0, 14.0)
 
 
 def test_first_iterate_ratio_value(eps_systems, grid_1024):
-    ratio = first_iterate_ratio(eps_systems[1], grid_1024, 14.0, -1.0)
+    ratio = first_iterate_ratio(IntegralOperator(eps_systems[1], grid_1024, "adjoint"),
+                                14.0, -1.0)
     assert ratio == pytest.approx(1.0 / 280.0, rel=1e-9)
 
 
@@ -195,10 +216,10 @@ def test_direct_envelope_certifies_delivered_fixed_point(cd_test, r_eps, eps_sys
         env = envelope_report(cd_test, i, r_eps, 0.25)
         lo, hi = beta_interval(sys)
         beta = hi if i == 4 else lo
-        ok, ratio, _ = envelope_check(sys, z, beta, env.Phi, orientation="direct")
+        op = IntegralOperator(sys, grid_1024)
+        ok, ratio, _ = envelope_check(op, z, beta, env.Phi)
         assert ok and 0.0 < ratio <= 1.0
-        first = first_iterate_ratio(sys, grid_1024, env.A, beta,
-                                    orientation="direct")
+        first = first_iterate_ratio(op, env.A, beta)
         assert 0.0 < first <= 1.0
 
 
@@ -212,10 +233,10 @@ def test_first_iterate_ratio_reuses_the_checked_envelope(cd_test, r_eps, eps_sys
         env = envelope_report(cd_test, i, r_eps, 0.25)
         lo, hi = beta_interval(sys)
         beta = hi if i == 4 else lo
-        _, _, envelope = envelope_check(sys, z, beta, env.Phi, orientation="direct")
-        built = first_iterate_ratio(sys, grid_1024, env.A, beta, orientation="direct")
-        reused = first_iterate_ratio(sys, grid_1024, env.A, beta,
-                                     orientation="direct", envelope=envelope)
+        op = IntegralOperator(sys, grid_1024)
+        _, _, envelope = envelope_check(op, z, beta, env.Phi)
+        built = first_iterate_ratio(op, env.A, beta)
+        reused = first_iterate_ratio(op, env.A, beta, envelope=envelope)
         assert reused == built
 
 
@@ -224,8 +245,8 @@ def test_orientation_fixed_points_differ_by_first_iterates(eps_systems, grid_102
     second order in the perturbation, the gap of their first iterates (the
     resonant head response the transposed kernel cannot produce)."""
     sys1 = eps_systems[1]
-    z_dir, _ = iterate_to_fixed_point(sys1, grid_1024, orientation="direct")
-    z_adj, _ = iterate_to_fixed_point(sys1, grid_1024, orientation="adjoint")
+    z_dir, _ = iterate_to_fixed_point(IntegralOperator(sys1, grid_1024, "direct"))
+    z_adj, _ = iterate_to_fixed_point(IntegralOperator(sys1, grid_1024, "adjoint"))
     t0_dir = IntegralOperator(sys1, grid_1024, "direct").apply(None)
     t0_adj = IntegralOperator(sys1, grid_1024, "adjoint").apply(None)
     gap = z_dir.value - z_adj.value

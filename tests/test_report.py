@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from riccati4 import quadrature
+from riccati4 import picard, quadrature
 from riccati4 import report as report_module
 from riccati4.picard import default_grid
 from riccati4.problem import ProblemSpec
@@ -98,7 +98,23 @@ def test_root_subset_skips_wronskian(tmp_path):
     assert list(report["roots"]) == ["1"]
 
 
-@pytest.mark.parametrize("roots", [(0,), (1, 5), (1.7,)])
+def test_one_operator_per_root(monkeypatch):
+    """The Picard solve, the envelope check and the first-iterate ratio of a
+    root share one operator."""
+    calls = []
+    init = picard.IntegralOperator.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(args[0].i)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(picard.IntegralOperator, "__init__", counted)
+    report, _ = run_report(EPS_SPEC)
+    assert report["overall_pass"]
+    assert calls == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("roots", [(0,), (1, 5), (1.7,), ()])
 def test_bad_root_index_is_rejected_before_any_work(tmp_path, monkeypatch, roots):
     def unexpected(*args, **kwargs):
         raise AssertionError("the quartic was solved")

@@ -1,7 +1,9 @@
 import importlib.util
+import re
 from pathlib import Path
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
 
 
 def load_script(name):
@@ -38,3 +40,14 @@ def test_run_biharmonic_smoke(tmp_path, monkeypatch, capsys):
     assert script.main() == 0
     assert (tmp_path / "report.json").is_file()
     assert "overall pass: True" in capsys.readouterr().out
+
+
+def test_readme_library_example_runs():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library entry points", 1)[1]
+    example = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    namespace = {}
+    exec(compile(example, "README.md", "exec"), namespace)
+    assert namespace["trace"].converged
+    assert namespace["ok"] and 0.0 < namespace["first"] <= 1.0
+    assert namespace["code"] == 0
