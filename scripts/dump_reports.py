@@ -11,7 +11,8 @@ For every workload and seed it runs `run_report` on the problem that
 CSV series) to OUT/<workload>-seed<s>/.  The defaults are all three
 workloads at seeds 0 and 3.  The library and the workloads are imported from
 the checkout that holds this script.  Run it in two checkouts and compare
-the outputs with `diff -r`.
+the outputs with `diff -r`, or with scripts/compare_reports.py when numbers
+are expected to move.
 """
 
 import argparse

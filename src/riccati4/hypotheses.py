@@ -15,13 +15,14 @@ The decay hypothesis H2 is checked on the kernel functional
 L(t) = integral of w(|t - s|) |r_j(s)| ds, where w = |g| + |g_t| + |g_tt| of
 the printed kernel depends only on u = |t - s|.  Each of its three inner
 sums has at most three exponential terms and so at most two real zeros
-(Laguerre's rule of signs), located once per root with brentq.  With them as
-breakpoints, L is integrated on fixed Gauss-Legendre panels in u: one tail
-grid of H2_TAIL_LENGTHS slowest-mode decay lengths shared by every sample
-time, and per sample time one head grid on [0, t - t0] graded toward both
-ends.  The grading is steep enough that the first panel is no wider than the
-decay length of the fastest kernel mode, however long the sample window.
-The tests check it against the adaptive route, L_functional in
+(Laguerre's rule of signs), located once per root with brentq.  With these
+kinks as cut points, w is one exponential sum per side between consecutive
+cuts, so L is an exact combination of the same head/tail transforms of
+|r_j|, one per kernel mode, read at t - cut and t + cut.  Each call runs
+them on one graded panel grid that holds every point read.  The tail guard
+weighs the kernel: when the part of L beyond H2_TAIL_LENGTHS slowest-mode
+decay lengths is not negligible, TailNotConvergent is raised.  The tests
+check L against the adaptive route, L_functional in
 tests/reference_routes.py.
 
 Both rho and H2 settle their tails to TAIL_TOL = 1e-10, a module constant
@@ -48,16 +49,16 @@ from scipy.optimize import brentq
 from . import exprlang
 from .errors import TailNotConvergent
 from .greens import kernel_for_root
-from .quadrature import (adaptive_interval, adaptive_semi_infinite, graded_nodes, make_panels,
-                         two_sided_transform)
+from .quadrature import (adaptive_interval, adaptive_semi_infinite, graded_nodes, head_transform,
+                         make_panels, tail_transform, two_sided_transform)
 from .spectra import CharacteristicData
 
 H2_TOL = 1e-6
 TAIL_TOL = 1e-10         # tails of rho and H2; not a run's quad_tol
 RHO_GRID_NODES = 4096
 RHO_SAMPLES = 256        # log-spaced sample offsets of rho_bound's tail check
-H2_PANELS = 200          # Gauss-Legendre panels per side of the diagonal in check_h2
-H2_TAIL_LENGTHS = 40.0   # check_h2 tail grid length, in slowest-mode decay lengths
+H2_GRID_NODES = 1024     # graded nodes of check_h2's transform grid
+H2_TAIL_LENGTHS = 40.0   # check_h2 tail length, in slowest-mode decay lengths
 
 
 def F_operator_eval(cd: CharacteristicData, i: int, E, t, t0, quad_tol=1e-12):
@@ -218,66 +219,49 @@ def _exp_sum_zeros(coefs, rates, hi):
             if np.sign(scaled(a)) * np.sign(scaled(b)) < 0.0]
 
 
-def _weight(modes, side, u):
-    """w(u) = |g| + |g_t| + |g_tt| of the kernel at distance u >= 0 from the
-    diagonal on one side ("head": s = t - u, "tail": s = t + u)."""
-    dt = u if side == "head" else -u
-    return sum(np.abs(modes.side_eval(dt, d, side)) for d in range(3))
-
-
 def _kinks(modes, side, hi):
-    """Zeros in (0, hi) of the three inner sums of _weight: its kinks."""
+    """Kinks of one side's weight w(u) = sum_d |S_d(u)| ("head": s = t - u,
+    "tail": s = t + u): the zeros in (0, hi) of its inner sums S_d."""
     sign, sided = (1.0, modes.head) if side == "head" else (-1.0, modes.tail)
     return np.array([z for d in range(3) for z in _exp_sum_zeros(
         [m.coef * m.rate**d for m in sided], [sign * m.rate for m in sided], hi)])
 
 
-def _graded(length, n_panels, modes):
-    """n_panels + 1 nodes on [0, length] graded toward 0 like u**p, with p >= 2
-    large enough that the first panel is no wider than the decay length of
-    the fastest kernel mode (of either side)."""
+def _cut_steps(modes, side, hi):
+    """(cuts, steps, last) of one side's weight, its kinks below hi as cuts.
+
+    On (cuts[k], cuts[k+1]) the weight is sum_m a[k, m] exp(e_m u), with
+    e_m = +-rate_m the mode's exponent in u, so L on that side is
+    sum_k sum_m steps[k, m] X_m(t -+ cuts[k]) for the head (X = H) or tail
+    (X = K) transform of |r_j| at rate_m, where steps[k, m] =
+    (a[k, m] - a[k-1, m]) exp(e_m cuts[k]) and a[-1, m] = 0.  last[m] =
+    |a[-1, m]| exp(e_m hi) weighs the remainder past u = hi."""
+    sign, sided = (1.0, modes.head) if side == "head" else (-1.0, modes.tail)
+    cuts = np.unique(np.append(_kinks(modes, side, hi), 0.0))
+    exps = np.array([sign * m.rate for m in sided])
+    terms = np.array([[m.coef * m.rate**d for m in sided] for d in range(3)])
+    # signs of S_d between the cuts, scaled so that no exponent is positive
+    probes = 0.5 * (cuts + np.append(cuts[1:], hi))
+    signs = np.sign(np.exp(np.outer(probes, exps - exps.max())) @ terms.T)
+    amps = signs @ terms
+    steps = np.diff(amps, axis=0, prepend=0.0) * np.exp(np.outer(cuts, exps))
+    return cuts, steps, np.abs(amps[-1]) * np.exp(exps * hi)
+
+
+def _transform_grid(modes, t0, end, reads):
+    """check_h2's one panel grid: H2_GRID_NODES graded nodes on [t0, end]
+    joined with the read points.  Where a panel is wider than 4 decay
+    lengths of the fastest kernel mode (a spectrum with a tiny gap has a
+    long sample window), every read point also gets neighbours 1, 2, 4, ...
+    such lengths away, so that the panels next to it resolve that mode."""
+    nodes = np.union1d(graded_nodes(t0, end, H2_GRID_NODES), reads)
     fast = max(abs(m.rate) for m in modes.head + modes.tail)
-    return graded_nodes(0.0, length, n_panels + 1,
-                        max(2.0, math.log(length * fast) / math.log(n_panels)))
-
-
-def _head_rule(modes, sample_ts, t0):
-    """(s, weights, owner) of the head side, or None when no sample lies
-    past t0: for each sample t, H2_PANELS panels on [0, t - t0] graded toward
-    both ends (u = 0 carries the kernel scale, u = t - t0 the perturbation's
-    near t0), with the kinks as extra breakpoints, flattened; s = t - u,
-    weights are w(u) times the Gauss-Legendre weights, owner the sample
-    index of each node."""
-    lengths = sample_ts - t0
-    if not np.any(lengths > 0.0):
-        return None
-    kinks = _kinks(modes, "head", lengths.max())
-    grids = {}
-    for k, length in enumerate(lengths):
-        if length > 0.0:
-            half = _graded(0.5 * length, H2_PANELS // 2, modes)
-            grids[k] = make_panels(np.unique(np.concatenate([half, length - half,
-                                                             kinks[kinks < length]])))
-    u = np.concatenate([grid.gl_x.ravel() for grid in grids.values()])
-    owner = np.concatenate([np.full(grid.gl_x.size, k) for k, grid in grids.items()])
-    weights = np.concatenate([grid.gl_w.ravel() for grid in grids.values()])
-    return sample_ts[owner] - u, weights * _weight(modes, "head", u), owner
-
-
-def _tail_rule(modes, sample_ts):
-    """(s, weights, last) of the tail side: one grid of H2_PANELS panels on
-    [0, U], U = H2_TAIL_LENGTHS decay lengths of the slowest tail mode,
-    graded away from u = 0, with the kinks as extra breakpoints;
-    s = t + u for every sample (shape samples x panels x nodes), weights
-    w(u) times the Gauss-Legendre weights, last the mask of the panels in
-    the last decay length."""
-    rate = modes.slowest()[1]
-    span = H2_TAIL_LENGTHS / rate
-    panels = make_panels(np.union1d(_graded(span, H2_PANELS, modes),
-                                    _kinks(modes, "tail", span)))
-    s = sample_ts[:, None, None] + panels.gl_x
-    weights = panels.gl_w * _weight(modes, "tail", panels.gl_x)
-    return s, weights, panels.nodes[:-1] >= span - 1.0 / rate
+    coarse = np.diff(nodes).max() * fast
+    if coarse > 4.0:
+        offsets = 2.0 ** np.arange(math.ceil(math.log2(coarse))) / fast
+        near = (reads[:, None] + np.concatenate([offsets, -offsets])).ravel()
+        nodes = np.union1d(nodes, near[(near > t0) & (near < end)])
+    return make_panels(nodes)
 
 
 @dataclass
@@ -293,35 +277,53 @@ def check_h2(cd: CharacteristicData, i: int, r, sample_ts=None, t0=0.0):
     The fitted exponential rate of the tail is reported.
 
     L(t) = integral over [t0, inf) of w(|t - s|) |r_j(s)| ds, where w is
-    |g| + |g_t| + |g_tt| of the adjoint kernel on the side of s, runs on the
-    fixed panels of _head_rule and _tail_rule, built once per root; |r_j| is
-    evaluated in one call per side over all sample times and nodes.  The
-    tail must settle: when its panels in the last decay length still
-    contribute more than max(0.1 TAIL_TOL, 1e-15 times the total),
-    TailNotConvergent is raised.
+    |g| + |g_t| + |g_tt| of the adjoint kernel on the side of s.  Between
+    the cuts of _cut_steps w is one exponential sum per side, so L combines
+    head_transform / tail_transform values of |r_j|, one transform per
+    kernel mode, read at t - cut (above t0) and t + cut.  They all run on
+    one _transform_grid per call, on [t0, t_last + 2 span] with span =
+    H2_TAIL_LENGTHS slowest-tail decay lengths, and |r_j| is sampled once on
+    its Gauss-Legendre points.  TailNotConvergent is raised when the part of
+    L past u = span exceeds max(0.1 TAIL_TOL, 1e-15 times the tail part).
     """
     exprs = [rj for rj in map(exprlang.as_expr, r) if not exprlang.is_zero(rj)]
     if sample_ts is None:
         sample_ts = t0 + np.linspace(0.0, 40.0 / cd.min_gap, 12)
     sample_ts = np.asarray(sample_ts, dtype=float)
+    if np.any(sample_ts < t0):
+        raise ValueError("H2 sample times must not precede t0")
 
     modes = kernel_for_root(cd, i).modes("adjoint")
-    head_side = _head_rule(modes, sample_ts, t0) if modes.head else None
-    tail_side = _tail_rule(modes, sample_ts) if modes.tail else None
+    t_last = float(sample_ts.max())
+    span = H2_TAIL_LENGTHS / modes.slowest()[1] if modes.tail else 0.0
+    sides = []  # (modes, transform, read points, steps, remainder weights)
+    if modes.head:
+        cuts, steps, _ = _cut_steps(modes, "head", t_last - t0)
+        # a cut past t - t0 reads H(t0) = 0
+        sides.append((modes.head, head_transform,
+                      np.maximum(sample_ts[:, None] - cuts, t0), steps, None))
+    if modes.tail:
+        cuts, steps, last = _cut_steps(modes, "tail", span)
+        sides.append((modes.tail, tail_transform,
+                      sample_ts[:, None] + np.append(cuts, span), steps, last))
+    panels = _transform_grid(modes, t0, t_last + 2.0 * span,
+                             np.concatenate([side[2].ravel() for side in sides]))
+    reads = [np.searchsorted(panels.nodes, side[2]) for side in sides]
+    if not all(np.array_equal(panels.nodes[at], side[2]) for at, side in zip(reads, sides)):
+        raise RuntimeError("H2 read points are not nodes of the transform grid")
+
     curve = np.zeros_like(sample_ts)
     for rj in exprs:
+        f_gl = np.abs(rj(panels.gl_x))
         vals = np.zeros_like(sample_ts)
-        if head_side is not None:
-            s, weights, owner = head_side
-            vals += np.bincount(owner, weights * np.abs(rj(s)), minlength=sample_ts.size)
-        if tail_side is not None:
-            s, weights, last = tail_side
-            per_panel = (weights * np.abs(rj(s))).sum(axis=2)
-            total = per_panel.sum(axis=1)
-            if np.any(per_panel[:, last].sum(axis=1) > np.maximum(0.1 * TAIL_TOL, 1e-15 * total)):
+        for (sided, transform, _, steps, last), at in zip(sides, reads):
+            values = np.array([transform(panels, f_gl, m.rate)[at] for m in sided])
+            part = np.einsum("msk,km->s", values[:, :, :len(steps)], steps)
+            if last is not None and np.any(last @ values[:, :, -1]
+                                           > np.maximum(0.1 * TAIL_TOL, 1e-15 * part)):
                 raise TailNotConvergent(
                     f"decay functional of {rj.source!r} not settling on the tail grid")
-            vals += total
+            vals += part
         curve = np.maximum(curve, vals)
 
     samples = [(float(t), float(v)) for t, v in zip(sample_ts, curve)]

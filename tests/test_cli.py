@@ -117,3 +117,13 @@ def test_near_resonant_spectrum_exits_cleanly(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
     report = json.loads((tmp_path / "o" / "report.json").read_text())
     assert report["roots"]["4"]["oracle"]["riccati_direction"] == "backward"
+
+
+@pytest.mark.parametrize("roots", ["0", "1,5"])
+def test_roots_out_of_range_is_input_error(eps_config, tmp_path, capsys, roots):
+    out = tmp_path / "out"
+    code = main(["analyze", "--config", str(eps_config), "--out", str(out),
+                 "--roots", roots])
+    assert code == 2
+    assert "root indices" in capsys.readouterr().err
+    assert not out.exists()

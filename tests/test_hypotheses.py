@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from riccati4 import exprlang
+from riccati4 import exprlang, hypotheses
 from riccati4.errors import TailNotConvergent
 from riccati4.greens import kernel_for_root
 from riccati4.hypotheses import (
@@ -18,6 +18,7 @@ from riccati4.hypotheses import (
     rho_bound,
     smallness_check,
 )
+from riccati4.quadrature import make_panels
 from riccati4.spectra import characteristic_data
 
 from reference_routes import L_functional
@@ -78,6 +79,9 @@ def _sampled_rho(cd, i, rj, n_samples=256, quad_tol=1e-10):
 _HARD_CD = characteristic_data(tuple(np.poly([5.0, 1.0, -2.0, -6.0])[1:]))
 _HARD_R = ("0.002*exp(-1.3*t)", "0.001*exp(-t)", "-0.003*exp(-2*t)", "0.001*exp(-0.7*t)")
 _TEST_R = ("0.001*exp(-t)", "0.001*abs(t-2)*exp(-t)", "0.001*sin(3*t)*exp(-t)")
+# decays like a power only: its raw tail integral past the H2 tail length is
+# far above TAIL_TOL, its kernel-weighted remainder far below
+_SLOW_R = ("0.001/(1+t)^2",)
 
 
 @pytest.mark.parametrize("problem", ["test", "hard"])
@@ -217,15 +221,44 @@ def test_h2_near_resonant_matches_closed_form(i):
 @pytest.mark.parametrize("problem", ["test", "hard"])
 @pytest.mark.parametrize("i", [1, 2, 3, 4])
 def test_h2_matches_adaptive_route(cd_test, problem, i):
-    cd, perturbations = (cd_test, _TEST_R) if problem == "test" else (_HARD_CD, _HARD_R)
+    cd, perturbations = (cd_test, _TEST_R + _SLOW_R) if problem == "test" else (_HARD_CD, _HARD_R)
     kernel = kernel_for_root(cd, i)
     for rj in perturbations:
         report = check_h2(cd, i, (rj, "0", "0", "0"))
         # the kinks of |r_j| itself are not panel breakpoints
-        tol = 1e-9 if rj in _TEST_R[1:] else 1e-10
+        tol = 1e-9 if rj in _TEST_R[1:] else 1e-12 if rj in _SLOW_R else 1e-10
         for t, value in report.samples:
             reference = L_functional(kernel, exprlang.parse(rj), t, 0.0, quad_tol=1e-12)
             assert value == pytest.approx(reference, abs=tol)
+
+
+def test_h2_near_resonant_resolves_the_fast_modes():
+    # gap 1e-5: panels of the graded grid are thousands of unit decay lengths
+    # wide at the late samples, so the grid must grade toward every read point
+    cd = characteristic_data(tuple(np.poly([2.0, 1.0, -1.0, -1.0 - 1e-5])[1:]))
+    kernel = kernel_for_root(cd, 3)
+    rj = _SLOW_R[0]
+    report = check_h2(cd, 3, (rj, "0", "0", "0"))
+    for t, value in report.samples[:4]:
+        reference = L_functional(kernel, exprlang.parse(rj), t, 0.0, quad_tol=1e-12)
+        assert value == pytest.approx(reference, abs=1e-12)
+
+
+def test_h2_builds_one_grid_per_call(cd_test, monkeypatch):
+    calls = []
+
+    def counting_make_panels(nodes):
+        calls.append(len(nodes))
+        return make_panels(nodes)
+
+    monkeypatch.setattr(hypotheses, "make_panels", counting_make_panels)
+    assert check_h2(cd_test, 2, _TEST_R + ("0",)).verdict == "PASS"
+    assert len(calls) == 1
+
+
+def test_h2_rejects_samples_before_t0(cd_test):
+    with pytest.raises(ValueError):
+        check_h2(cd_test, 2, _TEST_R + ("0",), sample_ts=[0.5, 1.0], t0=1.0)
 
 
 def test_envelope_report_epsilon(cd_test, r_eps):

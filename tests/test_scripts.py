@@ -1,5 +1,7 @@
 import importlib.util
+import json
 import re
+import shutil
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -32,6 +34,28 @@ def test_dump_reports_is_reproducible(tmp_path):
         trees.append({p.name: p.read_bytes() for p in target.iterdir()})
     assert "report.json" in trees[0] and "wronskian.csv" in trees[0]
     assert trees[0] == trees[1]
+
+
+def test_compare_reports_smoke(tmp_path, capsys):
+    (tree,) = load_script("dump_reports").dump(tmp_path / "a", ["standard"], [0])
+    compare = load_script("compare_reports").main
+    assert compare([str(tmp_path / "a"), str(tmp_path / "a")]) == 0
+    assert capsys.readouterr().out.split("\n")[0].endswith("report.json: no difference")
+
+    shutil.copytree(tmp_path / "a", tmp_path / "b")
+    edited = tmp_path / "b" / tree.name / "report.json"
+    report = json.loads(edited.read_text())
+    report["roots"]["2"]["h2"]["samples"][3][1] *= 1.0 + 1e-9
+    edited.write_text(json.dumps(report))
+    assert compare([str(tmp_path / "a"), str(tmp_path / "b")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert re.search(r"report\.json: differs at 1 of \d+ paths$", lines[0])
+    path, shift = lines[1].split()
+    assert path == "roots.*.h2.samples[*][*]" and 5e-10 < float(shift) < 2e-9
+
+    (tmp_path / "b" / tree.name / "z_root1.csv").unlink()
+    assert compare([str(tmp_path / "a"), str(tmp_path / "b")]) == 1
+    assert "MISMATCH only in" in capsys.readouterr().out
 
 
 def test_run_biharmonic_smoke(tmp_path, monkeypatch, capsys):
