@@ -115,23 +115,16 @@ def load_problem_spec(path) -> ProblemSpec:
 
 
 def dump_problem_spec(spec: ProblemSpec) -> str:
-    """Round-trippable INI text for a ProblemSpec."""
+    """Round-trippable INI text for a ProblemSpec, laid out by _SCHEMA: "auto"
+    for a None t_max, strings as they are, `repr` for numbers."""
+    def text(value):
+        if value is None:
+            return "auto"
+        return value if isinstance(value, str) else repr(value)
+
     parser = configparser.ConfigParser()
-    parser["equation"] = {
-        "a3": repr(spec.a3), "a2": repr(spec.a2),
-        "a1": repr(spec.a1), "a0": repr(spec.a0),
-        "r0": spec.r0, "r1": spec.r1, "r2": spec.r2, "r3": spec.r3,
-    }
-    parser["domain"] = {
-        "t0": repr(spec.t0),
-        "t_max": "auto" if spec.t_max is None else repr(spec.t_max),
-        "nodes": str(spec.nodes),
-    }
-    parser["solver"] = {
-        "eta": repr(spec.eta), "fp_tol": repr(spec.fp_tol),
-        "quad_tol": repr(spec.quad_tol), "root_tol": repr(spec.root_tol),
-        "gap_tol": repr(spec.gap_tol), "max_iter": str(spec.max_iter),
-    }
+    for section, fields in _SCHEMA.items():
+        parser[section] = {key: text(getattr(spec, key)) for key in fields}
     out = io.StringIO()
     parser.write(out)
     return out.getvalue()

@@ -43,10 +43,12 @@ class FundamentalSolution:
         z = self.z
         return log_derivative_ratios(self.lam, z.value, z.d1, z.d2, z.d3)
 
-    def initial_state(self):
-        """(y, y', y'', y''') at t0; y(t0) = 1 by the normalization."""
+    def state_at(self, k):
+        """(y, y', y'', y''') / y at node k: the state of the fourth-order
+        equation for this solution scaled to y = 1 there (at t0 that is the
+        normalization)."""
         r1, r2, r3, _ = self.ratios()
-        return np.array([1.0, r1[0], r2[0], r3[0]])
+        return np.array([1.0, r1[k], r2[k], r3[k]])
 
 
 def fundamental_solution(sys: RiccatiSystem, z: GridFunction, cd) -> FundamentalSolution:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from riccati4 import exprlang
+from riccati4 import exprlang, oracle, picard, riccati, synthesis
 from riccati4.oracle import (
     cross_validate,
     integrate_linear4,
@@ -11,7 +11,8 @@ from riccati4.oracle import (
     linear4_rhs,
     riccati_rhs,
 )
-from riccati4.riccati import build_system
+from riccati4.picard import IntegralOperator, iterate_to_fixed_point
+from riccati4.riccati import build_system, residual_profile
 from riccati4.synthesis import fundamental_solution
 
 A_TEST = (0.0, -5.0, 0.0, 4.0)
@@ -93,3 +94,45 @@ def test_linear4_rhs_skips_zero_perturbations(monkeypatch):
     for call in (1, 2):
         rhs(0.4 * call, y)
         assert counts == {id(r[0]): call, id(r[2]): call}
+
+
+def test_pipeline_integrates_only_the_fourth_order_equation(
+        cd_test, eps_systems, eps_solutions, monkeypatch):
+    runs = {"linear": [], "riccati": []}
+    linear, ricc = oracle.integrate_linear4, oracle.integrate_riccati
+
+    def counting_linear(*args, **kwargs):
+        runs["linear"].append(current)
+        return linear(*args, **kwargs)
+
+    def counting_riccati(*args, **kwargs):
+        runs["riccati"].append(current)
+        return ricc(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "integrate_linear4", counting_linear)
+    monkeypatch.setattr(oracle, "integrate_riccati", counting_riccati)
+    for current in (1, 2, 3, 4):
+        fs = fundamental_solution(eps_systems[current], eps_solutions[current][0], cd_test)
+        cross_validate(fs, eps_systems[current])
+    assert {i: runs["linear"].count(i) for i in (1, 2, 3, 4)} == {1: 1, 2: 1, 3: 1, 4: 2}
+    assert runs["riccati"] == []
+
+
+def test_riccati_error_sees_an_omega_coding_error(cd_test, r_eps, grid_1024, monkeypatch):
+    # Omega off by 1 % wherever the solver samples it: Picard, the residual
+    # and the synthesis all agree with each other, the fourth-order equation
+    # does not
+    sample = riccati.sample_coefficients
+
+    def wrong_omega(sys, t):
+        k = sample(sys, t)
+        return k._replace(omega=1.01 * k.omega)
+
+    for module in (riccati, picard, oracle, synthesis):
+        monkeypatch.setattr(module, "sample_coefficients", wrong_omega)
+    for i in (1, 4):
+        sys = build_system(cd_test, r_eps, i)
+        z, _ = iterate_to_fixed_point(IntegralOperator(sys, grid_1024))
+        assert np.max(np.abs(residual_profile(sys, z))) <= 1e-9
+        out = cross_validate(fundamental_solution(sys, z, cd_test), sys)
+        assert out["riccati_error"] >= 1e-8

@@ -80,9 +80,17 @@ def test_nodes_floor():
         ProblemSpec(nodes=32).validate()
 
 
-def test_dump_round_trip(tmp_path):
-    spec = ProblemSpec(a3=0.8, a2=-9.76, a1=-3.968, a0=8.6016,
-                       r0="0.001*exp(-t)", nodes=512)
+@pytest.mark.parametrize("spec", [
+    ProblemSpec(a3=0.8, a2=-9.76, a1=-3.968, a0=8.6016,
+                r0="0.001*exp(-t)", nodes=512),
+    # every INI field away from its default
+    ProblemSpec(a3=0.8, a2=-9.76, a1=-3.968, a0=8.6016,
+                r0="0.001*exp(-t)", r1="-0.002*exp(-2*t)", r2="1e-4/(1+t)^3",
+                r3="0.003*sin(t)*exp(-t)", t0=0.5, t_max=31.25, nodes=300,
+                eta=0.125, fp_tol=3e-11, quad_tol=2e-13, root_tol=5e-11,
+                gap_tol=2e-9, max_iter=17),
+], ids=["equation", "every_field"])
+def test_dump_round_trip(tmp_path, spec):
     path = tmp_path / "dumped.ini"
     path.write_text(dump_problem_spec(spec))
     again = load_problem_spec(path)
