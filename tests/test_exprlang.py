@@ -125,10 +125,12 @@ def to_string(node) -> str:
         mine = _PREC[node.op]
         left = to_string(node.left)
         right = to_string(node.right)
-        # '-' and '/' are left associative, '^' right associative
+        # the parser groups '+-*/' to the left and '^' to the right; an
+        # operand nested against that grouping keeps its parentheses, since
+        # floating-point '+' and '*' are not associative
         if lp < mine or (node.op == "^" and lp == mine):
             left = f"({left})"
-        if rp < mine or (node.op in "-/" and rp == mine):
+        if rp < mine or (node.op != "^" and rp == mine):
             right = f"({right})"
         return f"{left} {node.op} {right}" if node.op in "+-" else f"{left}{node.op}{right}"
     raise TypeError(f"unknown AST node {node!r}")
