@@ -70,7 +70,7 @@ class FunctionExpr:
         object.__setattr__(self, "_fn", _compile(self.ast))
 
     def __call__(self, t):
-        if np.ndim(t) == 0:
+        if isinstance(t, float) or np.ndim(t) == 0:
             t, shape = float(t), None
         else:
             t = np.asarray(t, dtype=float)

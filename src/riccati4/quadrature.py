@@ -5,7 +5,8 @@ Gauss-Legendre nodes of order 16 inside each panel.  Exponential-kernel
 integrals against sampled data are evaluated by stable one-panel recurrences
 (prefix sums for integrals from t0, suffix sums for integrals to infinity),
 so every exponent that is ever formed stays bounded by rate * panel width.
-The recurrences run over Python floats and build their output array once.
+Each recurrence is one unit-diagonal bidiagonal solve by LAPACK's dgtsv,
+which forms the same products and sums in the same order as the scalar loop.
 
 A PanelGrid is the grid object of a run: ``picard.default_grid`` builds it
 once, and every GridFunction carries the grid it lives on.  It caches the
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg.lapack import dgtsv
 
 from .errors import TailNotConvergent
 from .grid import hermite_basis
@@ -90,15 +92,9 @@ def head_transform(grid: PanelGrid, f_gl: np.ndarray, rate: float) -> np.ndarray
     Stable for rate <= 0 (the only case used: kernels decay into the head
     side); each recurrence factor is exp(rate * panel width) <= 1.
     """
-    right = grid.nodes[1:, None]
-    panel = ((grid.gl_w * np.exp(rate * (right - grid.gl_x))) * f_gl).sum(axis=1)
+    panel = _panel_sums(grid, f_gl, rate, grid.nodes[1:])
     decay = np.exp(rate * grid.widths)
-    out = [0.0]
-    acc = 0.0
-    for d, p in zip(decay.tolist(), panel.tolist()):
-        acc = d * acc + p
-        out.append(acc)
-    return np.array(out)
+    return _recurrence(decay, np.concatenate(([0.0], panel)), head=True)
 
 
 def tail_transform(grid: PanelGrid, f_gl: np.ndarray, rate: float,
@@ -107,15 +103,50 @@ def tail_transform(grid: PanelGrid, f_gl: np.ndarray, rate: float,
 
     f beyond t_max must be accounted for through tail_seed, the value of the
     integral from t_max on.  Stable for rate >= 0 (again the only use)."""
-    left = grid.nodes[:-1, None]
-    panel = ((grid.gl_w * np.exp(rate * (left - grid.gl_x))) * f_gl).sum(axis=1)
+    panel = _panel_sums(grid, f_gl, rate, grid.nodes[:-1])
     decay = np.exp(-rate * grid.widths)
-    acc = float(tail_seed)
-    out = [acc]
-    for d, p in zip(reversed(decay.tolist()), reversed(panel.tolist())):
-        acc = d * acc + p
-        out.append(acc)
-    return np.array(out[::-1])
+    return _recurrence(decay, np.concatenate((panel, [float(tail_seed)])), head=False)
+
+
+def _panel_sums(grid: PanelGrid, f_gl: np.ndarray, rate: float,
+                edge: np.ndarray) -> np.ndarray:
+    """Per panel, the sum of gl_w * exp(rate * (edge - gl_x)) * f_gl, with edge
+    each panel's right end (head) or left end (tail).  The products are formed
+    in that order in one buffer: on a large grid a fresh array per operation
+    costs as much as the arithmetic."""
+    w = np.subtract(edge[:, None], grid.gl_x)
+    w *= rate
+    np.exp(w, out=w)
+    w *= grid.gl_w
+    w *= f_gl
+    return w.sum(axis=1)
+
+
+def _recurrence(decay: np.ndarray, rhs: np.ndarray, head: bool) -> np.ndarray:
+    """x[k] = decay[k-1] * x[k-1] + rhs[k] forward from x[0] = rhs[0] (head),
+    or x[k] = decay[k] * x[k+1] + rhs[k] backward from x[-1] = rhs[-1] (tail),
+    as one unit-diagonal bidiagonal solve by dgtsv.
+
+    dgtsv swaps rows only where an off-diagonal entry exceeds the diagonal in
+    magnitude; both callers have |decay| <= 1, so it never pivots, and each
+    entry is fl(rhs[k] + fl(decay * x)) in the order of the scalar loop.  Its
+    other steps subtract products with the zero off-diagonal, which change
+    nothing but can turn a -0.0 into +0.0.  The loop yields -0.0 only where
+    rhs[k] is -0.0, so those entries are redone in order, bit for bit.
+    """
+    zero = np.zeros_like(decay)
+    sub, sup = (-decay, zero) if head else (zero, -decay)
+    *_, x, info = dgtsv(sub, np.ones_like(rhs), sup, rhs)
+    if info != 0:
+        raise RuntimeError(f"dgtsv failed with info={info}")
+    step = 1 if head else -1
+    for k in np.flatnonzero(np.signbit(rhs) & (rhs == 0.0))[::step].tolist():
+        prev = k - step
+        if 0 <= prev < rhs.size:
+            x[k] = decay[min(k, prev)] * x[prev] + rhs[k]
+        else:
+            x[k] = rhs[k]
+    return x
 
 
 def exponential_tail_seed(f, grid: PanelGrid, rate: float, quad_tol: float,

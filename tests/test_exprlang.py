@@ -170,6 +170,8 @@ def test_result_shapes():
         expr = exprlang.parse(text)
         scalar = expr(0.5)
         assert np.ndim(scalar) == 0 and isinstance(scalar, float)
+        from_numpy = expr(np.float64(0.5))
+        assert type(from_numpy) is type(scalar) and from_numpy == scalar
         assert np.shape(expr(grid)) == grid.shape
 
 

@@ -7,6 +7,7 @@ from riccati4.errors import TailNotConvergent
 from riccati4.greens import kernel_for_root
 from riccati4.picard import beta_interval
 from riccati4.quadrature import (
+    _recurrence,
     exponential_tail_seed,
     graded_nodes,
     head_transform,
@@ -81,12 +82,57 @@ def test_tail_seed_and_transform_closed_form(rate):
                                rtol=1e-12)
 
 
-@pytest.mark.parametrize("rate", [0.0, 0.7, 2.5])
+def loop_inputs(grid):
+    """Smooth samples of both signs; negative samples with runs of three -0.0
+    panels between runs of three sampled ones; all zeros."""
+    smooth = f(grid.gl_x) * np.sin(3.0 * grid.gl_x)
+    runs = -np.abs(smooth)
+    runs[np.arange(runs.shape[0]) // 3 % 2 == 1] = -0.0
+    return smooth, runs, np.zeros_like(smooth)
+
+
+# 8 nodes: the widest panels are 2.1 to 3.1 long, so exp(-400 * width) underflows to 0.
+LOOP_GRIDS = (GRID, make_panels(graded_nodes(T0, T_MAX, 8)),
+              make_panels(graded_nodes(T0, T_MAX, 8192)))
+
+
+def same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.7, 2.5, 400.0])
 def test_transforms_equal_the_numpy_scalar_loop(rate):
     f_gl = F_GL * np.sin(3.0 * GRID.gl_x)
     assert np.array_equal(head_transform(GRID, f_gl, -rate), head_loop(GRID, f_gl, -rate))
     assert np.array_equal(tail_transform(GRID, f_gl, rate, 0.3),
                           tail_loop(GRID, f_gl, rate, 0.3))
+    for grid in LOOP_GRIDS:
+        for f_gl in loop_inputs(grid):
+            assert same_bits(head_transform(grid, f_gl, -rate), head_loop(grid, f_gl, -rate))
+            for seed in (0.3, -0.0):
+                assert same_bits(tail_transform(grid, f_gl, rate, seed),
+                                 tail_loop(grid, f_gl, rate, seed))
+
+
+def test_recurrence_keeps_the_sign_of_zero():
+    # -0.0 right-hand sides after negative entries, across zero decays: dgtsv
+    # alone returns +0.0 for some of the entries where the loop gives -0.0
+    decay = np.array([1.0, 0.0, 0.0, 0.5, 0.0, 1.0, 0.0])
+    rhs = np.array([-1.0, -0.0, -0.0, -2.0, -0.0, -0.0, -3.0, -0.0])
+    head = [rhs[0]]
+    for d, p in zip(decay, rhs[1:]):
+        head.append(d * head[-1] + p)
+    tail = [rhs[-1]]
+    for d, p in zip(decay[::-1], rhs[-2::-1]):
+        tail.append(d * tail[-1] + p)
+    assert same_bits(_recurrence(decay, rhs, head=True), np.array(head))
+    assert same_bits(_recurrence(decay, rhs, head=False), np.array(tail[::-1]))
+
+
+def test_recurrence_reports_a_failed_solve():
+    # an overflowed decay (the unstable side) makes dgtsv pivot onto a zero
+    with pytest.raises(RuntimeError, match="info=2"):
+        _recurrence(np.array([np.inf]), np.array([0.0, 1.0]), head=True)
 
 
 def test_tail_seed_rejects_growth_and_nonpositive_rate():
