@@ -1,0 +1,131 @@
+#!/usr/bin/env python3
+"""Compare two checkouts on one benchmark workload with alternating pairs.
+
+Usage:
+    python3 scripts/bench_pairs.py PARENT CHANGE --workload hard --pairs 10 --seconds 8
+
+Each pair runs `perfbench/run.py --workload W --seed 0 --trace 0` once in
+each checkout, one after the other; the side that runs first alternates
+from pair to pair, so a drift in the machine's speed hits both alike.  The
+end-to-end metrics and the direction in which each is better are read from
+PARENT's BENCHMARK.json, the declaration the change is judged by.  For
+each metric the script prints both sides' median and quartiles, how many
+pairs the change wins, and whether a claimed gain would hold: at least
+nine tenths of 10 or more pairs won, and a median gap in the better
+direction larger than the parent's interquartile range.  A run that is not
+`correct` stops the script with exit status 1.
+"""
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+MIN_PAIRS = 10
+MIN_WIN_FRAC = 0.9
+
+
+def end_to_end_metrics(checkout):
+    """[(name, better)] of the end-to-end metrics in checkout/BENCHMARK.json."""
+    bench = json.loads((Path(checkout) / "BENCHMARK.json").read_text())
+    return [(m["name"], m["better"]) for m in bench["end_to_end"]]
+
+
+def parse_result(line, label):
+    """The metric values {name: value} of one run's final JSON line;
+    ValueError when the run is not correct."""
+    result = json.loads(line)
+    if not result.get("correct"):
+        raise ValueError(f"{label}: run not correct "
+                         f"({result.get('failed')} of {result.get('attempted')} root runs failed)")
+    return {name: m["value"] for name, m in result["metrics"].items()}
+
+
+def quartiles(values):
+    """(q1, median, q3) with the inclusive method; one value is all three."""
+    if len(values) < 2:
+        return (values[0],) * 3
+    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, med, q3
+
+
+def summarize(metrics, pairs):
+    """One row per metric from pairs of (parent values, change values).
+
+    A pair is won when the change is strictly better.  `holds` is the rule
+    for a claimed gain: at least MIN_PAIRS pairs, at least MIN_WIN_FRAC of
+    them won, and the median gap in the better direction larger than the
+    parent's interquartile range."""
+    rows = []
+    for name, better in metrics:
+        sign = 1.0 if better == "lower" else -1.0
+        parent = [p[name] for p, _ in pairs]
+        change = [c[name] for _, c in pairs]
+        wins = sum(sign * (p - c) > 0.0 for p, c in zip(parent, change))
+        pq, cq = quartiles(parent), quartiles(change)
+        gap = sign * (pq[1] - cq[1])
+        iqr = pq[2] - pq[0]
+        holds = (len(pairs) >= MIN_PAIRS and wins >= MIN_WIN_FRAC * len(pairs)
+                 and gap > iqr)
+        rows.append({"name": name, "better": better, "parent": pq, "change": cq,
+                     "wins": wins, "pairs": len(pairs), "gap": gap, "iqr": iqr,
+                     "holds": holds})
+    return rows
+
+
+def format_row(row):
+    def side(q):
+        return f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}]"
+
+    return (f"{row['name']} ({row['better']} is better): parent {side(row['parent'])}, "
+            f"change {side(row['change'])}, wins {row['wins']}/{row['pairs']}, "
+            f"gap {row['gap']:+.4g} vs parent IQR {row['iqr']:.4g}: "
+            f"{'gain holds' if row['holds'] else 'no claimable gain'}")
+
+
+def run_once(checkout, workload, seconds):
+    """The final JSON line of one untraced perfbench run in checkout."""
+    out = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "0",
+         "--trace", "0", "--seconds", str(seconds)],
+        cwd=checkout, capture_output=True, text=True, check=True)
+    return out.stdout.strip().splitlines()[-1]
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent")
+    parser.add_argument("change")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=MIN_PAIRS)
+    parser.add_argument("--seconds", type=float, default=30.0)
+    args = parser.parse_args(argv)
+
+    metrics = end_to_end_metrics(args.parent)
+    first = metrics[0][0]
+    sides = {"parent": args.parent, "change": args.change}
+    pairs = []
+    for i in range(args.pairs):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        values = {}
+        for label in order:
+            line = run_once(sides[label], args.workload, args.seconds)
+            try:
+                values[label] = parse_result(line, f"pair {i + 1} {label}")
+            except ValueError as exc:
+                print(exc, file=sys.stderr)
+                return 1
+        pairs.append((values["parent"], values["change"]))
+        print(f"pair {i + 1}/{args.pairs} ({order[0]} first): " + ", ".join(
+            f"{label} {first} {values[label][first]:.4g}" for label in sides),
+            flush=True)
+    print(f"workload {args.workload}, {len(pairs)} pairs, {args.seconds:g} s per run")
+    for row in summarize(metrics, pairs):
+        print(format_row(row))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

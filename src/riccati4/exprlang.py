@@ -9,8 +9,14 @@ Grammar (highest binding first):
     expr   := term (('+'|'-') term)*
 
 FUNC is one of exp, log, sin, cos, abs.  The only variable is t.
-Evaluation is total on the declared domain: division by zero and log of a
-non-positive argument raise DomainError instead of returning inf/nan.
+Evaluation is total on the declared domain: division by zero (zero raised
+to a negative power included) and log of a non-positive argument raise
+DomainError, and an inf or nan from any operation raises EvalOverflow,
+instead of returning inf/nan.
+
+Each AST is compiled into two closures, one over Python floats for a scalar
+t and one over numpy arrays, from the same `_compile` with different op
+tables (see FunctionExpr); both give the same bits at every t.
 """
 
 from __future__ import annotations
@@ -60,23 +66,33 @@ class Call:
 
 @dataclass(frozen=True)
 class FunctionExpr:
-    """Parsed scalar function of t, compiled once into a closure; immutable
-    and thread-safe."""
+    """Parsed scalar function of t; immutable and thread-safe.
+
+    The AST is compiled once into two closures by the same `_compile`, which
+    differ only in their op tables.  A scalar t runs on Python floats; exp,
+    log, sin and cos still go through numpy's ufuncs (converted to float),
+    not `math`, whose exp differs from numpy's by an ulp on some inputs, so
+    a scalar result equals the array result at that t bit for bit.  Only
+    an exp whose argument can overflow and `^` enter `np.errstate` there.
+    An array t runs on numpy arrays inside one `np.errstate` per call;
+    constants stay floats and broadcast, and a constant tree is filled to
+    t's shape.
+    """
 
     ast: object
     source: str
 
     def __post_init__(self):
-        object.__setattr__(self, "_fn", _compile(self.ast))
+        object.__setattr__(self, "_scalar", _compile(self.ast, _SCALAR_OPS))
+        object.__setattr__(self, "_array", _compile(self.ast, _ARRAY_OPS))
 
     def __call__(self, t):
         if isinstance(t, float) or np.ndim(t) == 0:
-            t, shape = float(t), None
-        else:
-            t = np.asarray(t, dtype=float)
-            shape = t.shape
+            return self._scalar(float(t))
+        t = np.asarray(t, dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
-            return self._fn(t, shape)
+            out = self._array(t)
+        return out if isinstance(out, np.ndarray) else np.full(t.shape, out)
 
 
 class _Parser:
@@ -241,39 +257,78 @@ def _div(left, right):
 
 
 def _pow(left, right):
+    if np.any((left == 0.0) & (right < 0.0)):
+        raise DomainError("division by zero")
     out = np.power(left, right)
     if np.any(np.isnan(out)):
         raise DomainError("fractional power of a negative base")
     return _finite(out)
 
 
-_CALLS = {"exp": lambda x: _finite(np.exp(x)), "log": _log, "sin": np.sin,
-          "cos": np.cos, "abs": np.abs}
-_BINARY = {"+": lambda a, b: _finite(a + b), "-": lambda a, b: _finite(a - b),
-           "*": lambda a, b: _finite(a * b), "/": _div, "^": _pow}
+# np.exp of a float below this is finite, so it needs no errstate
+_EXP_SAFE = 709.0
 
 
-def _compile(node):
-    """The AST as a closure f(t, shape): t is a float (shape None) or a float
-    array of that shape.  Each operation checks its own domain and result,
-    so an intermediate overflow is reported even when the final value is
-    finite."""
+def _scalar_exp(x):
+    if x < _EXP_SAFE:
+        return float(np.exp(x))
+    with np.errstate(over="ignore"):
+        return _finite(float(np.exp(x)))
+
+
+def _scalar_div(left, right):
+    if right == 0.0:
+        raise DomainError("division by zero")
+    return _finite(left / right)
+
+
+def _scalar_pow(left, right):
+    if left == 0.0 and right < 0.0:
+        raise DomainError("division by zero")
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = float(np.power(left, right))
+    if math.isnan(out):
+        raise DomainError("fractional power of a negative base")
+    return _finite(out)
+
+
+# (functions, binary operators); the array ops run inside the errstate that
+# FunctionExpr.__call__ enters, the scalar ops return Python floats
+_ARRAY_OPS = (
+    {"exp": lambda x: _finite(np.exp(x)), "log": _log, "sin": np.sin,
+     "cos": np.cos, "abs": np.abs},
+    {"+": lambda a, b: _finite(a + b), "-": lambda a, b: _finite(a - b),
+     "*": lambda a, b: _finite(a * b), "/": _div, "^": _pow},
+)
+_SCALAR_OPS = (
+    {"exp": _scalar_exp, "log": lambda x: float(_log(x)),
+     "sin": lambda x: float(np.sin(x)), "cos": lambda x: float(np.cos(x)), "abs": abs},
+    {**_ARRAY_OPS[1], "/": _scalar_div, "^": _scalar_pow},
+)
+
+
+def _compile(node, ops):
+    """The AST as a closure f(t) over one op table of (functions, binary
+    operators).  Constants stay Python floats.  Each operation checks its
+    own domain and result, so an intermediate overflow is reported even
+    when the final value is finite."""
+    calls, binary = ops
     if isinstance(node, Num):
         value = node.value
-        return lambda t, shape: value if shape is None else np.full(shape, value, dtype=float)
+        return lambda t: value
     if isinstance(node, Var):
-        return lambda t, shape: t
+        return lambda t: t
     if isinstance(node, Neg):
-        arg = _compile(node.arg)
-        return lambda t, shape: -arg(t, shape)
+        arg = _compile(node.arg, ops)
+        return lambda t: -arg(t)
     if isinstance(node, Call):
-        if node.func not in _CALLS:
+        if node.func not in calls:
             raise UnknownIdentifier(node.func)
-        func, arg = _CALLS[node.func], _compile(node.arg)
-        return lambda t, shape: func(arg(t, shape))
-    if isinstance(node, Bin) and node.op in _BINARY:
-        op, left, right = _BINARY[node.op], _compile(node.left), _compile(node.right)
-        return lambda t, shape: op(left(t, shape), right(t, shape))
+        func, arg = calls[node.func], _compile(node.arg, ops)
+        return lambda t: func(arg(t))
+    if isinstance(node, Bin) and node.op in binary:
+        op, left, right = binary[node.op], _compile(node.left, ops), _compile(node.right, ops)
+        return lambda t: op(left(t), right(t))
     raise TypeError(f"unknown AST node {node!r}")
 
 

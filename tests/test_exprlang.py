@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from riccati4 import exprlang
 from riccati4.errors import (
     DomainError,
+    EvalOverflow,
     ExpressionSyntaxError,
     UnknownIdentifier,
 )
@@ -162,14 +164,20 @@ def test_domain_errors_on_scalars_and_arrays():
         exprlang.parse("log(t-1)")(ts)
     with pytest.raises(DomainError):
         exprlang.parse("1/(t-1)")(ts)
+    # zero to a negative power is a division by zero, without a warning
+    for text, at in (("t^-1", 0.0), ("(t-1)^-2", 1.0)):
+        expr = exprlang.parse(text)
+        for t in (at, np.array([0.5, at, 2.0])):
+            with pytest.raises(DomainError, match="division by zero"):
+                expr(t)
 
 
 def test_result_shapes():
     grid = np.linspace(0.0, 2.0, 12).reshape(3, 4)
-    for text in ("2", "t", "t*cos(t) + 1", "-exp(-t)"):
+    for text in ("2", "t", "t*cos(t) + 1", "-exp(-t)", "exp(-2)", "-3"):
         expr = exprlang.parse(text)
         scalar = expr(0.5)
-        assert np.ndim(scalar) == 0 and isinstance(scalar, float)
+        assert type(scalar) is float
         from_numpy = expr(np.float64(0.5))
         assert type(from_numpy) is type(scalar) and from_numpy == scalar
         assert np.shape(expr(grid)) == grid.shape
@@ -180,3 +188,44 @@ def test_matches_numpy_formula_bit_for_bit():
     ts = np.linspace(0.0, 40.0, 1000)
     assert expr(1.7) == -0.003 * np.exp(-2.0 * 1.7)
     assert np.array_equal(expr(ts), -0.003 * np.exp(-2.0 * ts))
+
+
+def test_scalar_exp_overflow_precheck():
+    exp = exprlang.parse("exp(t)")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert exp(709.78) == np.exp(709.78)
+        with pytest.raises(EvalOverflow):
+            exp(709.79)
+
+
+def _checked_tree():
+    return st.recursive(
+        _leaf(),
+        lambda inner: st.one_of(
+            st.tuples(st.sampled_from("+-*/^"), inner, inner).map(
+                lambda t: exprlang.Bin(t[0], t[1], t[2])
+            ),
+            inner.map(exprlang.Neg),
+            st.tuples(st.sampled_from(["exp", "log", "abs", "sin", "cos"]), inner).map(
+                lambda t: exprlang.Call(t[0], t[1])
+            ),
+        ),
+        max_leaves=10,
+    )
+
+
+def _outcome(expr, t):
+    """(error class, None) or (None, the value's bytes)."""
+    try:
+        value = expr(t)
+    except (DomainError, EvalOverflow) as err:
+        return type(err), None
+    return None, np.float64(value if np.ndim(value) == 0 else value[0]).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_checked_tree(), st.floats(min_value=0.0, max_value=50.0))
+def test_scalar_and_array_paths_agree_bit_for_bit(ast, t):
+    expr = exprlang.FunctionExpr(ast=ast, source=to_string(ast))
+    assert _outcome(expr, t) == _outcome(expr, np.array([t]))

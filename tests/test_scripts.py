@@ -4,6 +4,8 @@ import re
 import shutil
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = ROOT / "scripts"
 
@@ -75,3 +77,34 @@ def test_readme_library_example_runs():
     assert namespace["trace"].converged
     assert namespace["ok"] and 0.0 < namespace["first"] <= 1.0
     assert namespace["code"] == 0
+
+
+def _result_line(report_s, rss, correct=True):
+    return json.dumps({"correct": correct, "attempted": 4, "failed": 0 if correct else 1,
+                       "metrics": {"report_s": {"value": report_s, "unit": "s"},
+                                   "peak_rss_mb": {"value": rss, "unit": "MB"}}})
+
+
+def test_bench_pairs_summary():
+    script = load_script("bench_pairs")
+    metrics = [("report_s", "lower"), ("peak_rss_mb", "lower")]
+    assert ("report_s", "lower") in script.end_to_end_metrics(ROOT)
+    # the change wins 9 of 10 pairs by 0.05 s; the parent's IQR is 0.005 s
+    parent = [0.230 + 0.001 * k for k in range(10)]
+    change = [p - 0.05 for p in parent[:9]] + [parent[9] + 0.001]
+    pairs = [(script.parse_result(_result_line(p, 91.0), "parent"),
+              script.parse_result(_result_line(c, 90.0 + k % 2), "change"))
+             for k, (p, c) in enumerate(zip(parent, change))]
+    timing, rss = script.summarize(metrics, pairs)
+    assert timing["wins"] == 9 and timing["pairs"] == 10
+    assert timing["parent"] == pytest.approx((0.23225, 0.2345, 0.23675))
+    assert timing["iqr"] == pytest.approx(0.0045)
+    assert timing["gap"] == pytest.approx(0.05) and timing["holds"]
+    assert "wins 9/10" in script.format_row(timing)
+    assert "gain holds" in script.format_row(timing)
+    # 5 wins and 5 ties: a median gap but too few wins
+    assert rss["wins"] == 5 and rss["gap"] == pytest.approx(0.5) and not rss["holds"]
+    # too few pairs, even when all are won
+    assert not script.summarize(metrics, pairs[:9])[0]["holds"]
+    with pytest.raises(ValueError, match="not correct"):
+        script.parse_result(_result_line(0.2, 90.0, correct=False), "pair 1 change")
