@@ -13,7 +13,8 @@ each metric the script prints both sides' median and quartiles, how many
 pairs the change wins, and whether a claimed gain would hold: at least
 nine tenths of 10 or more pairs won, and a median gap in the better
 direction larger than the parent's interquartile range.  A run that is not
-`correct` stops the script with exit status 1.
+`correct`, or that exits nonzero, stops the script with exit status 1; for
+a run that exits nonzero it first prints the last lines of its stderr.
 """
 
 import argparse
@@ -25,6 +26,7 @@ from pathlib import Path
 
 MIN_PAIRS = 10
 MIN_WIN_FRAC = 0.9
+STDERR_LINES = 10
 
 
 def end_to_end_metrics(checkout):
@@ -111,9 +113,15 @@ def main(argv=None):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         values = {}
         for label in order:
-            line = run_once(sides[label], args.workload, args.seconds)
+            where = f"pair {i + 1} {label}"
             try:
-                values[label] = parse_result(line, f"pair {i + 1} {label}")
+                line = run_once(sides[label], args.workload, args.seconds)
+                values[label] = parse_result(line, where)
+            except subprocess.CalledProcessError as exc:
+                tail = exc.stderr.strip().splitlines()[-STDERR_LINES:]
+                print(f"{where}: run exited with status {exc.returncode}",
+                      *tail, sep="\n", file=sys.stderr)
+                return 1
             except ValueError as exc:
                 print(exc, file=sys.stderr)
                 return 1

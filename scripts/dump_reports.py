@@ -9,14 +9,17 @@ Usage:
 For every workload and seed it runs `run_report` on the problem that
 `perfbench/workloads.py` builds and writes its files (report.json and every
 CSV series) to OUT/<workload>-seed<s>/.  The defaults are all three
-workloads at seeds 0 and 3.  The library and the workloads are imported from
-the checkout that holds this script.  Run it in two checkouts and compare
-the outputs with `diff -r`, or with scripts/compare_reports.py when numbers
-are expected to move.
+workloads at seeds 0 and 3.  It also writes one traced run, the standard
+workload at seed 0 with `trace=True`, to OUT/standard-seed0-trace/, so that
+the per-iteration `trace_root{i}.csv` series are compared too.  The library
+and the workloads are imported from the checkout that holds this script.
+Run it in two checkouts and compare the outputs with `diff -r`, or with
+scripts/compare_reports.py when numbers are expected to move.
 """
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -26,16 +29,19 @@ import workloads  # noqa: E402  (the benchmark's problem builder, read-only)
 from riccati4.report import run_report  # noqa: E402
 
 SEEDS = (0, 3)
+TRACED = ("standard", 0)
 
 
 def dump(out, names=tuple(workloads.WORKLOADS), seeds=SEEDS):
-    """Write OUT/<name>-seed<s>/ for every pair; returns the directories."""
+    """Write OUT/<name>-seed<s>/ for every pair, then the traced tree
+    OUT/standard-seed0-trace/; returns the directories."""
+    runs = [(name, seed, False) for name in names for seed in seeds]
     dirs = []
-    for name in names:
-        for seed in seeds:
-            target = Path(out) / f"{name}-seed{seed}"
-            run_report(workloads.build_spec(name, seed), out_dir=str(target))
-            dirs.append(target)
+    for name, seed, trace in runs + [(*TRACED, True)]:
+        target = Path(out) / f"{name}-seed{seed}{'-trace' if trace else ''}"
+        spec = replace(workloads.build_spec(name, seed), trace=trace)
+        run_report(spec, out_dir=str(target))
+        dirs.append(target)
     return dirs
 
 

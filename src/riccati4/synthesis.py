@@ -75,20 +75,36 @@ def derivative_ratio_limits(fs: FundamentalSolution, ratio_tol=1e-4):
     return errors, verdict
 
 
+def _ratio_matrix(fss, ks):
+    """The 4x4 matrix with rows (1, y'/y, y''/y, y'''/y) per solution,
+    taken at node ks[j] of solution j."""
+    cols = []
+    for fs, k in zip(fss, ks):
+        z = fs.z
+        r1, r2, r3, _ = log_derivative_ratios(fs.lam, z.value[k], z.d1[k], z.d2[k], z.d3[k])
+        cols.append([1.0, float(r1), float(r2), float(r3)])
+    return np.array(cols).T
+
+
 def wronskian_normalized(fss, t):
-    """det of the 4x4 matrix with rows (1, y'/y, y''/y, y'''/y) per solution.
+    """det of the 4x4 matrix with rows (1, y'/y, y''/y, y'''/y) per solution,
+    at each solution's node nearest t.
 
     This is W / (y_1 y_2 y_3 y_4); with z = 0 it is the Vandermonde
     determinant of the roots, and it tends to that value in general."""
     if len(fss) != 4:
         raise ValueError("need all four fundamental solutions")
-    cols = []
-    for fs in fss:
-        idx = int(np.argmin(np.abs(fs.nodes - t)))
-        z0, z1, z2, z3 = fs.z.value[idx], fs.z.d1[idx], fs.z.d2[idx], fs.z.d3[idx]
-        r1, r2, r3, _ = log_derivative_ratios(fs.lam, z0, z1, z2, z3)
-        cols.append([1.0, float(r1), float(r2), float(r3)])
-    return float(np.linalg.det(np.array(cols).T))
+    ks = [int(np.argmin(np.abs(fs.nodes - t))) for fs in fss]
+    return float(np.linalg.det(_ratio_matrix(fss, ks)))
+
+
+def wronskian_at_nodes(fss, indices):
+    """`wronskian_normalized` at the nodes with these indices, for four
+    solutions on the same nodes, as one batched det: the same bits as one
+    call per node."""
+    if len(fss) != 4:
+        raise ValueError("need all four fundamental solutions")
+    return np.linalg.det(np.array([_ratio_matrix(fss, (k,) * 4) for k in indices]))
 
 
 def vandermonde_target(cd):

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riccati4 import picard, quadrature
 from riccati4 import report as report_module
@@ -127,9 +129,12 @@ def test_bad_root_index_is_rejected_before_any_work(tmp_path, monkeypatch, roots
 
 
 # floats whose text is easy to get wrong: specials, signed zero, the smallest
-# subnormal, both sides of repr's switches to exponent form, the largest double
+# subnormal, both sides of repr's switches to exponent form (1e-4, 1e16) and
+# of orjson's (1e-5), the largest double
 AWKWARD = [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324, 1e-05,
-           0.0001, 1e16, 1e15, 1.7976931348623157e+308, 0.1]
+           0.0001, 1e16, 1e15, 1.7976931348623157e+308, 0.1,
+           9.999999999999999e-05, 1.0000001e-05, 9.99e-06, -2e-05,
+           9999999999999998.0]
 
 
 def test_csv_writer_bytes_match_csv_module(tmp_path):
@@ -145,6 +150,26 @@ def test_csv_writer_bytes_match_csv_module(tmp_path):
     # an int text column, a float array and the same floats as text
     _write_csv(path, header, [[str(n) for n in counts], values, _text(values)])
     assert path.read_bytes() == reference.getvalue().encode()
+
+
+# doubles at every decimal exponent from -12 to 20, so that each of the
+# layout switches gets draws on both sides
+_SCALED = st.builds(lambda m, e: m * 10.0 ** e, st.floats(-10.0, 10.0),
+                    st.integers(-12, 20))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), max_size=32),
+       st.lists(st.one_of(st.floats(), _SCALED), max_size=32),
+       st.integers(1, 3))
+def test_text_equals_repr(bits, floats, stride):
+    """Any 64-bit pattern viewed as a double, and any float, formats as repr
+    formats it, in empty, contiguous and strided arrays."""
+    x = np.concatenate([np.array(bits, dtype=np.uint64).view(np.float64),
+                        np.array(floats, dtype=np.float64)])
+    assert _text(x) == [repr(v) for v in x.tolist()]
+    assert _text(x[::stride]) == [repr(v) for v in x[::stride].tolist()]
+    assert _text(x[::-1]) == [repr(v) for v in x[::-1].tolist()]
 
 
 def _columns(path):
@@ -183,3 +208,18 @@ def test_run_files_share_one_node_column(traced_report):
     assert trace["iter"] == tuple(str(n) for n in range(1, n_iter + 1)
                                   for _ in range(grid.nodes.size))
     assert trace["t"] == t * n_iter
+
+
+def test_every_float_field_is_its_repr(traced_report):
+    """Every float field the run writes reads back to a double whose repr
+    it is, across all series, including values in 1e-5 <= |x| < 1e-4."""
+    _, out = traced_report
+    in_band = 0
+    for path in sorted(out.glob("*.csv")):
+        for name, column in _columns(path).items():
+            if name == "iter":
+                continue
+            for field in column:
+                assert field == repr(float(field)), (path.name, name, field)
+            in_band += sum(1e-5 <= abs(float(f)) < 1e-4 for f in column)
+    assert in_band > 0

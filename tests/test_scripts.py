@@ -31,15 +31,19 @@ def test_dump_reports_is_reproducible(tmp_path):
     dump = load_script("dump_reports").dump
     trees = []
     for name in ("a", "b"):
-        (target,) = dump(tmp_path / name, ["standard"], [0])
-        assert target.name == "standard-seed0"
-        trees.append({p.name: p.read_bytes() for p in target.iterdir()})
-    assert "report.json" in trees[0] and "wronskian.csv" in trees[0]
+        targets = dump(tmp_path / name, ["standard"], [0])
+        assert [t.name for t in targets] == ["standard-seed0", "standard-seed0-trace"]
+        trees.append({(t.name, p.name): p.read_bytes()
+                      for t in targets for p in t.iterdir()})
+    assert ("standard-seed0", "report.json") in trees[0]
+    assert ("standard-seed0", "wronskian.csv") in trees[0]
+    assert ("standard-seed0", "trace_root1.csv") not in trees[0]
+    assert ("standard-seed0-trace", "trace_root1.csv") in trees[0]
     assert trees[0] == trees[1]
 
 
 def test_compare_reports_smoke(tmp_path, capsys):
-    (tree,) = load_script("dump_reports").dump(tmp_path / "a", ["standard"], [0])
+    tree, _ = load_script("dump_reports").dump(tmp_path / "a", ["standard"], [0])
     compare = load_script("compare_reports").main
     assert compare([str(tmp_path / "a"), str(tmp_path / "a")]) == 0
     assert capsys.readouterr().out.split("\n")[0].endswith("report.json: no difference")
@@ -108,3 +112,21 @@ def test_bench_pairs_summary():
     assert not script.summarize(metrics, pairs[:9])[0]["holds"]
     with pytest.raises(ValueError, match="not correct"):
         script.parse_result(_result_line(0.2, 90.0, correct=False), "pair 1 change")
+
+
+def test_bench_pairs_reports_a_failed_run(tmp_path, capsys):
+    """A run that exits nonzero stops the script with status 1 and the tail
+    of the run's stderr, not with a traceback."""
+    checkout = tmp_path / "broken"
+    (checkout / "perfbench").mkdir(parents=True)
+    shutil.copy(ROOT / "BENCHMARK.json", checkout)
+    (checkout / "perfbench" / "run.py").write_text(
+        "import sys\nprint('Traceback (most recent call last):', file=sys.stderr)\n"
+        "sys.exit('ImportError: no module named riccati4')\n")
+    script = load_script("bench_pairs")
+    assert script.main([str(checkout), str(checkout), "--workload", "standard",
+                        "--pairs", "1", "--seconds", "1"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["pair 1 parent: run exited with status 1",
+                   "Traceback (most recent call last):",
+                   "ImportError: no module named riccati4"]

@@ -11,6 +11,7 @@ from riccati4.synthesis import (
     double_integral_identity_residual,
     fundamental_solution,
     vandermonde_target,
+    wronskian_at_nodes,
     wronskian_normalized,
 )
 
@@ -95,6 +96,12 @@ def test_epsilon_wronskian_and_formula_gap(cd_test, eps_systems, eps_solutions):
     t_end = fss[0].nodes[-1]
     w = wronskian_normalized(fss, t_end)
     assert abs(w - 72.0) / 72.0 <= 0.01
+
+    # the batched series has the bits of one call per node
+    idx = range(0, fss[0].nodes.size, 7)
+    batched = wronskian_at_nodes(fss, idx)
+    single = [wronskian_normalized(fss, fss[0].nodes[k]) for k in idx]
+    assert batched.tobytes() == np.array(single).tobytes()
 
     _, gap = asymptotic_integral_formula(fss[0], eps_systems[1])
     mid = len(gap) // 2
