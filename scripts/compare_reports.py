@@ -5,7 +5,10 @@ Usage:
     python3 scripts/compare_reports.py A B
 
 Every file other than report.json (the CSV series) must be byte-identical.
-Each pair of report.json files is walked in parallel: different keys, list
+When two CSV files differ but have the same header and row count, the
+drift is printed under the mismatch, per column that moved: the number of
+rows whose text differs and their largest relative difference, e.g.
+`  w_normalized  4 of 256 rows  1.8e-15`.  Each pair of report.json files is walked in parallel: different keys, list
 lengths or types, or a different string, boolean or null, is a mismatch.
 Numbers may differ.  For each JSON path, with root keys and list indices
 collapsed to *, the largest relative difference |a - b| / max(|a|, |b|) is
@@ -23,6 +26,40 @@ from pathlib import Path
 
 def _is_number(x):
     return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def relative(a, b):
+    """|a - b| / max(|a|, |b|): 0 for equal numbers (two nans included), inf
+    when they differ and one of them is not finite."""
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    if math.isfinite(a) and math.isfinite(b):
+        return abs(a - b) / max(abs(a), abs(b))
+    return math.inf
+
+
+def _number(text):
+    try:
+        return float(text)
+    except ValueError:
+        return math.nan
+
+
+def csv_drift(path_a, path_b):
+    """(rows, [(column, rows that differ, largest relative difference)] over
+    the columns that moved) of two CSV files with the same header and row
+    count; None when those differ.  A field that is not a number reads as
+    nan."""
+    rows_a = [line.split(",") for line in path_a.read_text().splitlines()]
+    rows_b = [line.split(",") for line in path_b.read_text().splitlines()]
+    if rows_a[:1] != rows_b[:1] or len(rows_a) != len(rows_b):
+        return None
+    drift = []
+    for name, col_a, col_b in zip(rows_a[0], zip(*rows_a[1:]), zip(*rows_b[1:])):
+        moved = [relative(_number(x), _number(y)) for x, y in zip(col_a, col_b) if x != y]
+        if moved:
+            drift.append((name, len(moved), max(moved)))
+    return len(rows_a) - 1, drift
 
 
 def walk(a, b, path, shifts, mismatches):
@@ -43,11 +80,8 @@ def walk(a, b, path, shifts, mismatches):
         for x, y in zip(a, b):
             walk(x, y, f"{path}[*]", shifts, mismatches)
     elif _is_number(a) and _is_number(b):
-        if a == b or (math.isnan(a) and math.isnan(b)):
-            shift = 0.0
-        elif math.isfinite(a) and math.isfinite(b):
-            shift = abs(a - b) / max(abs(a), abs(b))
-        else:
+        shift = relative(a, b)
+        if shift == math.inf:
             mismatches.append(f"{path}: {a!r} != {b!r}")
             return
         shifts[path] = max(shifts.get(path, 0.0), shift)
@@ -68,7 +102,10 @@ def compare(a, b):
     for rel in sorted(files_a & files_b):
         if rel.name != "report.json":
             if (a / rel).read_bytes() != (b / rel).read_bytes():
-                mismatches.append(f"{rel}: bytes differ")
+                rows, drift = csv_drift(a / rel, b / rel) or (0, ())
+                mismatches.append(f"{rel}: bytes differ" + "".join(
+                    f"\n  {name}  {n} of {rows} rows  {shift:.1e}"
+                    for name, n, shift in drift))
             continue
         found = []
         shifts[rel] = {}

@@ -9,6 +9,12 @@ Grammar (highest binding first):
     expr   := term (('+'|'-') term)*
 
 FUNC is one of exp, log, sin, cos, abs.  The only variable is t.
+An expression nests at most MAX_DEPTH = 64 levels: t and a number are one
+level, and each operator, function call and pair of parentheses adds one to
+its deepest operand, so a flat sum of n terms nests n levels.  A deeper one
+is an ExpressionSyntaxError, which keeps parsing, compiling and evaluating
+well inside Python's recursion limit.
+
 Evaluation is total on the declared domain: division by zero (zero raised
 to a negative power included) and log of a non-positive argument raise
 DomainError, and an inf or nan from any operation raises EvalOverflow,
@@ -95,13 +101,45 @@ class FunctionExpr:
         return out if isinstance(out, np.ndarray) else np.full(t.shape, out)
 
 
+# deepest nesting an expression may have, in the levels the module docstring counts
+MAX_DEPTH = 64
+
+
 class _Parser:
+    """Recursive descent; each rule returns (node, depth).
+
+    `level` counts the constructs open around the current position
+    (parentheses, calls, unary minus and the exponent of '^'), the only
+    places where the descent recurses, and every leaf inside them lies
+    deeper than that.  An expression deeper than MAX_DEPTH is refused as
+    soon as the level or a node's depth shows it, before the descent goes
+    further in."""
+
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.level = 0
 
     def error(self, message):
         raise ExpressionSyntaxError(message, self.pos)
+
+    def nest(self, *depths):
+        """The depth of a node over operands of these depths."""
+        depth = 1 + max(depths)
+        if self.level + depth > MAX_DEPTH:
+            self.error(f"expression nests deeper than {MAX_DEPTH} levels")
+        return depth
+
+    def enter(self):
+        """Open a construct: what follows lies one level further in."""
+        self.level += 1
+        if self.level >= MAX_DEPTH:
+            self.error(f"expression nests deeper than {MAX_DEPTH} levels")
+
+    def leave(self, *depths):
+        """Close the construct that enter opened; its node's depth."""
+        self.level -= 1
+        return self.nest(*depths)
 
     def peek(self):
         return self.text[self.pos] if self.pos < len(self.text) else ""
@@ -117,65 +155,64 @@ class _Parser:
         self.pos += 1
 
     def parse(self):
-        node = self.expr()
+        node, _ = self.expr()
         self.skip_ws()
         if self.pos < len(self.text):
             self.error(f"unexpected character {self.peek()!r}")
         return node
 
     def expr(self):
-        node = self.term()
+        node, depth = self.term()
         while True:
             self.skip_ws()
-            ch = self.peek()
-            if ch == "+":
-                self.pos += 1
-                node = Bin("+", node, self.term())
-            elif ch == "-":
-                self.pos += 1
-                node = Bin("-", node, self.term())
-            else:
-                return node
+            op = self.peek()
+            if op not in ("+", "-"):
+                return node, depth
+            self.pos += 1
+            right, right_depth = self.term()
+            node, depth = Bin(op, node, right), self.nest(depth, right_depth)
 
     def term(self):
-        node = self.unary()
+        node, depth = self.unary()
         while True:
             self.skip_ws()
-            ch = self.peek()
-            if ch == "*":
-                self.pos += 1
-                node = Bin("*", node, self.unary())
-            elif ch == "/":
-                self.pos += 1
-                node = Bin("/", node, self.unary())
-            else:
-                return node
+            op = self.peek()
+            if op not in ("*", "/"):
+                return node, depth
+            self.pos += 1
+            right, right_depth = self.unary()
+            node, depth = Bin(op, node, right), self.nest(depth, right_depth)
 
     def unary(self):
         self.skip_ws()
         if self.peek() == "-":
             self.pos += 1
-            return Neg(self.unary())
+            self.enter()
+            arg, depth = self.unary()
+            return Neg(arg), self.leave(depth)
         return self.power()
 
     def power(self):
-        base = self.atom()
+        base, depth = self.atom()
         self.skip_ws()
         if self.peek() == "^":
             self.pos += 1
-            return Bin("^", base, self.unary())
-        return base
+            self.enter()
+            exponent, exponent_depth = self.unary()
+            return Bin("^", base, exponent), self.leave(depth, exponent_depth)
+        return base, depth
 
     def atom(self):
         self.skip_ws()
         ch = self.peek()
         if ch == "(":
             self.pos += 1
-            node = self.expr()
+            self.enter()
+            node, depth = self.expr()
             self.expect(")")
-            return node
+            return node, self.leave(depth)
         if ch.isdigit() or ch == ".":
-            return self.number()
+            return self.number(), 1
         if ch.isalpha() or ch == "_":
             return self.identifier()
         if ch == "":
@@ -215,12 +252,13 @@ class _Parser:
             self.pos += 1
         name = self.text[start:self.pos]
         if name == "t":
-            return Var()
+            return Var(), 1
         if name in _FUNCTIONS:
             self.expect("(")
-            node = self.expr()
+            self.enter()
+            arg, depth = self.expr()
             self.expect(")")
-            return Call(name, node)
+            return Call(name, arg), self.leave(depth)
         raise UnknownIdentifier(f"unknown identifier {name!r} at position {start}")
 
 

@@ -33,7 +33,7 @@ import numpy as np
 import orjson
 
 from . import hypotheses, oracle, picard, synthesis
-from .errors import SolverError
+from .errors import SolverError, ValidationError
 from .problem import ProblemSpec
 from .quadrature import PanelGrid
 from .riccati import build_system, residual_profile
@@ -304,8 +304,15 @@ def run_report(spec: ProblemSpec, roots=(1, 2, 3, 4), out_dir=None,
         "min_gap": _num(cd.min_gap),
     }
 
-    grid = (None if mode == "analyze"
-            else picard.default_grid(cd, spec.t0, spec.nodes, spec.t_max))
+    grid = None
+    if mode != "analyze":
+        try:
+            grid = picard.default_grid(cd, spec.t0, spec.nodes, spec.t_max)
+            grid.hermite_basis  # noqa: B018  (checks each GL point lies in its panel)
+        except ValueError as exc:  # a t0 too far out for doubles to grade the grid
+            t_max = picard.default_t_max(cd, spec.t0) if spec.t_max is None else spec.t_max
+            raise ValidationError(f"the run grid cannot resolve t0={spec.t0!r}, t_max="
+                                  f"{t_max!r} with nodes={spec.nodes}: {exc}") from exc
     run = _RunShared(out_dir, grid)
 
     solutions = {}
@@ -320,8 +327,11 @@ def run_report(spec: ProblemSpec, roots=(1, 2, 3, 4), out_dir=None,
     if len(solutions) == 4 and mode in ("report", "verify"):
         fss = [solutions[i] for i in (1, 2, 3, 4)]
         target = synthesis.vandermonde_target(cd)
-        t_ref = solutions[1].nodes[-1]
-        w_norm = synthesis.wronskian_normalized(fss, t_ref)
+        # one call: every max(1, nodes // 256)-th node for wronskian.csv, then t_max
+        step = max(1, grid.nodes.size // 256)
+        t_ref = grid.nodes[-1]
+        series = synthesis.wronskian_normalized(fss, np.append(grid.nodes[::step], t_ref))
+        w_norm = float(series[-1])
         rel = abs(w_norm - target) / abs(target)
         report["wronskian"] = {
             "normalized_at_tmax": _num(w_norm),
@@ -331,13 +341,8 @@ def run_report(spec: ProblemSpec, roots=(1, 2, 3, 4), out_dir=None,
         }
         flags.append(rel <= WRONSKIAN_REL_TOL)
         if out_dir and mode == "report":
-            step = max(1, grid.nodes.size // 256)
-            _write_csv(
-                os.path.join(out_dir, "wronskian.csv"),
-                ["t", "w_normalized"],
-                [run.node_text[::step],
-                 synthesis.wronskian_at_nodes(fss, range(0, grid.nodes.size, step))],
-            )
+            _write_csv(os.path.join(out_dir, "wronskian.csv"), ["t", "w_normalized"],
+                       [run.node_text[::step], series[:-1]])
 
     report["overall_pass"] = bool(flags) and all(flags)
 

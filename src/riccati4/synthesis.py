@@ -2,10 +2,12 @@
 
 Each solution is y_i = exp(integral from t0 of (lam_i + z_i)); only its
 logarithm is stored so large exponents never overflow.  Derivatives come from
-the logarithmic-derivative identities, the Wronskian is evaluated on the
-ratio-normalized matrix [y^(l)/y] whose limit is the Vandermonde determinant
-of the roots, and the asymptotic integral representation is checked against
-the direct product construction.
+the logarithmic-derivative identities, always evaluated on node arrays.  The
+Wronskian is evaluated on the ratio-normalized matrix [y^(l)/y] whose limit
+is the Vandermonde determinant of the roots; its entries are those ratios at
+the nodes read, so at every node it is the det of the ratios the report
+prints, and any number of times cost one batched det.  The asymptotic
+integral representation is checked against the direct product construction.
 """
 
 from __future__ import annotations
@@ -75,36 +77,33 @@ def derivative_ratio_limits(fs: FundamentalSolution, ratio_tol=1e-4):
     return errors, verdict
 
 
-def _ratio_matrix(fss, ks):
-    """The 4x4 matrix with rows (1, y'/y, y''/y, y'''/y) per solution,
-    taken at node ks[j] of solution j."""
-    cols = []
-    for fs, k in zip(fss, ks):
-        z = fs.z
-        r1, r2, r3, _ = log_derivative_ratios(fs.lam, z.value[k], z.d1[k], z.d2[k], z.d3[k])
-        cols.append([1.0, float(r1), float(r2), float(r3)])
-    return np.array(cols).T
-
-
 def wronskian_normalized(fss, t):
-    """det of the 4x4 matrix with rows (1, y'/y, y''/y, y'''/y) per solution,
-    at each solution's node nearest t.
+    """det of the 4x4 matrix with rows (1, y'/y, y''/y, y'''/y) and one column
+    per solution, at the node nearest t (the lower one on a tie): a float for
+    one time, an array of dets for an array of times.
 
     This is W / (y_1 y_2 y_3 y_4); with z = 0 it is the Vandermonde
-    determinant of the roots, and it tends to that value in general."""
+    determinant of the roots, and it tends to that value in general.  The
+    ratios come from the array path of `log_derivative_ratios` on the nodes
+    read, which gives them the bits of `FundamentalSolution.ratios` there,
+    the values ratios_root{i}.csv prints.  The four solutions must share one
+    grid."""
     if len(fss) != 4:
         raise ValueError("need all four fundamental solutions")
-    ks = [int(np.argmin(np.abs(fs.nodes - t))) for fs in fss]
-    return float(np.linalg.det(_ratio_matrix(fss, ks)))
-
-
-def wronskian_at_nodes(fss, indices):
-    """`wronskian_normalized` at the nodes with these indices, for four
-    solutions on the same nodes, as one batched det: the same bits as one
-    call per node."""
-    if len(fss) != 4:
-        raise ValueError("need all four fundamental solutions")
-    return np.linalg.det(np.array([_ratio_matrix(fss, (k,) * 4) for k in indices]))
+    grid = fss[0].z.grid
+    if any(fs.z.grid is not grid for fs in fss):
+        raise ValueError("the solutions live on different panel grids")
+    nodes, t = grid.nodes, np.asarray(t, dtype=float)
+    ts = t.reshape(-1)  # an array even for one time: the ratios' array path
+    k = np.clip(np.searchsorted(nodes, ts), 1, nodes.size - 1)
+    k -= ts - nodes[k - 1] <= nodes[k] - ts
+    columns = []
+    for fs in fss:
+        z = fs.z
+        r1, r2, r3, _ = log_derivative_ratios(fs.lam, z.value[k], z.d1[k], z.d2[k], z.d3[k])
+        columns.append(np.stack([np.ones(k.size), r1, r2, r3], axis=-1))
+    w = np.linalg.det(np.stack(columns, axis=-1)).reshape(t.shape)
+    return float(w) if w.ndim == 0 else w
 
 
 def vandermonde_target(cd):

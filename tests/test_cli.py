@@ -127,3 +127,21 @@ def test_roots_out_of_range_is_input_error(eps_config, tmp_path, capsys, roots):
     assert code == 2
     assert "root indices" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_too_deep_expression_is_input_error(tmp_path, capsys):
+    config = tmp_path / "deep.ini"
+    config.write_text(EPS_CONFIG.replace("0.001*exp(-t)", "(" * 300 + "t" + ")" * 300))
+    code = main(["analyze", "--config", str(config), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "nests deeper than" in err and "Traceback" not in err
+
+
+def test_t0_the_grid_cannot_resolve_is_input_error(tmp_path, capsys):
+    config = tmp_path / "far.ini"
+    config.write_text(EPS_CONFIG.replace("nodes = 512", "nodes = 256\nt0 = 1e12"))
+    code = main(["report", "--config", str(config), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "t0=1000000000000.0" in err and "Traceback" not in err

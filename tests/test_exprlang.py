@@ -1,10 +1,12 @@
 import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 from riccati4 import exprlang
 from riccati4.errors import (
@@ -229,3 +231,60 @@ def _outcome(expr, t):
 def test_scalar_and_array_paths_agree_bit_for_bit(ast, t):
     expr = exprlang.FunctionExpr(ast=ast, source=to_string(ast))
     assert _outcome(expr, t) == _outcome(expr, np.array([t]))
+
+
+# expressions of a given nesting depth, one per construct that nests
+_NESTINGS = {
+    "parentheses": lambda d: "(" * (d - 1) + "t" + ")" * (d - 1),
+    "unary minus": lambda d: "-" * (d - 1) + "t",
+    "power chain": lambda d: "^".join(["1"] * (d - 1) + ["t"]),
+    "flat sum": lambda d: "+".join(["t"] * d),
+    "calls": lambda d: "sin(" * (d - 1) + "t" + ")" * (d - 1),
+}
+
+
+def _with_headroom(frames, fn):
+    """fn() run with only `frames` stack frames left below the recursion limit."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+
+    def down(n):
+        return fn() if n <= 0 else down(n - 1)
+
+    return down(sys.getrecursionlimit() - depth - frames)
+
+
+@pytest.mark.parametrize("kind", _NESTINGS)
+def test_nesting_at_the_cap_parses_and_evaluates_with_room_to_spare(kind):
+    text = _NESTINGS[kind](exprlang.MAX_DEPTH)
+    expr = _with_headroom(500, lambda: exprlang.parse(text))
+    value = _with_headroom(150, lambda: expr(0.5))
+    assert np.isfinite(value)
+    assert _with_headroom(150, lambda: expr(np.array([0.5, 1.0])))[0] == value
+    # and as the right-hand side of an integrator
+    sol = solve_ivp(lambda t, y: [expr(t)], (0.0, 1.0), [0.0], rtol=1e-8)
+    assert sol.success
+
+
+@pytest.mark.parametrize("kind", _NESTINGS)
+def test_nesting_past_the_cap_is_a_syntax_error(kind):
+    with pytest.raises(ExpressionSyntaxError, match="nests deeper than 64 levels"):
+        exprlang.parse(_NESTINGS[kind](exprlang.MAX_DEPTH + 1))
+
+
+@pytest.mark.parametrize("text", ["(" * 300 + "t" + ")" * 300, "-" * 1000 + "t",
+                                  "+".join(["t"] * 1000), "t^" * 1000 + "t"])
+def test_deep_expressions_are_refused_not_crashed(text):
+    with pytest.raises(ExpressionSyntaxError):
+        exprlang.parse(text)
+
+
+def test_nesting_counts_across_constructs():
+    """Levels add up along a path: each construct counts, whichever it is."""
+    half = exprlang.MAX_DEPTH // 2
+    inner = "+".join(["t"] * half)          # half levels
+    at_cap = "-(" * (half // 2) + inner + ")" * (half // 2)
+    assert exprlang.parse(at_cap)(1.0) == float(half)
+    with pytest.raises(ExpressionSyntaxError):
+        exprlang.parse("(" + at_cap + ")")

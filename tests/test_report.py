@@ -1,7 +1,9 @@
 import csv
+import importlib.util
 import io
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 from riccati4 import picard, quadrature
 from riccati4 import report as report_module
+from riccati4.errors import ValidationError
 from riccati4.picard import default_grid
 from riccati4.problem import ProblemSpec
 from riccati4.report import _text, _write_csv, run_report
@@ -128,6 +131,21 @@ def test_bad_root_index_is_rejected_before_any_work(tmp_path, monkeypatch, roots
     assert not out.exists()
 
 
+@pytest.mark.parametrize("t0, reason", [
+    (1e12, "Gauss-Legendre nodes outside their panels"),
+    (1e15, "nodes must be a strictly increasing 1-D array"),
+])
+def test_t0_the_run_grid_cannot_resolve_is_a_validation_error(t0, reason):
+    """validate() accepts these t0, but the graded run grid collapses in
+    floating point so far from 0: an input error that names the grid."""
+    spec = replace(EPS_SPEC, t0=t0, nodes=256).validate()
+    with pytest.raises(ValidationError) as err:
+        run_report(spec, mode="report")
+    message = str(err.value)
+    assert f"t0={t0!r}" in message and "t_max=" in message and "nodes=256" in message
+    assert reason in message
+
+
 # floats whose text is easy to get wrong: specials, signed zero, the smallest
 # subnormal, both sides of repr's switches to exponent form (1e-4, 1e16) and
 # of orjson's (1e-5), the largest double
@@ -208,6 +226,36 @@ def test_run_files_share_one_node_column(traced_report):
     assert trace["iter"] == tuple(str(n) for n in range(1, n_iter + 1)
                                   for _ in range(grid.nodes.size))
     assert trace["t"] == t * n_iter
+
+
+def _workloads():
+    """perfbench/workloads.py, the benchmark's problem builder (read-only)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_wronskian_rows_are_dets_of_the_printed_ratios(tmp_path):
+    """Each wronskian.csv row is, bit for bit, the det of the 4x4 matrix
+    rebuilt from the ratios_root{i}.csv rows at that t (standard workload,
+    seed 0), and normalized_at_tmax is the det at the last node."""
+    report, _ = run_report(_workloads().build_spec("standard", 0), out_dir=str(tmp_path))
+    ratios = [_columns(tmp_path / f"ratios_root{i}.csv") for i in (1, 2, 3, 4)]
+    row_of = {t: k for k, t in enumerate(ratios[0]["t"])}
+
+    def det_at(k):
+        rows = [[1.0] * 4] + [[float(r[name][k]) for r in ratios]
+                              for name in ("y1_over_y", "y2_over_y", "y3_over_y")]
+        return float(np.linalg.det(np.array(rows)))
+
+    wronskian = _columns(tmp_path / "wronskian.csv")
+    assert len(wronskian["t"]) == 256
+    differ = [t for t, w in zip(wronskian["t"], wronskian["w_normalized"])
+              if w != repr(det_at(row_of[t]))]
+    assert differ == []
+    assert report["wronskian"]["normalized_at_tmax"] == det_at(len(row_of) - 1)
 
 
 def test_every_float_field_is_its_repr(traced_report):

@@ -59,7 +59,28 @@ def test_compare_reports_smoke(tmp_path, capsys):
     path, shift = lines[1].split()
     assert path == "roots.*.h2.samples[*][*]" and 5e-10 < float(shift) < 2e-9
 
-    (tmp_path / "b" / tree.name / "z_root1.csv").unlink()
+    # a moved CSV value: a mismatch, with the drift of each column that moved
+    series = tmp_path / "b" / tree.name / "z_root1.csv"
+    lines = series.read_bytes().decode().split("\r\n")
+    rows = [line.split(",") for line in lines]
+    for k in (3, 7):
+        rows[k][1] = repr(float(rows[k][1]) * (1.0 + 1e-12))
+    series.write_bytes("\r\n".join(map(",".join, rows)).encode())
+    assert compare([str(tmp_path / "a"), str(tmp_path / "b")]) == 1
+    out = capsys.readouterr().out.splitlines()
+    at = out.index(f"MISMATCH {tree.name}/z_root1.csv: bytes differ")
+    name, count, of, total, _, shift = out[at + 1].split()
+    assert (name, count, of, total) == ("z", "2", "of", str(len(lines) - 2))
+    assert 5e-13 < float(shift) < 2e-12
+    assert not out[at + 2:] or out[at + 2].startswith("MISMATCH")
+
+    # another header: only the mismatch
+    series.write_bytes(series.read_bytes().replace(b"t,z,", b"t,zz,", 1))
+    assert compare([str(tmp_path / "a"), str(tmp_path / "b")]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == f"MISMATCH {tree.name}/z_root1.csv: bytes differ"
+
+    series.unlink()
     assert compare([str(tmp_path / "a"), str(tmp_path / "b")]) == 1
     assert "MISMATCH only in" in capsys.readouterr().out
 

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from riccati4.grid import GridFunction
-from riccati4.riccati import build_system
+from riccati4.picard import default_grid
+from riccati4.riccati import build_system, log_derivative_ratios
 from riccati4.synthesis import (
     asymptotic_integral_formula,
     derivative_ratio_limits,
     double_integral_identity_residual,
     fundamental_solution,
     vandermonde_target,
-    wronskian_at_nodes,
     wronskian_normalized,
 )
 
@@ -88,25 +88,73 @@ def test_epsilon_ratio_error_tracks_z(cd_test, eps_systems, eps_solutions):
     assert np.allclose(errors[0], np.abs(z.value), atol=1e-15)
 
 
-def test_epsilon_wronskian_and_formula_gap(cd_test, eps_systems, eps_solutions):
-    fss = [
-        fundamental_solution(eps_systems[i], eps_solutions[i][0], cd_test)
-        for i in (1, 2, 3, 4)
-    ]
+@pytest.fixture(scope="module")
+def eps_fss(cd_test, eps_systems, eps_solutions):
+    return [fundamental_solution(eps_systems[i], eps_solutions[i][0], cd_test)
+            for i in (1, 2, 3, 4)]
+
+
+def test_epsilon_wronskian_and_formula_gap(eps_systems, eps_fss):
+    fss = eps_fss
     t_end = fss[0].nodes[-1]
     w = wronskian_normalized(fss, t_end)
     assert abs(w - 72.0) / 72.0 <= 0.01
 
-    # the batched series has the bits of one call per node
-    idx = range(0, fss[0].nodes.size, 7)
-    batched = wronskian_at_nodes(fss, idx)
-    single = [wronskian_normalized(fss, fss[0].nodes[k]) for k in idx]
+    # an array of times gives the bits of one call per time
+    ts = fss[0].nodes[::7]
+    batched = wronskian_normalized(fss, ts)
+    single = [wronskian_normalized(fss, t) for t in ts]
     assert batched.tobytes() == np.array(single).tobytes()
 
     _, gap = asymptotic_integral_formula(fss[0], eps_systems[1])
     mid = len(gap) // 2
     assert gap[-1] < gap[mid]
     assert gap[-1] <= 1e-6
+
+
+def test_wronskian_reads_the_nearest_node(eps_fss):
+    """Each time reads the node nearest to it, the lower one on a tie, as
+    argmin of the distance picks it; outside the grid, the end node."""
+    nodes = eps_fss[0].nodes
+    mid = 0.5 * (nodes[:-1] + nodes[1:])
+    assert np.any(mid - nodes[:-1] == nodes[1:] - mid)  # exact ties occur
+    rng = np.random.default_rng(5)
+    ts = np.concatenate([nodes, mid, rng.uniform(nodes[0] - 1.0, nodes[-1] + 1.0, 500)])
+    nearest = [nodes[np.argmin(np.abs(nodes - t))] for t in ts]
+    expected = [wronskian_normalized(eps_fss, t) for t in nearest]
+    assert wronskian_normalized(eps_fss, ts).tobytes() == np.array(expected).tobytes()
+
+
+def test_ratios_on_a_node_subset_have_the_full_array_bits(eps_fss):
+    """The Wronskian evaluates the ratios on the nodes it reads only; they
+    must be the bits of FundamentalSolution.ratios() there."""
+    rng = np.random.default_rng(11)
+    for fs in eps_fss:
+        full = np.array(fs.ratios())
+        z = fs.z
+        for size in (1, 2, 7, 8, 9, 257):
+            k = rng.integers(0, z.nodes.size, size)
+            sub = log_derivative_ratios(fs.lam, z.value[k], z.d1[k], z.d2[k], z.d3[k])
+            assert np.array(sub).tobytes() == full[:, k].tobytes()
+
+
+def test_wronskian_shapes(eps_fss):
+    t = eps_fss[0].nodes[[3, 9, 27, 81, 243, 729]]
+    assert type(wronskian_normalized(eps_fss, t[0])) is float
+    assert wronskian_normalized(eps_fss, t.reshape(2, 3)).shape == (2, 3)
+    assert wronskian_normalized(eps_fss, [t[0]]).shape == (1,)
+
+
+def test_wronskian_needs_one_grid(eps_fss, cd_test, eps_systems, eps_solutions):
+    with pytest.raises(ValueError, match="all four"):
+        wronskian_normalized(eps_fss[:3], 1.0)
+    z = eps_solutions[4][0]
+    # the same nodes on another grid object
+    other = GridFunction(default_grid(cd_test, 0.0, z.nodes.size),
+                         z.value, z.d1, z.d2, z.d3)
+    moved = fundamental_solution(eps_systems[4], other, cd_test)
+    with pytest.raises(ValueError, match="different panel grids"):
+        wronskian_normalized(eps_fss[:3] + [moved], 1.0)
 
 
 def test_double_integral_identity():
