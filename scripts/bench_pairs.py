@@ -10,11 +10,14 @@ from pair to pair, so a drift in the machine's speed hits both alike.  The
 end-to-end metrics and the direction in which each is better are read from
 PARENT's BENCHMARK.json, the declaration the change is judged by.  For
 each metric the script prints both sides' median and quartiles, how many
-pairs the change wins, and whether a claimed gain would hold: at least
-nine tenths of 10 or more pairs won, and a median gap in the better
-direction larger than the parent's interquartile range.  A run that is not
-`correct`, or that exits nonzero, stops the script with exit status 1; for
-a run that exits nonzero it first prints the last lines of its stderr.
+pairs the change wins, and a verdict: "gain holds" when a claimed gain
+would hold (at least nine tenths of 10 or more pairs won, and a median gap
+in the better direction larger than the parent's interquartile range),
+"regressed" when the change's median is worse than the parent's by more
+than the parent's interquartile range, and "no claimable gain" otherwise.
+A run that is not `correct`, or that exits nonzero, stops the script with
+exit status 1; for a run that exits nonzero it first prints the last lines
+of its stderr.
 """
 
 import argparse
@@ -59,7 +62,9 @@ def summarize(metrics, pairs):
     A pair is won when the change is strictly better.  `holds` is the rule
     for a claimed gain: at least MIN_PAIRS pairs, at least MIN_WIN_FRAC of
     them won, and the median gap in the better direction larger than the
-    parent's interquartile range."""
+    parent's interquartile range.  `regressed` is the mirror test on the
+    median alone: a median gap in the worse direction larger than that
+    range."""
     rows = []
     for name, better in metrics:
         sign = 1.0 if better == "lower" else -1.0
@@ -73,7 +78,7 @@ def summarize(metrics, pairs):
                  and gap > iqr)
         rows.append({"name": name, "better": better, "parent": pq, "change": cq,
                      "wins": wins, "pairs": len(pairs), "gap": gap, "iqr": iqr,
-                     "holds": holds})
+                     "holds": holds, "regressed": -gap > iqr})
     return rows
 
 
@@ -81,10 +86,11 @@ def format_row(row):
     def side(q):
         return f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}]"
 
+    verdict = ("gain holds" if row["holds"] else
+               "regressed" if row["regressed"] else "no claimable gain")
     return (f"{row['name']} ({row['better']} is better): parent {side(row['parent'])}, "
             f"change {side(row['change'])}, wins {row['wins']}/{row['pairs']}, "
-            f"gap {row['gap']:+.4g} vs parent IQR {row['iqr']:.4g}: "
-            f"{'gain holds' if row['holds'] else 'no claimable gain'}")
+            f"gap {row['gap']:+.4g} vs parent IQR {row['iqr']:.4g}: {verdict}")
 
 
 def run_once(checkout, workload, seconds):

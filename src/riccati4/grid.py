@@ -11,6 +11,9 @@ so at the fixed Gauss-Legendre nodes of a panel grid it is computed once
 (``PanelGrid.hermite_basis``) and ``channels_on`` only combines it with the
 node values; ``channels_at`` serves arbitrary points.  Every function of a
 run shares the run's one grid, so the basis is computed once per run.
+``channels_on`` reads all panels or a slice of them (the Picard operator
+works one block of panels at a time), and ``value_on`` gives z alone, with
+the same bits, where the derivative channels are not needed.
 """
 
 from __future__ import annotations
@@ -89,17 +92,22 @@ class GridFunction:
         z2 = hermite_eval(self.nodes, self.d2, self.d3, x)
         return z, z1, z2
 
-    def channels_on(self):
+    def channels_on(self, panels=slice(None)):
         """(z, z', z'') at the Gauss-Legendre nodes of this function's grid,
-        shape (N-1, GL order); equal to channels_at(grid.gl_x) bit for bit,
-        from the grid's cached basis."""
-        basis = self.grid.hermite_basis
+        shape (N-1, GL order), or of the panels of the slice `panels`; equal
+        to channels_at(grid.gl_x[panels]) bit for bit, from the grid's
+        cached basis."""
+        return (self.value_on(panels), self._on(self.d1, self.d2, panels),
+                self._on(self.d2, self.d3, panels))
 
-        def channel(values, slopes):
-            return hermite_combine(basis, values[:-1, None], slopes[:-1, None],
-                                   values[1:, None], slopes[1:, None])
+    def value_on(self, panels=slice(None)):
+        """z alone, as channels_on gives it."""
+        return self._on(self.value, self.d1, panels)
 
-        return channel(self.value, self.d1), channel(self.d1, self.d2), channel(self.d2, self.d3)
+    def _on(self, values, slopes, panels):
+        basis = [b[panels] for b in self.grid.hermite_basis]
+        return hermite_combine(basis, values[:-1][panels, None], slopes[:-1][panels, None],
+                               values[1:][panels, None], slopes[1:][panels, None])
 
     def norm_c02(self):
         """sup over nodes of |z| + |z'| + |z''|."""

@@ -7,6 +7,18 @@ is a short sum of exponentials, each output channel is assembled from
 prefix/suffix recurrences whose factors stay bounded by exp(rate * panel
 width); no large exponent is ever formed.
 
+Only the forcing depends on z.  An IntegralOperator builds each kernel
+mode's panel weights and panel-to-panel decays once (``panel_weights``), and
+``apply`` makes one pass over the grid's panel blocks (``panel_blocks``,
+quadrature.BLOCK_PANELS panels each): in each block
+the Hermite channels of z, then F, then Omega + F, then every mode's
+weighted panel sums, all while the block's temporaries stay in cache; the
+head/tail recurrences (``panel_recurrence``) then run over the whole grid.
+T(0) is a constant of the operator, computed on the first ``apply(None)``:
+Picard step 1 and the first-iterate ratio read the same object.  The panel
+weights take three grid-sized arrays, so the pipeline drops its operator
+once the certificates are done.
+
 A run works on one PanelGrid, the one ``default_grid`` returns.  Each root
 builds one IntegralOperator on it, and the fixed-point iteration, the
 envelope and the first-iterate ratio all take that operator: they share its
@@ -25,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -37,10 +50,13 @@ from .quadrature import (
     graded_nodes,
     head_transform,
     make_panels,
+    panel_blocks,
+    panel_decay,
+    panel_recurrence,
+    panel_weights,
     tail_transform,
-    two_sided_transform,
 )
-from .riccati import F_nested, RiccatiSystem, sample_coefficients
+from .riccati import Coefficients, F_nested, RiccatiSystem, sample_coefficients
 
 FP_TOL = 1e-10
 QUAD_TOL = 1e-12
@@ -78,6 +94,11 @@ class IntegralOperator:
         self._omega_nodes = np.broadcast_to(self._coef_nodes.omega, self.grid.nodes.shape)
         # a forcing that vanishes on the grid is taken to vanish past it
         self._seeds = self._tail_seeds(self.omega) if np.any(self._omega_gl) else {}
+        # (mode, head, weights, decay) of each kernel mode, head modes first
+        self._kernels = [(m, head, panel_weights(grid, m.rate, head),
+                          panel_decay(grid, m.rate, head))
+                         for head, side in ((True, self.modes.head), (False, self.modes.tail))
+                         for m in side]
 
     def omega(self, t):
         """Omega at t, sampled as the operator samples it on the grid."""
@@ -88,44 +109,55 @@ class IntegralOperator:
         return {m.rate: exponential_tail_seed(forcing, self.grid, m.rate, self.quad_tol)
                 for m in self.modes.tail}
 
-    # -- forcing samples -----------------------------------------------------
-
-    def _forcing(self, z: GridFunction | None):
-        if z is None:
-            return self._omega_gl, self._omega_nodes
-        if z.grid is not self.grid:
-            raise ValueError("z lives on another panel grid")
-        z0, z1, z2 = z.channels_on()
-        f_gl = self._omega_gl + F_nested(self.sys, self._coef_gl, z0, z1, z2)
-        f_nodes = self._omega_nodes + F_nested(
-            self.sys, self._coef_nodes, z.value, z.d1, z.d2
-        )
-        return f_gl, f_nodes
-
-    def _assemble(self, f_gl, f_nodes, seeds) -> GridFunction:
-        n = self.grid.nodes.size
-        ch = np.zeros((4, n))
-        for m in self.modes.head:
-            h = head_transform(self.grid, f_gl, m.rate)
+    def _image(self, forcing_on, f_nodes, seeds) -> GridFunction:
+        """The kernel integral of a forcing, f_nodes at the nodes and
+        forcing_on(panels) on the Gauss-Legendre points of a slice of panels.
+        One pass over the panel blocks forms each mode's panel sums; the
+        head/tail recurrences then run over the whole grid."""
+        blocks = panel_blocks(self.grid)
+        sums = np.empty((len(self._kernels), self.grid.gl_x.shape[0]))
+        scratch = np.empty((blocks[0].stop, self.grid.gl_x.shape[1]))
+        for panels in blocks:
+            f = forcing_on(panels)
+            for row, (_, _, weights, _) in zip(sums, self._kernels):
+                np.multiply(weights[panels], f, out=scratch[:f.shape[0]]).sum(
+                    axis=1, out=row[panels])
+        ch = np.zeros((4, self.grid.nodes.size))
+        for row, (m, head, _, decay) in zip(sums, self._kernels):
+            x = panel_recurrence(decay, row, head, seeds.get(m.rate, 0.0))
             for d in range(4):
-                ch[d] += m.coef * m.rate**d * h
-        for m in self.modes.tail:
-            k = tail_transform(self.grid, f_gl, m.rate, seeds.get(m.rate, 0.0))
-            for d in range(4):
-                ch[d] += m.coef * m.rate**d * k
+                ch[d] += m.coef * m.rate**d * x
         ch[3] += self.modes.jump * f_nodes
         return GridFunction(self.grid, ch[0], ch[1], ch[2], ch[3])
 
+    @cached_property
+    def _image_of_zero(self) -> GridFunction:
+        return self._image(self._omega_gl.__getitem__, self._omega_nodes, self._seeds)
+
     def apply(self, z: GridFunction | None) -> GridFunction:
-        """T z (z = None means the zero function)."""
-        return self._assemble(*self._forcing(z), self._seeds)
+        """T z (z = None means the zero function).  T(0) is a constant of the
+        operator: it is computed on the first call and returned after."""
+        if z is None:
+            return self._image_of_zero
+        if z.grid is not self.grid:
+            raise ValueError("z lives on another panel grid")
+
+        def forcing_on(panels):
+            coef = Coefficients(*(c[panels] if np.ndim(c) else c for c in self._coef_gl))
+            f = F_nested(self.sys, coef, *z.channels_on(panels))
+            f += self._omega_gl[panels]
+            return f
+
+        f_nodes = self._omega_nodes + F_nested(self.sys, self._coef_nodes, z.value, z.d1, z.d2)
+        return self._image(forcing_on, f_nodes, self._seeds)
 
     def apply_forcing(self, forcing) -> GridFunction:
         """Kernel integral of an arbitrary forcing callable (probe use),
         with the tail seeds beyond the grid taken from that forcing."""
-        f_gl = np.asarray(forcing(self.grid.gl_x), dtype=float)
+        f_gl = np.broadcast_to(np.asarray(forcing(self.grid.gl_x), dtype=float),
+                               self.grid.gl_x.shape)
         f_nodes = np.asarray(forcing(self.grid.nodes), dtype=float)
-        return self._assemble(f_gl, f_nodes, self._tail_seeds(forcing))
+        return self._image(f_gl.__getitem__, f_nodes, self._tail_seeds(forcing))
 
 
 # --- orientation ground-truth test -------------------------------------------
@@ -242,10 +274,16 @@ def envelope_integral(op: IntegralOperator, beta):
     if tail_rate is not None and rate_beta > 0:
         tail_rate = rate_beta
     p_gl = np.abs(op._omega_gl)
+    out = np.zeros(op.grid.nodes.size)
     if not np.any(p_gl):
-        return np.zeros(op.grid.nodes.size)
-    return two_sided_transform(op.grid, lambda s: np.abs(op.omega(s)), p_gl,
-                               head_rate, tail_rate, op.quad_tol)
+        return out
+    if head_rate is not None:
+        out += head_transform(op.grid, p_gl, head_rate)
+    if tail_rate is not None:
+        seed = exponential_tail_seed(lambda s: np.abs(op.omega(s)), op.grid, tail_rate,
+                                     op.quad_tol)
+        out += tail_transform(op.grid, p_gl, tail_rate, seed)
+    return out
 
 
 def envelope_check(op: IntegralOperator, z: GridFunction, beta, phi):

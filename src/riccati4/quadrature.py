@@ -8,6 +8,18 @@ so every exponent that is ever formed stays bounded by rate * panel width.
 Each recurrence is one unit-diagonal bidiagonal solve by LAPACK's dgtsv,
 which forms the same products and sums in the same order as the scalar loop.
 
+The engine has two parts.  What does not depend on the data is the
+weights gl_w * exp(rate * (edge - gl_x)) of each panel (``panel_weights``)
+and the panel-to-panel decays (``panel_decay``); a transform's panel sums
+are (weights * f_gl) summed over each panel.  ``panel_recurrence`` turns
+the panel sums into values at the nodes.  Sums are formed one block of
+BLOCK_PANELS panels at a time (``panel_blocks``), so the temporaries of a
+block stay in cache.  ``head_transform`` and ``tail_transform`` compose the
+two parts for one forcing, forming the weights block by block and never
+for the whole grid (rho, H2 and the envelope call them); the Picard
+operator builds the weights of its kernel modes once and forms the sums of
+every forcing from them (``picard.IntegralOperator``).
+
 A PanelGrid is the grid object of a run: ``picard.default_grid`` builds it
 once, and every GridFunction carries the grid it lives on.  It caches the
 cubic Hermite basis at its Gauss-Legendre nodes (``hermite_basis``), so a
@@ -27,6 +39,7 @@ from .errors import TailNotConvergent
 from .grid import hermite_basis
 
 GL_ORDER = 16
+BLOCK_PANELS = 1024  # panels per block of a transform: its temporaries stay in cache
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(GL_ORDER)
 
 
@@ -86,15 +99,49 @@ def cumulative_integral(grid: PanelGrid, f_gl: np.ndarray) -> np.ndarray:
     return out
 
 
+def panel_blocks(grid: PanelGrid):
+    """Consecutive slices of at most BLOCK_PANELS panels that cover the grid."""
+    n = grid.gl_x.shape[0]
+    return [slice(lo, min(lo + BLOCK_PANELS, n)) for lo in range(0, n, BLOCK_PANELS)]
+
+
+def panel_weights(grid: PanelGrid, rate: float, head: bool, panels=slice(None)):
+    """gl_w * exp(rate * (edge - gl_x)) on the panels of the slice `panels`,
+    edge each panel's right end (head) or left end (tail): the part of one
+    exponential transform that does not depend on the data, whose panel
+    sums are (weights * f_gl).sum(axis=1).  Formed in one buffer: a fresh
+    array per operation costs as much as the arithmetic."""
+    w = np.subtract((grid.nodes[1:] if head else grid.nodes[:-1])[panels, None],
+                    grid.gl_x[panels])
+    w *= rate
+    np.exp(w, out=w)
+    w *= grid.gl_w[panels]
+    return w
+
+
+def panel_decay(grid: PanelGrid, rate: float, head: bool) -> np.ndarray:
+    """The panel-to-panel factors exp(rate * width) (head) or
+    exp(-rate * width) (tail) of panel_recurrence."""
+    return np.exp((rate if head else -rate) * grid.widths)
+
+
+def panel_recurrence(decay: np.ndarray, sums: np.ndarray, head: bool,
+                     tail_seed: float = 0.0) -> np.ndarray:
+    """The transform at every node from the panel sums of every panel: a
+    prefix recurrence from 0 at t0 (head), or a suffix recurrence from
+    tail_seed, the integral past the grid, at t_max (tail)."""
+    if head:
+        return _recurrence(decay, np.concatenate(([0.0], sums)), head=True)
+    return _recurrence(decay, np.concatenate((sums, [float(tail_seed)])), head=False)
+
+
 def head_transform(grid: PanelGrid, f_gl: np.ndarray, rate: float) -> np.ndarray:
     """H[k] = integral_{t0}^{t_k} exp(rate*(t_k - s)) f(s) ds at every node.
 
     Stable for rate <= 0 (the only case used: kernels decay into the head
     side); each recurrence factor is exp(rate * panel width) <= 1.
     """
-    panel = _panel_sums(grid, f_gl, rate, grid.nodes[1:])
-    decay = np.exp(rate * grid.widths)
-    return _recurrence(decay, np.concatenate(([0.0], panel)), head=True)
+    return _transform(grid, f_gl, rate, True, 0.0)
 
 
 def tail_transform(grid: PanelGrid, f_gl: np.ndarray, rate: float,
@@ -103,23 +150,19 @@ def tail_transform(grid: PanelGrid, f_gl: np.ndarray, rate: float,
 
     f beyond t_max must be accounted for through tail_seed, the value of the
     integral from t_max on.  Stable for rate >= 0 (again the only use)."""
-    panel = _panel_sums(grid, f_gl, rate, grid.nodes[:-1])
-    decay = np.exp(-rate * grid.widths)
-    return _recurrence(decay, np.concatenate((panel, [float(tail_seed)])), head=False)
+    return _transform(grid, f_gl, rate, False, tail_seed)
 
 
-def _panel_sums(grid: PanelGrid, f_gl: np.ndarray, rate: float,
-                edge: np.ndarray) -> np.ndarray:
-    """Per panel, the sum of gl_w * exp(rate * (edge - gl_x)) * f_gl, with edge
-    each panel's right end (head) or left end (tail).  The products are formed
-    in that order in one buffer: on a large grid a fresh array per operation
-    costs as much as the arithmetic."""
-    w = np.subtract(edge[:, None], grid.gl_x)
-    w *= rate
-    np.exp(w, out=w)
-    w *= grid.gl_w
-    w *= f_gl
-    return w.sum(axis=1)
+def _transform(grid, f_gl, rate, head, tail_seed):
+    """panel_weights and the panel sums one block of panels at a time, so
+    that no grid-sized weight array is formed, then panel_recurrence."""
+    f_gl = np.broadcast_to(f_gl, grid.gl_x.shape)
+    sums = np.empty(grid.gl_x.shape[0])
+    for panels in panel_blocks(grid):
+        w = panel_weights(grid, rate, head, panels)
+        w *= f_gl[panels]
+        w.sum(axis=1, out=sums[panels])
+    return panel_recurrence(panel_decay(grid, rate, head), sums, head, tail_seed)
 
 
 def _recurrence(decay: np.ndarray, rhs: np.ndarray, head: bool) -> np.ndarray:

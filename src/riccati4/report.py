@@ -216,6 +216,7 @@ def _run_root(spec: ProblemSpec, cd, i, mode, run: _RunShared):
             op, env.A, beta, envelope=envelope,
         ))
         result["certificates"] = certs
+        del op  # free its panel weights before synthesis and the oracle
 
         if mode == "solve":
             result["status"] = "solved"

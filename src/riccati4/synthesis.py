@@ -49,14 +49,15 @@ class FundamentalSolution:
         """(y, y', y'', y''') / y at node k: the state of the fourth-order
         equation for this solution scaled to y = 1 there (at t0 that is the
         normalization)."""
-        r1, r2, r3, _ = self.ratios()
-        return np.array([1.0, r1[k], r2[k], r3[k]])
+        z, at = self.z, [k]  # the array path on one node: the bits of ratios()
+        r1, r2, r3, _ = log_derivative_ratios(self.lam, z.value[at], z.d1[at], z.d2[at],
+                                              z.d3[at])
+        return np.array([1.0, r1[0], r2[0], r3[0]])
 
 
 def fundamental_solution(sys: RiccatiSystem, z: GridFunction, cd) -> FundamentalSolution:
     """Assemble y_i from a converged z on its grid."""
-    z_gl, _, _ = z.channels_on()
-    log_y = cumulative_integral(z.grid, sys.lam + z_gl)
+    log_y = cumulative_integral(z.grid, sys.lam + z.value_on())
     pi_i = 1.0
     for k in range(4):
         if k + 1 != sys.i:

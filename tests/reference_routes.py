@@ -11,6 +11,9 @@ called by the pipeline:
   integrates it on fixed panels in hypotheses.check_h2);
 * the forcing Omega and the perturbation maps Lambda1 and Lambda2, written
   out from r0..r3;
+* T z unblocked: Omega + F on every Gauss-Legendre point at once, then one
+  head_transform or tail_transform per kernel mode (IntegralOperator.apply
+  forms the same panel sums one block of panels at a time);
 * the lift identity R4 = y * R3 between the fourth-order residual at
   y = exp(integral(lam + z)) and the residual of the third-order form;
 * the shifted-cubic residuals and the Phi_k recursion of the envelope
@@ -23,8 +26,10 @@ import numpy as np
 
 from riccati4.errors import SolverError
 from riccati4.greens import GreenKernel
-from riccati4.quadrature import adaptive_interval, adaptive_semi_infinite
-from riccati4.riccati import RiccatiSystem, eval_F, log_derivative_ratios
+from riccati4.quadrature import (adaptive_interval, adaptive_semi_infinite, exponential_tail_seed,
+                                 head_transform, tail_transform)
+from riccati4.riccati import (F_nested, RiccatiSystem, eval_F, log_derivative_ratios,
+                              sample_coefficients)
 from riccati4.spectra import CharacteristicData, shifted_cubic_coeffs
 
 
@@ -128,6 +133,45 @@ def lambda2(sys: RiccatiSystem, t):
     lam = sys.lam
     r2, r3 = (rj(t) for rj in sys.r[2:])
     return (-3.0 * r3, -(3.0 * lam * r3 + r2), -r3)
+
+
+def operator_forcing(op, z):
+    """The forcing of T z on op's grid as (samples at the Gauss-Legendre
+    points, samples at the nodes, past): Omega, plus F(z, z', z'') unless z
+    is None (the zero function), with z interpolated by channels_at.  past
+    is the callable whose integral beyond the grid seeds the tail: Omega, or
+    None when Omega vanishes on the grid."""
+    grid = op.grid
+    k_gl = sample_coefficients(op.sys, grid.gl_x)
+    k_nodes = sample_coefficients(op.sys, grid.nodes)
+    f_gl = np.broadcast_to(k_gl.omega, grid.gl_x.shape)
+    f_nodes = np.broadcast_to(k_nodes.omega, grid.nodes.shape)
+    past = op.omega if np.any(f_gl) else None
+    if z is not None:
+        f_gl = f_gl + F_nested(op.sys, k_gl, *z.channels_at(grid.gl_x))
+        f_nodes = f_nodes + F_nested(op.sys, k_nodes, z.value, z.d1, z.d2)
+    return f_gl, f_nodes, past
+
+
+def kernel_integral(op, f_gl, f_nodes, past):
+    """The (value, d1, d2, d3) channels of the kernel integral of a forcing
+    with samples f_gl and f_nodes on op's grid: one head_transform or
+    tail_transform over the whole grid per kernel mode of op, each tail
+    seeded by the integral of the callable past beyond the grid (0 when
+    past is None)."""
+    grid, modes = op.grid, op.modes
+    ch = np.zeros((4, grid.nodes.size))
+    for m in modes.head:
+        h = head_transform(grid, f_gl, m.rate)
+        for d in range(4):
+            ch[d] += m.coef * m.rate**d * h
+    for m in modes.tail:
+        seed = 0.0 if past is None else exponential_tail_seed(past, grid, m.rate, op.quad_tol)
+        k = tail_transform(grid, f_gl, m.rate, seed)
+        for d in range(4):
+            ch[d] += m.coef * m.rate**d * k
+    ch[3] += modes.jump * f_nodes
+    return ch
 
 
 def fourth_order_residual_over_y(sys: RiccatiSystem, t, z0, z1, z2, z3):

@@ -14,10 +14,10 @@ from riccati4.picard import (
     iterate_to_fixed_point,
     resolve_orientation,
 )
-from riccati4.quadrature import graded_nodes, make_panels
+from riccati4.quadrature import BLOCK_PANELS, graded_nodes, make_panels
 from riccati4.riccati import build_system, residual_profile
 
-from reference_routes import NoLimit, phi_sequence
+from reference_routes import NoLimit, kernel_integral, operator_forcing, phi_sequence
 
 EPS = 1e-3
 
@@ -47,6 +47,46 @@ def test_direct_first_iterate_closed_form(eps_systems, grid_1024):
         + (np.exp(-t) - np.exp(-4.0 * t)) / 9.0
     )
     assert np.max(np.abs(out.value - expected)) <= 1e-15
+
+
+# every perturbation active, so that each F coefficient is sampled
+R_ALL = ("0.001*exp(-t)", "0.002*exp(-2*t)*cos(t)", "0.0005*exp(-t)", "0.001*exp(-3*t)")
+
+
+def channels(z):
+    return np.array([z.value, z.d1, z.d2, z.d3])
+
+
+@pytest.mark.parametrize("n_panels", [BLOCK_PANELS // 4, 2 * BLOCK_PANELS + 300],
+                         ids=["under-one-block", "partial-last-block"])
+@pytest.mark.parametrize("orientation", ["direct", "adjoint"])
+@pytest.mark.parametrize("root", [1, 2, 4])
+def test_blocked_apply_equals_the_unblocked_route(cd_test, n_panels, orientation, root):
+    """apply forms the panel sums one block of panels at a time from weights
+    built once; the bits are those of the whole-grid transforms."""
+    sys = build_system(cd_test, R_ALL, root)
+    op = IntegralOperator(sys, default_grid(cd_test, 0.0, n_panels + 1), orientation)
+    rng = np.random.default_rng(root)
+    z = GridFunction(op.grid, *(1e-3 * rng.standard_normal((4, n_panels + 1))))
+    for arg in (None, z):
+        assert channels(op.apply(arg)).tobytes() == kernel_integral(
+            op, *operator_forcing(op, arg)).tobytes()
+    probe = lambda s: np.exp(-1.3 * np.asarray(s))
+    assert channels(op.apply_forcing(probe)).tobytes() == kernel_integral(
+        op, probe(op.grid.gl_x), probe(op.grid.nodes), probe).tobytes()
+
+
+def test_first_iterate_ratio_reads_the_solves_T0(eps_systems, grid_1024, monkeypatch):
+    """T(0) is computed once per operator: Picard step 1 and the first-iterate
+    ratio read the same object."""
+    op = IntegralOperator(eps_systems[1], grid_1024)
+    steps = []
+    iterate_to_fixed_point(op, snapshot=lambda n, z: steps.append(z))
+    applied = []
+    apply = op.apply
+    monkeypatch.setattr(op, "apply", lambda z: applied.append(apply(z)) or applied[-1])
+    first_iterate_ratio(op, 14.0, beta_interval(op.sys)[0])
+    assert len(applied) == 1 and applied[0] is steps[0]
 
 
 def test_orientation_resolution(eps_systems):

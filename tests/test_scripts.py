@@ -135,6 +135,29 @@ def test_bench_pairs_summary():
         script.parse_result(_result_line(0.2, 90.0, correct=False), "pair 1 change")
 
 
+def test_bench_pairs_flags_a_regression():
+    """A change whose median is worse than the parent's by more than the
+    parent's IQR is 'regressed', in either direction of better."""
+    script = load_script("bench_pairs")
+    metrics = [("report_s", "lower"), ("peak_rss_mb", "lower")]
+    parent = [(0.230 + 0.001 * k, 91.0 + 0.01 * k) for k in range(10)]
+    # report_s 0.02 s slower (IQR 0.0045 s); peak_rss_mb 0.03 MB higher (IQR 0.045 MB)
+    pairs = [(script.parse_result(_result_line(p, r), "parent"),
+              script.parse_result(_result_line(p + 0.02, r + 0.03), "change"))
+             for p, r in parent]
+    timing, rss = script.summarize(metrics, pairs)
+    assert timing["regressed"] and not timing["holds"] and timing["wins"] == 0
+    assert timing["gap"] == pytest.approx(-0.02)
+    assert "wins 0/10" in script.format_row(timing)
+    assert script.format_row(timing).endswith(": regressed")
+    assert not rss["regressed"] and script.format_row(rss).endswith(": no claimable gain")
+    # higher is better: a fall of the median by more than the IQR regresses
+    lower_is_worse = script.summarize([("report_s", "higher")], pairs)[0]
+    assert not lower_is_worse["regressed"] and lower_is_worse["wins"] == 10
+    rising = [(c, p) for p, c in pairs]
+    assert script.summarize([("report_s", "higher")], rising)[0]["regressed"]
+
+
 def test_bench_pairs_reports_a_failed_run(tmp_path, capsys):
     """A run that exits nonzero stops the script with status 1 and the tail
     of the run's stderr, not with a traceback."""

@@ -126,8 +126,8 @@ def test_wronskian_reads_the_nearest_node(eps_fss):
 
 
 def test_ratios_on_a_node_subset_have_the_full_array_bits(eps_fss):
-    """The Wronskian evaluates the ratios on the nodes it reads only; they
-    must be the bits of FundamentalSolution.ratios() there."""
+    """The Wronskian and state_at evaluate the ratios on the nodes they read
+    only; they must be the bits of FundamentalSolution.ratios() there."""
     rng = np.random.default_rng(11)
     for fs in eps_fss:
         full = np.array(fs.ratios())
@@ -136,6 +136,8 @@ def test_ratios_on_a_node_subset_have_the_full_array_bits(eps_fss):
             k = rng.integers(0, z.nodes.size, size)
             sub = log_derivative_ratios(fs.lam, z.value[k], z.d1[k], z.d2[k], z.d3[k])
             assert np.array(sub).tobytes() == full[:, k].tobytes()
+        for k in (0, 1, 500, z.nodes.size - 1):
+            assert fs.state_at(k).tobytes() == np.append(1.0, full[:3, k]).tobytes()
 
 
 def test_wronskian_shapes(eps_fss):
