@@ -15,6 +15,10 @@ would hold (at least nine tenths of 10 or more pairs won, and a median gap
 in the better direction larger than the parent's interquartile range),
 "regressed" when the change's median is worse than the parent's by more
 than the parent's interquartile range, and "no claimable gain" otherwise.
+Next to it, the no-regression rule: "within bound" or "beyond bound" as
+the change's median is worse than the parent's by at most, or by more
+than, the metric's `bound` in PARENT's BENCHMARK.json times the parent's
+median.
 A run that is not `correct`, or that exits nonzero, stops the script with
 exit status 1; for a run that exits nonzero it first prints the last lines
 of its stderr.
@@ -33,9 +37,10 @@ STDERR_LINES = 10
 
 
 def end_to_end_metrics(checkout):
-    """[(name, better)] of the end-to-end metrics in checkout/BENCHMARK.json."""
+    """[(name, better, bound)] of the end-to-end metrics in
+    checkout/BENCHMARK.json."""
     bench = json.loads((Path(checkout) / "BENCHMARK.json").read_text())
-    return [(m["name"], m["better"]) for m in bench["end_to_end"]]
+    return [(m["name"], m["better"], m["bound"]) for m in bench["end_to_end"]]
 
 
 def parse_result(line, label):
@@ -64,9 +69,10 @@ def summarize(metrics, pairs):
     them won, and the median gap in the better direction larger than the
     parent's interquartile range.  `regressed` is the mirror test on the
     median alone: a median gap in the worse direction larger than that
-    range."""
+    range.  `beyond_bound` is the no-regression rule: a median gap in the
+    worse direction larger than bound times the parent's median."""
     rows = []
-    for name, better in metrics:
+    for name, better, bound in metrics:
         sign = 1.0 if better == "lower" else -1.0
         parent = [p[name] for p, _ in pairs]
         change = [c[name] for _, c in pairs]
@@ -78,7 +84,8 @@ def summarize(metrics, pairs):
                  and gap > iqr)
         rows.append({"name": name, "better": better, "parent": pq, "change": cq,
                      "wins": wins, "pairs": len(pairs), "gap": gap, "iqr": iqr,
-                     "holds": holds, "regressed": -gap > iqr})
+                     "holds": holds, "regressed": -gap > iqr,
+                     "bound": bound, "beyond_bound": -gap > bound * abs(pq[1])})
     return rows
 
 
@@ -90,7 +97,8 @@ def format_row(row):
                "regressed" if row["regressed"] else "no claimable gain")
     return (f"{row['name']} ({row['better']} is better): parent {side(row['parent'])}, "
             f"change {side(row['change'])}, wins {row['wins']}/{row['pairs']}, "
-            f"gap {row['gap']:+.4g} vs parent IQR {row['iqr']:.4g}: {verdict}")
+            f"gap {row['gap']:+.4g} vs parent IQR {row['iqr']:.4g}: {verdict}; "
+            f"{'beyond' if row['beyond_bound'] else 'within'} bound {row['bound']:g}")
 
 
 def run_once(checkout, workload, seconds):

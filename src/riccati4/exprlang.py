@@ -15,6 +15,10 @@ its deepest operand, so a flat sum of n terms nests n levels.  A deeper one
 is an ExpressionSyntaxError, which keeps parsing, compiling and evaluating
 well inside Python's recursion limit.
 
+A number literal must be finite: 1e999 is an ExpressionSyntaxError at the
+literal (it would be inf, and a bare constant is no operation that could
+raise EvalOverflow), while 1e-999 is 0.0.
+
 Evaluation is total on the declared domain: division by zero (zero raised
 to a negative power included) and log of a non-positive argument raise
 DomainError, and an inf or nan from any operation raises EvalOverflow,
@@ -241,10 +245,13 @@ class _Parser:
                     self.pos += 1
         text = self.text[start:self.pos]
         try:
-            return Num(float(text))
+            value = float(text)
+            if math.isfinite(value):  # 1e999 would be inf
+                return Num(value)
         except ValueError:
-            self.pos = start
-            self.error(f"bad number literal {text!r}")
+            pass
+        self.pos = start
+        self.error(f"bad number literal {text!r}")
 
     def identifier(self):
         start = self.pos

@@ -85,7 +85,7 @@ _SCHEMA = {
 def load_problem_spec(path) -> ProblemSpec:
     """Parse an INI problem file; unknown sections/keys are rejected and
     every field is validated."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
         with open(path, "r", encoding="utf-8") as handle:
             parser.read_file(handle)
@@ -122,7 +122,7 @@ def dump_problem_spec(spec: ProblemSpec) -> str:
             return "auto"
         return value if isinstance(value, str) else repr(value)
 
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     for section, fields in _SCHEMA.items():
         parser[section] = {key: text(getattr(spec, key)) for key in fields}
     out = io.StringIO()

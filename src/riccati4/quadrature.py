@@ -18,7 +18,10 @@ block stay in cache.  ``head_transform`` and ``tail_transform`` compose the
 two parts for one forcing, forming the weights block by block and never
 for the whole grid (rho, H2 and the envelope call them); the Picard
 operator builds the weights of its kernel modes once and forms the sums of
-every forcing from them (``picard.IntegralOperator``).
+every forcing from them (``picard.IntegralOperator``).  The tail seed, the
+integral past the grid of a forcing given as a callable, runs on the same
+engine: ``exponential_tail_seed`` lays geometric panels past t_max, samples
+the forcing once on all of them and sums them with ``tail_transform``.
 
 A PanelGrid is the grid object of a run: ``picard.default_grid`` builds it
 once, and every GridFunction carries the grid it lives on.  It caches the
@@ -40,6 +43,10 @@ from .grid import hermite_basis
 
 GL_ORDER = 16
 BLOCK_PANELS = 1024  # panels per block of a transform: its temporaries stay in cache
+# exponential_tail_seed's last panel starts this many decay lengths past the
+# grid: a bounded forcing's last panel is then below e^-40 ~ 4e-18 of the seed
+TAIL_DECAY_LENGTHS = 40.0
+MAX_TAIL_PANELS = 400
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(GL_ORDER)
 
 
@@ -192,37 +199,35 @@ def _recurrence(decay: np.ndarray, rhs: np.ndarray, head: bool) -> np.ndarray:
     return x
 
 
-def exponential_tail_seed(f, grid: PanelGrid, rate: float, quad_tol: float,
-                          max_panels: int = 400) -> float:
+def exponential_tail_seed(f, grid: PanelGrid, rate: float, quad_tol: float) -> float:
     """integral_{t_max}^{inf} exp(rate*(t_max - s)) f(s) ds for callable f,
     with t_max the last node of grid: the tail_seed of tail_transform.
 
-    Panels start as wide as the last grid panel and grow by a factor 1.4
-    each; stops once a panel contributes less than quad_tol / 10.  Raises
-    TailNotConvergent when the cap is hit first.  Requires rate > 0 so the
+    The tail is cut where a panel starts TAIL_DECAY_LENGTHS decay lengths
+    1/rate past t_max, on panels that start as wide as the last grid panel
+    and grow by a factor 1.4 each.  f is called once, on the Gauss-Legendre
+    points of all of them, and tail_transform sums them.  Raises
+    TailNotConvergent, before f is called, when the cut needs more than
+    MAX_TAIL_PANELS panels, and when the last panel contributes as much as
+    max(quad_tol / 10, 1e-15 * |seed|) at t_max.  Requires rate > 0 so the
     kernel itself decays.
     """
     if rate <= 0.0:
         raise ValueError("tail seed needs a positive decay rate")
     t_max = float(grid.nodes[-1])
-    total = 0.0
-    left = t_max
-    width = float(grid.widths[-1])
-    for _ in range(max_panels):
-        right = left + width
-        half = 0.5 * width
-        x = 0.5 * (left + right) + half * _GL_X
-        w = half * _GL_W
-        contrib = float(np.sum(w * np.exp(rate * (t_max - x)) * f(x)))
-        total += contrib
-        settled = abs(contrib) < max(0.1 * quad_tol, 1e-15 * abs(total))
-        if settled and (left - t_max) * rate > 35.0:
-            return total
-        left = right
-        width *= 1.4
-    raise TailNotConvergent(
-        f"tail integral past t={t_max} did not settle below {quad_tol:g}"
-    )
+    # offsets[k] is the right end of panel k, less t_max
+    offsets = float(grid.widths[-1]) * np.cumsum(1.4 ** np.arange(MAX_TAIL_PANELS))
+    n = int(np.searchsorted(offsets, TAIL_DECAY_LENGTHS / rate)) + 2
+    if n > MAX_TAIL_PANELS:
+        raise TailNotConvergent(f"tail past t={t_max} needs more than {MAX_TAIL_PANELS} "
+                                f"panels at rate {rate:g}")
+    panels = make_panels(t_max + np.concatenate(([0.0], offsets[:n])))
+    out = tail_transform(panels, f(panels.gl_x), rate)
+    contrib = out[-2] * np.exp(-rate * offsets[n - 2])
+    if not abs(contrib) < max(0.1 * quad_tol, 1e-15 * abs(out[0])):
+        raise TailNotConvergent(
+            f"tail integral past t={t_max} did not settle below {quad_tol:g}")
+    return float(out[0])
 
 
 def two_sided_transform(grid: PanelGrid, f, f_gl: np.ndarray, head_rate, tail_rate,

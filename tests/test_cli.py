@@ -145,3 +145,14 @@ def test_t0_the_grid_cannot_resolve_is_input_error(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "t0=1000000000000.0" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("r0, message", [("1e999", "bad number literal '1e999'"),
+                                         ("50%", "r0")])
+def test_malformed_ini_value_is_input_error(tmp_path, capsys, r0, message):
+    config = tmp_path / "bad.ini"
+    config.write_text(EPS_CONFIG.replace("0.001*exp(-t)", r0))
+    code = main(["analyze", "--config", str(config), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err

@@ -70,6 +70,14 @@ def test_vectorized_eval():
 def test_scientific_literals():
     assert exprlang.parse("1e-3*exp(-t)")(0.0) == 1e-3
     assert exprlang.parse("2.5E+1")(0.0) == 25.0
+    assert exprlang.parse("1e-999")(0.0) == 0.0
+
+
+def test_non_finite_literal_is_a_syntax_error():
+    # a bare constant is no operation, so EvalOverflow could not catch the inf
+    with pytest.raises(ExpressionSyntaxError, match="bad number literal '1e999'") as err:
+        exprlang.parse("2*1e999")
+    assert err.value.position == 2
 
 
 def test_overflow_reported():

@@ -75,6 +75,19 @@ r0 = exp(
 """))
 
 
+@pytest.mark.parametrize("key, lines", [("r0", "r0 = 50%"),
+                                        ("nodes", "[domain]\nnodes = %(x)s")])
+def test_percent_in_a_value_reaches_validation(tmp_path, key, lines):
+    # no interpolation: '%' is an ordinary character of the value
+    with pytest.raises(ValidationError, match=key):
+        load_problem_spec(write(tmp_path, f"[equation]\na2 = -5\na0 = 4\n{lines}\n"))
+
+
+def test_non_finite_literal_rejected():
+    with pytest.raises(ValidationError, match="r0: bad number literal"):
+        ProblemSpec(r0="1e999").validate()
+
+
 def test_nodes_floor():
     with pytest.raises(ValidationError, match="nodes"):
         ProblemSpec(nodes=32).validate()

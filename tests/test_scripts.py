@@ -112,8 +112,8 @@ def _result_line(report_s, rss, correct=True):
 
 def test_bench_pairs_summary():
     script = load_script("bench_pairs")
-    metrics = [("report_s", "lower"), ("peak_rss_mb", "lower")]
-    assert ("report_s", "lower") in script.end_to_end_metrics(ROOT)
+    metrics = [("report_s", "lower", 0.25), ("peak_rss_mb", "lower", 0.1)]
+    assert ("report_s", "lower", 0.25) in script.end_to_end_metrics(ROOT)
     # the change wins 9 of 10 pairs by 0.05 s; the parent's IQR is 0.005 s
     parent = [0.230 + 0.001 * k for k in range(10)]
     change = [p - 0.05 for p in parent[:9]] + [parent[9] + 0.001]
@@ -126,7 +126,7 @@ def test_bench_pairs_summary():
     assert timing["iqr"] == pytest.approx(0.0045)
     assert timing["gap"] == pytest.approx(0.05) and timing["holds"]
     assert "wins 9/10" in script.format_row(timing)
-    assert "gain holds" in script.format_row(timing)
+    assert script.format_row(timing).endswith(": gain holds; within bound 0.25")
     # 5 wins and 5 ties: a median gap but too few wins
     assert rss["wins"] == 5 and rss["gap"] == pytest.approx(0.5) and not rss["holds"]
     # too few pairs, even when all are won
@@ -139,7 +139,7 @@ def test_bench_pairs_flags_a_regression():
     """A change whose median is worse than the parent's by more than the
     parent's IQR is 'regressed', in either direction of better."""
     script = load_script("bench_pairs")
-    metrics = [("report_s", "lower"), ("peak_rss_mb", "lower")]
+    metrics = [("report_s", "lower", 0.25), ("peak_rss_mb", "lower", 0.1)]
     parent = [(0.230 + 0.001 * k, 91.0 + 0.01 * k) for k in range(10)]
     # report_s 0.02 s slower (IQR 0.0045 s); peak_rss_mb 0.03 MB higher (IQR 0.045 MB)
     pairs = [(script.parse_result(_result_line(p, r), "parent"),
@@ -149,13 +149,35 @@ def test_bench_pairs_flags_a_regression():
     assert timing["regressed"] and not timing["holds"] and timing["wins"] == 0
     assert timing["gap"] == pytest.approx(-0.02)
     assert "wins 0/10" in script.format_row(timing)
-    assert script.format_row(timing).endswith(": regressed")
-    assert not rss["regressed"] and script.format_row(rss).endswith(": no claimable gain")
+    assert script.format_row(timing).endswith(": regressed; within bound 0.25")
+    assert not rss["regressed"]
+    assert script.format_row(rss).endswith(": no claimable gain; within bound 0.1")
     # higher is better: a fall of the median by more than the IQR regresses
-    lower_is_worse = script.summarize([("report_s", "higher")], pairs)[0]
+    lower_is_worse = script.summarize([("report_s", "higher", 0.25)], pairs)[0]
     assert not lower_is_worse["regressed"] and lower_is_worse["wins"] == 10
     rising = [(c, p) for p, c in pairs]
-    assert script.summarize([("report_s", "higher")], rising)[0]["regressed"]
+    assert script.summarize([("report_s", "higher", 0.25)], rising)[0]["regressed"]
+
+
+def test_bench_pairs_flags_a_change_beyond_its_bound():
+    """The no-regression rule: worse than the parent's median by more than
+    bound times that median, in either direction of better."""
+    script = load_script("bench_pairs")
+    parent = [0.230 + 0.001 * k for k in range(10)]
+
+    def pairs(step):
+        return [(script.parse_result(_result_line(p, 91.0), "parent"),
+                 script.parse_result(_result_line(p + step, 91.0), "change"))
+                for p in parent]
+
+    # 0.0586 s is 0.25 of the parent's median 0.2345 s
+    for worse, beyond in ((0.058, False), (0.059, True)):
+        slower = script.summarize([("report_s", "lower", 0.25)], pairs(worse))[0]
+        assert slower["regressed"] and slower["beyond_bound"] == beyond
+        assert script.format_row(slower).endswith(
+            "beyond bound 0.25" if beyond else "within bound 0.25")
+        falling = script.summarize([("report_s", "higher", 0.25)], pairs(-worse))[0]
+        assert falling["regressed"] and falling["beyond_bound"] == beyond
 
 
 def test_bench_pairs_reports_a_failed_run(tmp_path, capsys):
