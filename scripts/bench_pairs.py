@@ -3,6 +3,7 @@
 
 Usage:
     python3 scripts/bench_pairs.py PARENT CHANGE --workload hard --pairs 10 --seconds 8
+    python3 scripts/bench_pairs.py PARENT CHANGE --workload hard --record bench
 
 Each pair runs `perfbench/run.py --workload W --seed 0 --trace 0` once in
 each checkout, one after the other; the side that runs first alternates
@@ -22,10 +23,19 @@ median.
 A run that is not `correct`, or that exits nonzero, stops the script with
 exit status 1; for a run that exits nonzero it first prints the last lines
 of its stderr.
+
+With `--record DIR` the script also writes DIR/BENCH_<n>.json, n the
+first number not taken there: both checkouts' commits (HEAD's hash, with
+"-dirty" when tracked files differ from it, null outside a git checkout),
+the workload, the pair count, the seconds per run, the host's CPU count and
+Python version, and for each end-to-end metric the per-pair values of both
+sides, their quartiles, the wins and both verdicts.
 """
 
 import argparse
 import json
+import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -89,16 +99,69 @@ def summarize(metrics, pairs):
     return rows
 
 
+def verdicts(row):
+    """(IQR verdict, bound verdict) of one summarize row."""
+    gain = ("gain holds" if row["holds"] else
+            "regressed" if row["regressed"] else "no claimable gain")
+    return gain, f"{'beyond' if row['beyond_bound'] else 'within'} bound"
+
+
 def format_row(row):
     def side(q):
         return f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}]"
 
-    verdict = ("gain holds" if row["holds"] else
-               "regressed" if row["regressed"] else "no claimable gain")
+    gain, bound = verdicts(row)
     return (f"{row['name']} ({row['better']} is better): parent {side(row['parent'])}, "
             f"change {side(row['change'])}, wins {row['wins']}/{row['pairs']}, "
-            f"gap {row['gap']:+.4g} vs parent IQR {row['iqr']:.4g}: {verdict}; "
-            f"{'beyond' if row['beyond_bound'] else 'within'} bound {row['bound']:g}")
+            f"gap {row['gap']:+.4g} vs parent IQR {row['iqr']:.4g}: {gain}; "
+            f"{bound} {row['bound']:g}")
+
+
+def commit_of(checkout):
+    """HEAD's hash in checkout, with "-dirty" when tracked files differ from
+    it; None when checkout is not the top of a git checkout."""
+    if not (Path(checkout) / ".git").exists():
+        return None
+
+    def git(*args):
+        return subprocess.run(["git", "-C", str(checkout), *args], capture_output=True,
+                              text=True, check=True).stdout.strip()
+
+    dirty = git("status", "--porcelain", "--untracked-files=no")
+    return git("rev-parse", "HEAD") + ("-dirty" if dirty else "")
+
+
+def bench_entry(workload, commits, seconds, metrics, pairs):
+    """The BENCH_<n>.json record of one workload's pairs; commits is
+    {"parent": hash, "change": hash}."""
+    metric_rows = {}
+    for row in summarize(metrics, pairs):
+        name = row["name"]
+        gain, bound = verdicts(row)
+        metric_rows[name] = {
+            "better": row["better"], "bound": row["bound"],
+            "parent": [p[name] for p, _ in pairs], "change": [c[name] for _, c in pairs],
+            "parent_quartiles": list(row["parent"]), "change_quartiles": list(row["change"]),
+            "wins": row["wins"], "gap": row["gap"], "parent_iqr": row["iqr"],
+            "verdict": gain, "bound_verdict": bound,
+        }
+    return {"workload": workload, "parent": commits["parent"], "change": commits["change"],
+            "pairs": len(pairs), "seconds_per_run": seconds,
+            "host": {"cpus": os.cpu_count(), "python": platform.python_version()},
+            "metrics": metric_rows}
+
+
+def record(directory, entry):
+    """Write entry to directory/BENCH_<n>.json, n the first number not taken
+    there; returns the path."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    n = 1
+    while (directory / f"BENCH_{n}.json").exists():
+        n += 1
+    path = directory / f"BENCH_{n}.json"
+    path.write_text(json.dumps(entry, indent=2) + "\n")
+    return path
 
 
 def run_once(checkout, workload, seconds):
@@ -117,11 +180,15 @@ def main(argv=None):
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=MIN_PAIRS)
     parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--record", metavar="DIR",
+                        help="also write the pairs to DIR/BENCH_<n>.json")
     args = parser.parse_args(argv)
 
     metrics = end_to_end_metrics(args.parent)
     first = metrics[0][0]
     sides = {"parent": args.parent, "change": args.change}
+    # the commits that run, read before the first run
+    commits = {label: commit_of(where) for label, where in sides.items()}
     pairs = []
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -146,6 +213,10 @@ def main(argv=None):
     print(f"workload {args.workload}, {len(pairs)} pairs, {args.seconds:g} s per run")
     for row in summarize(metrics, pairs):
         print(format_row(row))
+    if args.record:
+        path = record(args.record, bench_entry(args.workload, commits, args.seconds,
+                                               metrics, pairs))
+        print(f"recorded {path}")
     return 0
 
 

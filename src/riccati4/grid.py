@@ -11,9 +11,9 @@ so at the fixed Gauss-Legendre nodes of a panel grid it is computed once
 (``PanelGrid.hermite_basis``) and ``channels_on`` only combines it with the
 node values; ``channels_at`` serves arbitrary points.  Every function of a
 run shares the run's one grid, so the basis is computed once per run.
-``channels_on`` reads all panels or a slice of them (the Picard operator
-works one block of panels at a time), and ``value_on`` gives z alone, with
-the same bits, where the derivative channels are not needed.
+``channels_on`` reads all panels or a slice of them: the Picard operator
+works one block of panels at a time, and its pass is the only one of a run
+that reads z there.
 """
 
 from __future__ import annotations
@@ -97,12 +97,8 @@ class GridFunction:
         shape (N-1, GL order), or of the panels of the slice `panels`; equal
         to channels_at(grid.gl_x[panels]) bit for bit, from the grid's
         cached basis."""
-        return (self.value_on(panels), self._on(self.d1, self.d2, panels),
+        return (self._on(self.value, self.d1, panels), self._on(self.d1, self.d2, panels),
                 self._on(self.d2, self.d3, panels))
-
-    def value_on(self, panels=slice(None)):
-        """z alone, as channels_on gives it."""
-        return self._on(self.value, self.d1, panels)
 
     def _on(self, values, slopes, panels):
         basis = [b[panels] for b in self.grid.hermite_basis]

@@ -14,10 +14,16 @@ quadrature.BLOCK_PANELS panels each): in each block
 the Hermite channels of z, then F, then Omega + F, then every mode's
 weighted panel sums, all while the block's temporaries stay in cache; the
 head/tail recurrences (``panel_recurrence``) then run over the whole grid.
+On request (``apply(z, integrals=True)``) the same pass forms the plain
+panel integrals of lam + z and of -Omega + F, the integrands of log y and of
+the asymptotic correction, and the operator keeps them for that z
+(``panel_integrals``).  The fixed-point certificate asks for them, so
+synthesis reads them off the certificate's apply of the delivered z and no
+other stage reads z on the Gauss-Legendre points.
 T(0) is a constant of the operator, computed on the first ``apply(None)``:
 Picard step 1 and the first-iterate ratio read the same object.  The panel
 weights take three grid-sized arrays, so the pipeline drops its operator
-once the certificates are done.
+once synthesis has read its integrals.
 
 A run works on one PanelGrid, the one ``default_grid`` returns.  Each root
 builds one IntegralOperator on it, and the fixed-point iteration, the
@@ -99,6 +105,7 @@ class IntegralOperator:
                           panel_decay(grid, m.rate, head))
                          for head, side in ((True, self.modes.head), (False, self.modes.tail))
                          for m in side]
+        self._plain = None  # (z, its panel_integrals) of the last apply with integrals
 
     def omega(self, t):
         """Omega at t, sampled as the operator samples it on the grid."""
@@ -134,22 +141,46 @@ class IntegralOperator:
     def _image_of_zero(self) -> GridFunction:
         return self._image(self._omega_gl.__getitem__, self._omega_nodes, self._seeds)
 
-    def apply(self, z: GridFunction | None) -> GridFunction:
+    def apply(self, z: GridFunction | None, integrals=False) -> GridFunction:
         """T z (z = None means the zero function).  T(0) is a constant of the
-        operator: it is computed on the first call and returned after."""
+        operator: it is computed on the first call and returned after.
+
+        With integrals, the pass also forms the plain integrals over each
+        panel of lam + z and of -Omega + F(z, z', z''), the integrands of
+        log y and of the asymptotic correction, and keeps them for z
+        (``panel_integrals`` reads them)."""
         if z is None:
             return self._image_of_zero
         if z.grid is not self.grid:
             raise ValueError("z lives on another panel grid")
+        plain = np.empty((2, self.grid.gl_x.shape[0])) if integrals else None
 
         def forcing_on(panels):
             coef = Coefficients(*(c[panels] if np.ndim(c) else c for c in self._coef_gl))
-            f = F_nested(self.sys, coef, *z.channels_on(panels))
-            f += self._omega_gl[panels]
+            z0, z1, z2 = z.channels_on(panels)
+            f = F_nested(self.sys, coef, z0, z1, z2)
+            omega = self._omega_gl[panels]
+            if integrals:
+                gl_w = self.grid.gl_w[panels]
+                (gl_w * (self.sys.lam + z0)).sum(axis=1, out=plain[0, panels])
+                (gl_w * (f - omega)).sum(axis=1, out=plain[1, panels])
+            f += omega
             return f
 
         f_nodes = self._omega_nodes + F_nested(self.sys, self._coef_nodes, z.value, z.d1, z.d2)
-        return self._image(forcing_on, f_nodes, self._seeds)
+        image = self._image(forcing_on, f_nodes, self._seeds)
+        if integrals:
+            self._plain = (z, plain)
+        return image
+
+    def panel_integrals(self, z: GridFunction):
+        """(integrals of lam + z, integrals of -Omega + F(z, z', z'')) over
+        each panel, shape (2, N-1), as the last apply with integrals formed
+        them (the fixed-point certificate's, for the delivered z).  When that
+        apply took another function, z is applied with integrals first."""
+        if self._plain is None or self._plain[0] is not z:
+            self.apply(z, integrals=True)
+        return self._plain[1]
 
     def apply_forcing(self, forcing) -> GridFunction:
         """Kernel integral of an arbitrary forcing callable (probe use),
@@ -211,7 +242,9 @@ def iterate_to_fixed_point(op: IntegralOperator, fp_tol=FP_TOL, max_iter=MAX_ITE
     Returns (z, trace); z lives on op.grid.  Raises Diverged when the
     iterate leaves the eta ball by a factor 10 or deltas grow three steps in
     a row; MaxIterExceeded at the cap.  snapshot, when given, is called with
-    (iteration, GridFunction) after every step.
+    (iteration, GridFunction) after every step.  The certificate
+    ||T z - z||_0 is one more apply of z, which also forms the panel
+    integrals that synthesis reads (``IntegralOperator.panel_integrals``).
     """
     trace = IterationTrace()
 
@@ -238,7 +271,7 @@ def iterate_to_fixed_point(op: IntegralOperator, fp_tol=FP_TOL, max_iter=MAX_ITE
         if delta <= fp_tol:
             trace.converged = True
             trace.n_iter = n
-            trace.certificate = op.apply(z_new).diff_norm(z_new)
+            trace.certificate = op.apply(z_new, integrals=True).diff_norm(z_new)
             return z_new, trace
     raise MaxIterExceeded(f"no convergence in {max_iter} iterations")
 

@@ -98,12 +98,18 @@ def panel_integrals(grid: PanelGrid, f_gl: np.ndarray) -> np.ndarray:
     return (grid.gl_w * f_gl).sum(axis=1)
 
 
+def node_integrals(panel_sums: np.ndarray) -> np.ndarray:
+    """Integral from t0 to each node (first entry 0) from the plain
+    integral over each panel."""
+    out = np.empty(panel_sums.size + 1)
+    out[0] = 0.0
+    np.cumsum(panel_sums, out=out[1:])
+    return out
+
+
 def cumulative_integral(grid: PanelGrid, f_gl: np.ndarray) -> np.ndarray:
     """Integral of f from t0 to each node (first entry 0)."""
-    out = np.empty(grid.nodes.size)
-    out[0] = 0.0
-    np.cumsum(panel_integrals(grid, f_gl), out=out[1:])
-    return out
+    return node_integrals(panel_integrals(grid, f_gl))
 
 
 def panel_blocks(grid: PanelGrid):

@@ -4,7 +4,9 @@ One run executes, per requested root index in turn: the hypothesis checks
 and contraction constants, the Picard solve with the direct (dichotomy)
 kernel, residual-certified, the envelope and first-iterate certificates of
 that same fixed point from the same Picard operator, synthesis of the
-fundamental solution, and oracle cross-validation.  Every stage of every root
+fundamental solution, whose log y and asymptotic integral are the panel
+integrals that operator formed in the certificate's apply of z, and
+oracle cross-validation.  Every stage of every root
 works on the run's one panel grid (``picard.default_grid``), built once per
 run.  Results land in a schema-stable report.json plus CSV series; the exit
 code is 0 only when every requested check passes.
@@ -216,16 +218,20 @@ def _run_root(spec: ProblemSpec, cd, i, mode, run: _RunShared):
             op, env.A, beta, envelope=envelope,
         ))
         result["certificates"] = certs
-        del op  # free its panel weights before synthesis and the oracle
 
         if mode == "solve":
             result["status"] = "solved"
             result["pass"] = all(checks)
             return result, None
 
-        fs = synthesis.fundamental_solution(sys, z, cd)
-        errors, verdict = synthesis.derivative_ratio_limits(fs, ratio_tol=RATIO_TOL)
-        _, gap = synthesis.asymptotic_integral_formula(fs, sys)
+        # log y and the asymptotic correction: the panel integrals that the
+        # certificate's apply of z formed
+        fs = synthesis.fundamental_solution(op, z, cd)
+        del op  # free its panel weights before the oracle
+        ratios = fs.ratios()
+        errors, verdict = synthesis.derivative_ratio_limits(fs, ratio_tol=RATIO_TOL,
+                                                            ratios=ratios)
+        _, gap = synthesis.asymptotic_integral_formula(fs)
         result["synthesis"] = {
             "ratio_errors_at_tmax": [_num(errors[l, -1]) for l in range(4)],
             "ratio_verdict": verdict,
@@ -236,7 +242,6 @@ def _run_root(spec: ProblemSpec, cd, i, mode, run: _RunShared):
 
         if out_dir and mode == "report":
             log_y = np.clip(fs.log_y, -700.0, 700.0)
-            ratios = fs.ratios()
             _write_csv(
                 os.path.join(out_dir, f"ratios_root{i}.csv"),
                 ["t", "y", "y1_over_y", "y2_over_y", "y3_over_y", "y4_over_y"],

@@ -30,10 +30,11 @@ s = Lambda2_2 + C5 combined ahead of time, so no power is ever taken of an
 array.  Sample once: ``sample_coefficients`` evaluates each perturbation
 r0..r3 once per set of sample points and returns Omega with the six
 t-dependent coefficients; a perturbation that is syntactically zero gives
-the scalar 0.0.  Every pipeline stage that needs Omega or F (the Picard
-operator, the residual, the asymptotic formula, the oracle's right-hand
-side) samples once and reads Omega and ``F_nested`` from the same samples;
-``eval_F`` composes the two for one-off use.
+the scalar 0.0.  Every stage that needs Omega or F (the Picard operator,
+whose pass also forms the asymptotic formula's integrand, the residual,
+the oracle's Riccati right-hand side) samples once and reads Omega and
+``F_nested`` from the same samples; ``eval_F`` composes the two for
+one-off use.
 """
 
 from __future__ import annotations

@@ -8,6 +8,13 @@ is the Vandermonde determinant of the roots; its entries are those ratios at
 the nodes read, so at every node it is the det of the ratios the report
 prints, and any number of times cost one batched det.  The asymptotic
 integral representation is checked against the direct product construction.
+
+Neither integral samples anything here: the Picard operator's pass that
+applies z with integrals (the fixed-point certificate, in the pipeline)
+forms the plain panel integrals of lam + z and of -Omega + F(z, z', z'')
+next to T z (``IntegralOperator.panel_integrals``), and synthesis only sums
+them up to each node.  z is read on the Gauss-Legendre points in that pass
+alone.
 """
 
 from __future__ import annotations
@@ -18,8 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridFunction, hermite_eval
-from .quadrature import cumulative_integral
-from .riccati import F_nested, RiccatiSystem, log_derivative_ratios, sample_coefficients
+from .picard import IntegralOperator
+from .quadrature import node_integrals
+from .riccati import log_derivative_ratios
 
 
 @dataclass(frozen=True)
@@ -29,6 +37,7 @@ class FundamentalSolution:
     z: GridFunction
     log_y: np.ndarray          # integral of (lam + z) at the nodes
     pi_i: float                # product of (lam_k - lam_i), k != i
+    correction: np.ndarray     # (1/pi_i) integral of (p(lam_i, s) + F) at the nodes
 
     @property
     def nodes(self):
@@ -55,22 +64,30 @@ class FundamentalSolution:
         return np.array([1.0, r1[0], r2[0], r3[0]])
 
 
-def fundamental_solution(sys: RiccatiSystem, z: GridFunction, cd) -> FundamentalSolution:
-    """Assemble y_i from a converged z on its grid."""
-    log_y = cumulative_integral(z.grid, sys.lam + z.value_on())
+def fundamental_solution(op: IntegralOperator, z: GridFunction, cd) -> FundamentalSolution:
+    """Assemble y_i from a converged z on the grid of op, the operator of its
+    Riccati system: log y and the asymptotic correction sum the panel
+    integrals of ``op.panel_integrals(z)``, formed by the certificate's
+    apply of z (or by one more apply, for a z the certificate did not
+    take)."""
+    sys = op.sys
+    log_sums, correction_sums = op.panel_integrals(z)
     pi_i = 1.0
     for k in range(4):
         if k + 1 != sys.i:
             pi_i *= cd.lam[k] - sys.lam
-    return FundamentalSolution(i=sys.i, lam=sys.lam, z=z, log_y=log_y, pi_i=pi_i)
+    return FundamentalSolution(i=sys.i, lam=sys.lam, z=z, log_y=node_integrals(log_sums),
+                               pi_i=pi_i, correction=node_integrals(correction_sums) / pi_i)
 
 
-def derivative_ratio_limits(fs: FundamentalSolution, ratio_tol=1e-4):
+def derivative_ratio_limits(fs: FundamentalSolution, ratio_tol=1e-4, ratios=None):
     """|y^(l)/y - lam^l| for l = 1..4 at the nodes.
 
     Returns (errors array shape (4, nodes), verdict string): PASS when all
-    four errors at the final node are below ratio_tol."""
-    ratios = fs.ratios()
+    four errors at the final node are below ratio_tol.  ratios, when given,
+    is fs.ratios() as computed already; otherwise it is computed here."""
+    if ratios is None:
+        ratios = fs.ratios()
     errors = np.vstack([
         np.abs(np.asarray(ratios[l]) - fs.lam ** (l + 1)) for l in range(4)
     ])
@@ -116,18 +133,14 @@ def vandermonde_target(cd):
     return out
 
 
-def asymptotic_integral_formula(fs: FundamentalSolution, sys: RiccatiSystem):
+def asymptotic_integral_formula(fs: FundamentalSolution):
     """Predicted log y from the asymptotic representation
-    lam (t - t0) + (1/pi_i) * integral of [p(lam_i, s) + F(s, z, z', z'')].
+    lam (t - t0) + (1/pi_i) * integral of [p(lam_i, s) + F(s, z, z', z'')],
+    with p(lam_i, s) = -Omega(s).
 
     Returns (predicted log_y at the nodes, relative gap profile against the
     direct product construction)."""
-    k = sample_coefficients(sys, fs.z.grid.gl_x)
-    z0, z1, z2 = fs.z.channels_on()
-    # p(lam_i, s) = -Omega(s)
-    integrand = -k.omega + F_nested(sys, k, z0, z1, z2)
-    correction = cumulative_integral(fs.z.grid, integrand) / fs.pi_i
-    predicted = fs.lam * (fs.nodes - fs.nodes[0]) + correction
+    predicted = fs.lam * (fs.nodes - fs.nodes[0]) + fs.correction
     gap = np.abs(np.expm1(predicted - fs.log_y))
     return predicted, gap
 

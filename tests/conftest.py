@@ -36,10 +36,12 @@ def eps_systems(cd_test, r_eps):
 
 
 @pytest.fixture(scope="session")
-def eps_solutions(eps_systems, grid_1024):
+def eps_operators(eps_systems, grid_1024):
+    """The direct-orientation operator T of each epsilon-problem root."""
+    return {i: IntegralOperator(sys, grid_1024) for i, sys in eps_systems.items()}
+
+
+@pytest.fixture(scope="session")
+def eps_solutions(eps_operators):
     """Converged direct-orientation fixed points for the epsilon problem."""
-    out = {}
-    for i, sys in eps_systems.items():
-        z, trace = iterate_to_fixed_point(IntegralOperator(sys, grid_1024))
-        out[i] = (z, trace)
-    return out
+    return {i: iterate_to_fixed_point(op) for i, op in eps_operators.items()}

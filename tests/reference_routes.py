@@ -14,6 +14,9 @@ called by the pipeline:
 * T z unblocked: Omega + F on every Gauss-Legendre point at once, then one
   head_transform or tail_transform per kernel mode (IntegralOperator.apply
   forms the same panel sums one block of panels at a time);
+* the integrals of synthesis on every Gauss-Legendre point at once: log y
+  and the asymptotic correction (the pipeline sums the panel integrals that
+  IntegralOperator.apply forms one block of panels at a time);
 * the lift identity R4 = y * R3 between the fourth-order residual at
   y = exp(integral(lam + z)) and the residual of the third-order form;
 * the shifted-cubic residuals and the Phi_k recursion of the envelope
@@ -26,8 +29,8 @@ import numpy as np
 
 from riccati4.errors import SolverError
 from riccati4.greens import GreenKernel
-from riccati4.quadrature import (adaptive_interval, adaptive_semi_infinite, exponential_tail_seed,
-                                 head_transform, tail_transform)
+from riccati4.quadrature import (adaptive_interval, adaptive_semi_infinite, cumulative_integral,
+                                 exponential_tail_seed, head_transform, tail_transform)
 from riccati4.riccati import (F_nested, RiccatiSystem, eval_F, log_derivative_ratios,
                               sample_coefficients)
 from riccati4.spectra import CharacteristicData, shifted_cubic_coeffs
@@ -172,6 +175,19 @@ def kernel_integral(op, f_gl, f_nodes, past):
             ch[d] += m.coef * m.rate**d * k
     ch[3] += modes.jump * f_nodes
     return ch
+
+
+def synthesis_integrals(sys: RiccatiSystem, z):
+    """(log y, pi_i times the asymptotic correction) at the nodes of z's
+    grid: the integrals from t0 of lam + z and of -Omega + F(z, z', z''),
+    with the coefficients and z sampled on all Gauss-Legendre points at
+    once."""
+    grid = z.grid
+    k = sample_coefficients(sys, grid.gl_x)
+    z0, z1, z2 = z.channels_on()
+    log_y = cumulative_integral(grid, sys.lam + z0)
+    correction = cumulative_integral(grid, -k.omega + F_nested(sys, k, z0, z1, z2))
+    return log_y, correction
 
 
 def fourth_order_residual_over_y(sys: RiccatiSystem, t, z0, z1, z2, z3):

@@ -62,9 +62,10 @@ def eps_run(cd, grid):
     out = {}
     for i in (1, 2, 3, 4):
         sys = build_system(cd, r, i)
-        z, trace = iterate_to_fixed_point(IntegralOperator(sys, grid))
+        op = IntegralOperator(sys, grid)
+        z, trace = iterate_to_fixed_point(op)
         z_adj, trace_adj = iterate_to_fixed_point(IntegralOperator(sys, grid, "adjoint"))
-        out[i] = dict(sys=sys, z=z, trace=trace, z_adj=z_adj, trace_adj=trace_adj)
+        out[i] = dict(sys=sys, op=op, z=z, trace=trace, z_adj=z_adj, trace_adj=trace_adj)
     return out
 
 
@@ -72,11 +73,11 @@ def test_criterion_01_zero_perturbation_exactness(cd, grid):
     r = ("0", "0", "0", "0")
     solutions = []
     for i in (1, 2, 3, 4):
-        sys = build_system(cd, r, i)
-        z, trace = iterate_to_fixed_point(IntegralOperator(sys, grid))
+        op = IntegralOperator(build_system(cd, r, i), grid)
+        z, trace = iterate_to_fixed_point(op)
         assert trace.converged and trace.n_iter == 1
         assert z.norm_c02() == 0.0
-        solutions.append(fundamental_solution(sys, z, cd))
+        solutions.append(fundamental_solution(op, z, cd))
     ts = grid.nodes[grid.nodes <= 10.0]
     for fs, lam in zip(solutions, cd.lam):
         y = fs.y_at(ts)
@@ -214,25 +215,25 @@ def test_criterion_07_envelope(cd, grid, eps_run):
 def test_criterion_08_asymptotic_limits(cd, eps_run):
     fss = []
     for i in (1, 2, 3, 4):
-        fs = fundamental_solution(eps_run[i]["sys"], eps_run[i]["z"], cd)
+        fs = fundamental_solution(eps_run[i]["op"], eps_run[i]["z"], cd)
         fss.append(fs)
         errors, verdict = derivative_ratio_limits(fs, ratio_tol=1e-4)
         assert verdict == "PASS"
         assert np.max(errors[:, -1]) <= 1e-4
     w = wronskian_normalized(fss, fss[0].nodes[-1])
     assert abs(w - 72.0) / 72.0 <= 0.01
-    _, gap = asymptotic_integral_formula(fss[0], eps_run[1]["sys"])
+    _, gap = asymptotic_integral_formula(fss[0])
     mid = len(gap) // 2
     assert gap[-1] < gap[mid] and gap[-1] <= 1e-6
     announce(8, "derivative-ratio limits, Wronskian 72 within 1%, formula gap")
 
 
 def test_criterion_09_oracle_cross_validation(cd, eps_run):
-    fs1 = fundamental_solution(eps_run[1]["sys"], eps_run[1]["z"], cd)
+    fs1 = fundamental_solution(eps_run[1]["op"], eps_run[1]["z"], cd)
     out = cross_validate(fs1, eps_run[1]["sys"])
     assert out["y_rel_error"] <= 1e-4
     for i in (2, 3, 4):
-        fs = fundamental_solution(eps_run[i]["sys"], eps_run[i]["z"], cd)
+        fs = fundamental_solution(eps_run[i]["op"], eps_run[i]["z"], cd)
         sub = cross_validate(fs, eps_run[i]["sys"])
         assert sub["logderiv_error"] <= 1e-3
     announce(9, "oracle cross-validation (dominant 1e-4, subdominant 1e-3)")

@@ -26,12 +26,10 @@ def test_channels_on_equals_channels_at_bit_for_bit(nodes):
     for on, at in zip(z.channels_on(), z.channels_at(panels.gl_x)):
         assert on.shape == panels.gl_x.shape
         assert np.array_equal(on, at)
-    assert z.value_on().tobytes() == z.channels_on()[0].tobytes()
     # a slice of panels reads the rows of those panels, bit for bit
     for part in (slice(0, 1), slice(3, 200), slice(nodes.size - 10, None)):
         for on, at in zip(z.channels_on(part), z.channels_at(panels.gl_x[part])):
             assert on.tobytes() == at.tobytes()
-        assert z.value_on(part).tobytes() == z.channels_at(panels.gl_x[part])[0].tobytes()
 
 
 def test_operator_output_carries_the_operator_grid(eps_systems, grid_1024):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from riccati4 import exprlang, oracle, picard, riccati, synthesis
+from riccati4 import exprlang, oracle, picard, riccati
 from riccati4.oracle import (
     cross_validate,
     integrate_linear4,
@@ -45,8 +45,8 @@ def test_riccati_trivial_integration(cd_test, r_zero):
     assert np.max(np.abs(traj.states)) <= 1e-12
 
 
-def test_cross_validation_epsilon(cd_test, eps_systems, eps_solutions):
-    fs1 = fundamental_solution(eps_systems[1], eps_solutions[1][0], cd_test)
+def test_cross_validation_epsilon(cd_test, eps_systems, eps_operators, eps_solutions):
+    fs1 = fundamental_solution(eps_operators[1], eps_solutions[1][0], cd_test)
     out = cross_validate(fs1, eps_systems[1])
     assert out["mode"] == "forward_y"
     assert out["y_rel_error"] <= 1e-4
@@ -54,7 +54,7 @@ def test_cross_validation_epsilon(cd_test, eps_systems, eps_solutions):
     assert out["riccati_error"] <= 1e-8
 
     for i in (2, 3, 4):
-        fs = fundamental_solution(eps_systems[i], eps_solutions[i][0], cd_test)
+        fs = fundamental_solution(eps_operators[i], eps_solutions[i][0], cd_test)
         sub = cross_validate(fs, eps_systems[i])
         assert sub["mode"] == "log_derivative"
         assert sub["logderiv_error"] <= 1e-3
@@ -97,7 +97,7 @@ def test_linear4_rhs_skips_zero_perturbations(monkeypatch):
 
 
 def test_pipeline_integrates_only_the_fourth_order_equation(
-        cd_test, eps_systems, eps_solutions, monkeypatch):
+        cd_test, eps_systems, eps_operators, eps_solutions, monkeypatch):
     runs = {"linear": [], "riccati": []}
     linear, ricc = oracle.integrate_linear4, oracle.integrate_riccati
 
@@ -112,7 +112,7 @@ def test_pipeline_integrates_only_the_fourth_order_equation(
     monkeypatch.setattr(oracle, "integrate_linear4", counting_linear)
     monkeypatch.setattr(oracle, "integrate_riccati", counting_riccati)
     for current in (1, 2, 3, 4):
-        fs = fundamental_solution(eps_systems[current], eps_solutions[current][0], cd_test)
+        fs = fundamental_solution(eps_operators[current], eps_solutions[current][0], cd_test)
         cross_validate(fs, eps_systems[current])
     assert {i: runs["linear"].count(i) for i in (1, 2, 3, 4)} == {1: 1, 2: 1, 3: 1, 4: 2}
     assert runs["riccati"] == []
@@ -120,19 +120,20 @@ def test_pipeline_integrates_only_the_fourth_order_equation(
 
 def test_riccati_error_sees_an_omega_coding_error(cd_test, r_eps, grid_1024, monkeypatch):
     # Omega off by 1 % wherever the solver samples it: Picard, the residual
-    # and the synthesis all agree with each other, the fourth-order equation
-    # does not
+    # and the synthesis (which reads Picard's samples) all agree with each
+    # other, the fourth-order equation does not
     sample = riccati.sample_coefficients
 
     def wrong_omega(sys, t):
         k = sample(sys, t)
         return k._replace(omega=1.01 * k.omega)
 
-    for module in (riccati, picard, oracle, synthesis):
+    for module in (riccati, picard, oracle):
         monkeypatch.setattr(module, "sample_coefficients", wrong_omega)
     for i in (1, 4):
         sys = build_system(cd_test, r_eps, i)
-        z, _ = iterate_to_fixed_point(IntegralOperator(sys, grid_1024))
+        op = IntegralOperator(sys, grid_1024)
+        z, _ = iterate_to_fixed_point(op)
         assert np.max(np.abs(residual_profile(sys, z))) <= 1e-9
-        out = cross_validate(fundamental_solution(sys, z, cd_test), sys)
+        out = cross_validate(fundamental_solution(op, z, cd_test), sys)
         assert out["riccati_error"] >= 1e-8

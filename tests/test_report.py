@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riccati4 import picard, quadrature
+from riccati4 import oracle, picard, quadrature, riccati, synthesis
 from riccati4 import report as report_module
+from riccati4.grid import GridFunction
 from riccati4.errors import ValidationError
 from riccati4.picard import default_grid
 from riccati4.problem import ProblemSpec
@@ -117,6 +118,52 @@ def test_one_operator_per_root(monkeypatch):
     report, _ = run_report(EPS_SPEC)
     assert report["overall_pass"]
     assert calls == [1, 2, 3, 4]
+
+
+def test_the_run_grid_is_sampled_once_per_root(monkeypatch):
+    """Within a root, the coefficients are sampled on the run grid's
+    Gauss-Legendre points once, when the operator is built, and z is read
+    there only inside the operator's apply: synthesis reads log y and the
+    asymptotic integral off the certificate's apply."""
+    spec = replace(EPS_SPEC, nodes=2048)  # two blocks of panels
+    grids, where, samples, reads = [], [], [], []
+    default_grid, init, apply = (picard.default_grid, picard.IntegralOperator.__init__,
+                                 picard.IntegralOperator.apply)
+    sample, channels_on = riccati.sample_coefficients, GridFunction.channels_on
+
+    def inside(name, fn):
+        def wrapped(self, *args, **kwargs):
+            where.append(name)
+            try:
+                return fn(self, *args, **kwargs)
+            finally:
+                where.pop()
+        return wrapped
+
+    def grid_of_run(*args, **kwargs):
+        grids.append(default_grid(*args, **kwargs))
+        return grids[-1]
+
+    def counted_sample(sys, t):
+        if grids and t is grids[0].gl_x:
+            samples.append((sys.i, tuple(where)))
+        return sample(sys, t)
+
+    def counted_read(self, panels=slice(None)):
+        reads.append(tuple(where))
+        return channels_on(self, panels)
+
+    monkeypatch.setattr(picard, "default_grid", grid_of_run)
+    monkeypatch.setattr(picard.IntegralOperator, "__init__", inside("init", init))
+    monkeypatch.setattr(picard.IntegralOperator, "apply", inside("apply", apply))
+    monkeypatch.setattr(GridFunction, "channels_on", counted_read)
+    for module in (riccati, picard, oracle, synthesis):
+        if hasattr(module, "sample_coefficients"):
+            monkeypatch.setattr(module, "sample_coefficients", counted_sample)
+    report, _ = run_report(spec)
+    assert report["overall_pass"] and len(grids) == 1
+    assert samples == [(i, ("init",)) for i in (1, 2, 3, 4)]
+    assert reads and all(w == ("apply",) for w in reads)
 
 
 @pytest.mark.parametrize("roots", [(0,), (1, 5), (1.7,), ()])

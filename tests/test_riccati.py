@@ -3,6 +3,7 @@ import pytest
 
 from riccati4 import exprlang
 from riccati4.grid import GridFunction
+from riccati4.picard import IntegralOperator
 from riccati4.riccati import (
     build_system,
     eval_F,
@@ -94,13 +95,18 @@ def test_sampling_evaluates_each_perturbation_once(cd_test, monkeypatch):
 
 @pytest.mark.parametrize("stage", ["residual_profile", "asymptotic_integral_formula"])
 def test_stage_evaluates_each_perturbation_once(cd_test, grid_1024, monkeypatch, stage):
+    """The residual samples each active perturbation once.  The asymptotic
+    formula evaluates none: it reads the samples its operator took when it
+    was built, even when the operator has to apply z first."""
     r = ("0.002*exp(-1.3*t)", "0", "-0.003*exp(-2*t)", "0")
     sys = build_system(cd_test, r, 2)
     z = GridFunction.zero(grid_1024)
-    run = {
-        "residual_profile": lambda: residual_profile(sys, z),
-        "asymptotic_integral_formula": lambda: asymptotic_integral_formula(
-            fundamental_solution(sys, z, cd_test), sys),
+    op = IntegralOperator(sys, grid_1024)
+    run, expected = {
+        "residual_profile": (lambda: residual_profile(sys, z),
+                             sorted(rj for rj in r if rj != "0")),
+        "asymptotic_integral_formula": (lambda: asymptotic_integral_formula(
+            fundamental_solution(op, z, cd_test)), []),
     }[stage]
     calls = []
     original = exprlang.FunctionExpr.__call__
@@ -111,7 +117,7 @@ def test_stage_evaluates_each_perturbation_once(cd_test, grid_1024, monkeypatch,
 
     monkeypatch.setattr(exprlang.FunctionExpr, "__call__", counting)
     run()
-    assert sorted(calls) == sorted(rj for rj in r if rj != "0")
+    assert sorted(calls) == expected
 
 
 def test_build_system_zero_perturbation(cd_test, r_zero):

@@ -2,6 +2,7 @@ import importlib.util
 import json
 import re
 import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -196,3 +197,65 @@ def test_bench_pairs_reports_a_failed_run(tmp_path, capsys):
     assert err == ["pair 1 parent: run exited with status 1",
                    "Traceback (most recent call last):",
                    "ImportError: no module named riccati4"]
+
+
+def test_bench_pairs_records_a_bench_entry(tmp_path):
+    """--record writes each metric's per-pair values, quartiles, wins and
+    verdicts, to the first BENCH_<n>.json not taken."""
+    script = load_script("bench_pairs")
+    metrics = [("report_s", "lower", 0.25), ("peak_rss_mb", "lower", 0.1)]
+    parent = [0.230 + 0.001 * k for k in range(10)]
+    pairs = [(script.parse_result(_result_line(p, 91.0), "parent"),
+              script.parse_result(_result_line(p - 0.05, 91.0 + 0.2 * (k == 3)), "change"))
+             for k, p in enumerate(parent)]
+    commits = {"parent": "a" * 40, "change": "b" * 40 + "-dirty"}
+    entry = script.bench_entry("hard", commits, 8.0, metrics, pairs)
+    paths = [script.record(tmp_path / "bench", entry) for _ in range(2)]
+    assert [p.name for p in paths] == ["BENCH_1.json", "BENCH_2.json"]
+    saved = json.loads(paths[0].read_text())
+    assert saved == json.loads(json.dumps(entry))
+    assert (saved["workload"], saved["parent"], saved["change"]) == ("hard", "a" * 40,
+                                                                     "b" * 40 + "-dirty")
+    assert saved["pairs"] == 10 and saved["seconds_per_run"] == 8.0
+    timing, rss = saved["metrics"]["report_s"], saved["metrics"]["peak_rss_mb"]
+    assert timing["parent"] == parent
+    assert timing["change"] == [p - 0.05 for p in parent]
+    assert timing["parent_quartiles"] == pytest.approx([0.23225, 0.2345, 0.23675])
+    assert timing["wins"] == 10 and timing["parent_iqr"] == pytest.approx(0.0045)
+    assert (timing["verdict"], timing["bound_verdict"]) == ("gain holds", "within bound")
+    assert rss["change"][3] == pytest.approx(91.2) and rss["wins"] == 0
+    assert (rss["verdict"], rss["bound_verdict"]) == ("no claimable gain", "within bound")
+
+
+def test_bench_pairs_record_from_the_command_line(tmp_path, capsys):
+    """main --record runs the pairs and records the commit of each side: a
+    git checkout's HEAD, dirty when a tracked file changed, None elsewhere."""
+    git = ["git", "-c", "user.name=bench", "-c", "user.email=bench@example.invalid"]
+    sides = {}
+    for name, report_s in (("parent", 0.3), ("change", 0.2)):
+        checkout = tmp_path / name
+        (checkout / "perfbench").mkdir(parents=True)
+        (checkout / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+            {"name": "report_s", "better": "lower", "bound": 0.25},
+            {"name": "peak_rss_mb", "better": "lower", "bound": 0.1}]}))
+        (checkout / "perfbench" / "run.py").write_text(
+            f"print({_result_line(report_s, 90.0)!r})\n")
+        sides[name] = checkout
+    subprocess.run(git + ["init", "-q", str(sides["change"])], check=True)
+    subprocess.run(git + ["-C", str(sides["change"]), "add", "-A"], check=True)
+    subprocess.run(git + ["-C", str(sides["change"]), "commit", "-q", "-m", "change"],
+                   check=True)
+    script = load_script("bench_pairs")
+    head = script.commit_of(sides["change"])
+    assert re.fullmatch(r"[0-9a-f]{40}", head)
+    (sides["change"] / "untracked.txt").write_text("")
+    assert script.commit_of(sides["change"]) == head
+    assert script.main([str(sides["parent"]), str(sides["change"]), "--workload", "hard",
+                        "--pairs", "2", "--seconds", "1", "--record",
+                        str(tmp_path / "bench")]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].endswith("BENCH_1.json")
+    saved = json.loads((tmp_path / "bench" / "BENCH_1.json").read_text())
+    assert (saved["parent"], saved["change"], saved["pairs"]) == (None, head, 2)
+    assert saved["metrics"]["report_s"]["change"] == [0.2, 0.2]
+    (sides["change"] / "BENCHMARK.json").write_text("{}")
+    assert script.commit_of(sides["change"]) == head + "-dirty"

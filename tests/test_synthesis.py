@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from riccati4.grid import GridFunction
-from riccati4.picard import default_grid
+from riccati4.picard import IntegralOperator, default_grid, iterate_to_fixed_point
+from riccati4.quadrature import panel_blocks
 from riccati4.riccati import build_system, log_derivative_ratios
 from riccati4.synthesis import (
     asymptotic_integral_formula,
@@ -14,6 +15,11 @@ from riccati4.synthesis import (
     vandermonde_target,
     wronskian_normalized,
 )
+
+from reference_routes import synthesis_integrals
+
+# every perturbation active, so that every term of F enters the correction
+R_ALL = ("0.002*exp(-1.3*t)", "0.001*exp(-t)", "-0.003*exp(-2*t)", "0.001*exp(-0.7*t)")
 
 
 def wronskian_raw(fss, t):
@@ -27,8 +33,8 @@ def wronskian_raw(fss, t):
 def trivial_solutions(cd_test, r_zero, grid_1024):
     out = []
     for i in (1, 2, 3, 4):
-        sys = build_system(cd_test, r_zero, i)
-        out.append(fundamental_solution(sys, GridFunction.zero(grid_1024), cd_test))
+        op = IntegralOperator(build_system(cd_test, r_zero, i), grid_1024)
+        out.append(fundamental_solution(op, GridFunction.zero(grid_1024), cd_test))
     return out
 
 
@@ -73,15 +79,14 @@ def test_wronskian_raw_scaling(trivial_solutions, cd_test):
 
 def test_asymptotic_formula_trivial(trivial_solutions, cd_test):
     for fs, lam in zip(trivial_solutions, cd_test.lam):
-        sys = build_system(cd_test, ["0"] * 4, fs.i)
-        predicted, gap = asymptotic_integral_formula(fs, sys)
+        predicted, gap = asymptotic_integral_formula(fs)
         assert np.allclose(predicted, lam * (fs.nodes - fs.nodes[0]), atol=1e-12)
         assert np.max(gap) <= 1e-12  # accumulated roundoff of the log-y quadrature
 
 
-def test_epsilon_ratio_error_tracks_z(cd_test, eps_systems, eps_solutions):
+def test_epsilon_ratio_error_tracks_z(cd_test, eps_operators, eps_solutions):
     z, _ = eps_solutions[1]
-    fs = fundamental_solution(eps_systems[1], z, cd_test)
+    fs = fundamental_solution(eps_operators[1], z, cd_test)
     errors, verdict = derivative_ratio_limits(fs)
     assert verdict == "PASS"
     # first-order ratio error is exactly |z|
@@ -89,12 +94,12 @@ def test_epsilon_ratio_error_tracks_z(cd_test, eps_systems, eps_solutions):
 
 
 @pytest.fixture(scope="module")
-def eps_fss(cd_test, eps_systems, eps_solutions):
-    return [fundamental_solution(eps_systems[i], eps_solutions[i][0], cd_test)
+def eps_fss(cd_test, eps_operators, eps_solutions):
+    return [fundamental_solution(eps_operators[i], eps_solutions[i][0], cd_test)
             for i in (1, 2, 3, 4)]
 
 
-def test_epsilon_wronskian_and_formula_gap(eps_systems, eps_fss):
+def test_epsilon_wronskian_and_formula_gap(eps_fss):
     fss = eps_fss
     t_end = fss[0].nodes[-1]
     w = wronskian_normalized(fss, t_end)
@@ -106,7 +111,7 @@ def test_epsilon_wronskian_and_formula_gap(eps_systems, eps_fss):
     single = [wronskian_normalized(fss, t) for t in ts]
     assert batched.tobytes() == np.array(single).tobytes()
 
-    _, gap = asymptotic_integral_formula(fss[0], eps_systems[1])
+    _, gap = asymptotic_integral_formula(fss[0])
     mid = len(gap) // 2
     assert gap[-1] < gap[mid]
     assert gap[-1] <= 1e-6
@@ -154,9 +159,67 @@ def test_wronskian_needs_one_grid(eps_fss, cd_test, eps_systems, eps_solutions):
     # the same nodes on another grid object
     other = GridFunction(default_grid(cd_test, 0.0, z.nodes.size),
                          z.value, z.d1, z.d2, z.d3)
-    moved = fundamental_solution(eps_systems[4], other, cd_test)
+    moved = fundamental_solution(IntegralOperator(eps_systems[4], other.grid), other, cd_test)
     with pytest.raises(ValueError, match="different panel grids"):
         wronskian_normalized(eps_fss[:3] + [moved], 1.0)
+
+
+def count_applies(monkeypatch):
+    """The list that records each IntegralOperator.apply from now on."""
+    calls = []
+    apply = IntegralOperator.apply
+
+    def counted(self, z, **kwargs):
+        calls.append(z)
+        return apply(self, z, **kwargs)
+
+    monkeypatch.setattr(IntegralOperator, "apply", counted)
+    return calls
+
+
+def assert_reference_bits(fs, sys):
+    log_y, correction = synthesis_integrals(sys, fs.z)
+    assert fs.log_y.tobytes() == log_y.tobytes()
+    assert fs.correction.tobytes() == (correction / fs.pi_i).tobytes()
+
+
+@pytest.mark.parametrize("n_nodes, n_blocks", [(1024, 1), (2500, 3)])
+def test_integrals_are_read_off_the_certificate_apply(cd_test, monkeypatch, n_nodes, n_blocks):
+    """log y and the asymptotic correction of the delivered z are the
+    panel integrals the certificate's apply formed, with the bits of the
+    whole-grid integrals, across block edges too."""
+    grid = default_grid(cd_test, 0.0, n_nodes)
+    assert len(panel_blocks(grid)) == n_blocks
+    for i in (1, 2, 3, 4):
+        sys = build_system(cd_test, R_ALL, i)
+        op = IntegralOperator(sys, grid)
+        z, _ = iterate_to_fixed_point(op)
+        applies = count_applies(monkeypatch)
+        fs = fundamental_solution(op, z, cd_test)
+        assert applies == []
+        assert_reference_bits(fs, sys)
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("n_nodes", [1024, 2500])
+def test_integrals_of_a_z_the_operator_did_not_apply_last(cd_test, monkeypatch, n_nodes):
+    """For a z that the last apply with integrals did not take, the operator
+    applies z once with them; then it reads them off."""
+    grid = default_grid(cd_test, 0.0, n_nodes)
+    sys = build_system(cd_test, R_ALL, 2)
+    op = IntegralOperator(sys, grid)
+    z, _ = iterate_to_fixed_point(op)
+    half = GridFunction(grid, 0.5 * z.value, 0.5 * z.d1, 0.5 * z.d2, 0.5 * z.d3)
+    applies = count_applies(monkeypatch)
+    for other in (half, GridFunction.zero(grid), z):
+        fs = fundamental_solution(op, other, cd_test)
+        assert applies[-1] is other
+        assert_reference_bits(fs, sys)
+    assert len(applies) == 3
+    op.apply(half)  # an apply without integrals keeps those of z
+    fs = fundamental_solution(op, z, cd_test)
+    assert len(applies) == 4
+    assert_reference_bits(fs, sys)
 
 
 def test_double_integral_identity():
