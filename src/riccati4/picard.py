@@ -17,9 +17,9 @@ head/tail recurrences (``panel_recurrence``) then run over the whole grid.
 On request (``apply(z, integrals=True)``) the same pass forms the plain
 panel integrals of lam + z and of -Omega + F, the integrands of log y and of
 the asymptotic correction, and the operator keeps them for that z
-(``panel_integrals``).  The fixed-point certificate asks for them, so
-synthesis reads them off the certificate's apply of the delivered z and no
-other stage reads z on the Gauss-Legendre points.
+(``panel_integrals``).  The fixed-point certificate asks for them when
+synthesis follows, so synthesis reads them off the certificate's apply of the
+delivered z and no other stage reads z on the Gauss-Legendre points.
 T(0) is a constant of the operator, computed on the first ``apply(None)``:
 Picard step 1 and the first-iterate ratio read the same object.  The panel
 weights take three grid-sized arrays, so the pipeline drops its operator
@@ -236,15 +236,16 @@ class IterationTrace:
 
 
 def iterate_to_fixed_point(op: IntegralOperator, fp_tol=FP_TOL, max_iter=MAX_ITER,
-                           eta=0.25, snapshot=None):
+                           eta=0.25, snapshot=None, integrals=True):
     """Plain Picard iteration of the operator op from omega_0 = 0.
 
     Returns (z, trace); z lives on op.grid.  Raises Diverged when the
     iterate leaves the eta ball by a factor 10 or deltas grow three steps in
     a row; MaxIterExceeded at the cap.  snapshot, when given, is called with
     (iteration, GridFunction) after every step.  The certificate
-    ||T z - z||_0 is one more apply of z, which also forms the panel
-    integrals that synthesis reads (``IntegralOperator.panel_integrals``).
+    ||T z - z||_0 is one more apply of z; with integrals it also forms the
+    panel integrals that synthesis reads (``IntegralOperator.panel_integrals``),
+    which a caller that stops before synthesis leaves out.
     """
     trace = IterationTrace()
 
@@ -271,7 +272,7 @@ def iterate_to_fixed_point(op: IntegralOperator, fp_tol=FP_TOL, max_iter=MAX_ITE
         if delta <= fp_tol:
             trace.converged = True
             trace.n_iter = n
-            trace.certificate = op.apply(z_new, integrals=True).diff_norm(z_new)
+            trace.certificate = op.apply(z_new, integrals=integrals).diff_norm(z_new)
             return z_new, trace
     raise MaxIterExceeded(f"no convergence in {max_iter} iterations")
 

@@ -165,11 +165,13 @@ def _run_root(spec: ProblemSpec, cd, i, mode, run: _RunShared):
 
         snapshots = [] if spec.trace else None
         collect = (lambda n, z: snapshots.append((n, z))) if spec.trace else None
-        # one operator T per root: the solve and both certificates use it
+        # one operator T per root: the solve and both certificates use it;
+        # the fixed-point certificate forms the synthesis integrals only when
+        # synthesis follows
         op = picard.IntegralOperator(sys, grid, quad_tol=spec.quad_tol)
         z, trace = picard.iterate_to_fixed_point(
             op, fp_tol=spec.fp_tol, max_iter=spec.max_iter, eta=spec.eta,
-            snapshot=collect,
+            snapshot=collect, integrals=mode != "solve",
         )
         residual_max = float(np.max(np.abs(residual_profile(sys, z))))
         result["solve"] = {
@@ -229,8 +231,7 @@ def _run_root(spec: ProblemSpec, cd, i, mode, run: _RunShared):
         fs = synthesis.fundamental_solution(op, z, cd)
         del op  # free its panel weights before the oracle
         ratios = fs.ratios()
-        errors, verdict = synthesis.derivative_ratio_limits(fs, ratio_tol=RATIO_TOL,
-                                                            ratios=ratios)
+        errors, verdict = synthesis.derivative_ratio_limits(fs, ratios, ratio_tol=RATIO_TOL)
         _, gap = synthesis.asymptotic_integral_formula(fs)
         result["synthesis"] = {
             "ratio_errors_at_tmax": [_num(errors[l, -1]) for l in range(4)],

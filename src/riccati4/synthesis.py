@@ -80,14 +80,11 @@ def fundamental_solution(op: IntegralOperator, z: GridFunction, cd) -> Fundament
                                pi_i=pi_i, correction=node_integrals(correction_sums) / pi_i)
 
 
-def derivative_ratio_limits(fs: FundamentalSolution, ratio_tol=1e-4, ratios=None):
-    """|y^(l)/y - lam^l| for l = 1..4 at the nodes.
+def derivative_ratio_limits(fs: FundamentalSolution, ratios, ratio_tol=1e-4):
+    """|y^(l)/y - lam^l| for l = 1..4 at the nodes, from ratios = fs.ratios().
 
     Returns (errors array shape (4, nodes), verdict string): PASS when all
-    four errors at the final node are below ratio_tol.  ratios, when given,
-    is fs.ratios() as computed already; otherwise it is computed here."""
-    if ratios is None:
-        ratios = fs.ratios()
+    four errors at the final node are below ratio_tol."""
     errors = np.vstack([
         np.abs(np.asarray(ratios[l]) - fs.lam ** (l + 1)) for l in range(4)
     ])

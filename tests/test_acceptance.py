@@ -217,7 +217,7 @@ def test_criterion_08_asymptotic_limits(cd, eps_run):
     for i in (1, 2, 3, 4):
         fs = fundamental_solution(eps_run[i]["op"], eps_run[i]["z"], cd)
         fss.append(fs)
-        errors, verdict = derivative_ratio_limits(fs, ratio_tol=1e-4)
+        errors, verdict = derivative_ratio_limits(fs, fs.ratios(), ratio_tol=1e-4)
         assert verdict == "PASS"
         assert np.max(errors[:, -1]) <= 1e-4
     w = wronskian_normalized(fss, fss[0].nodes[-1])

@@ -166,6 +166,26 @@ def test_the_run_grid_is_sampled_once_per_root(monkeypatch):
     assert reads and all(w == ("apply",) for w in reads)
 
 
+@pytest.mark.parametrize("mode, per_root", [("report", 1), ("solve", 0)])
+def test_synthesis_integrals_are_formed_only_when_synthesis_follows(monkeypatch, mode,
+                                                                    per_root):
+    """The fixed-point certificate's apply forms the panel integrals of log y
+    and of the asymptotic correction once per root when a report follows, and
+    not at all in solve mode, which stops before synthesis."""
+    formed = []
+    apply = picard.IntegralOperator.apply
+
+    def counted_apply(self, z, integrals=False):
+        if integrals:
+            formed.append(self.sys.i)
+        return apply(self, z, integrals)
+
+    monkeypatch.setattr(picard.IntegralOperator, "apply", counted_apply)
+    report, _ = run_report(EPS_SPEC, mode=mode)
+    assert report["overall_pass"]
+    assert formed == [i for i in (1, 2, 3, 4) for _ in range(per_root)]
+
+
 @pytest.mark.parametrize("roots", [(0,), (1, 5), (1.7,), ()])
 def test_bad_root_index_is_rejected_before_any_work(tmp_path, monkeypatch, roots):
     def unexpected(*args, **kwargs):

@@ -56,7 +56,8 @@ def test_pi_product(trivial_solutions):
 
 
 def test_ratio_limits_trivial(trivial_solutions):
-    errors, verdict = derivative_ratio_limits(trivial_solutions[0])
+    fs = trivial_solutions[0]
+    errors, verdict = derivative_ratio_limits(fs, fs.ratios())
     assert verdict == "PASS"
     assert np.max(errors) == 0.0
 
@@ -87,7 +88,7 @@ def test_asymptotic_formula_trivial(trivial_solutions, cd_test):
 def test_epsilon_ratio_error_tracks_z(cd_test, eps_operators, eps_solutions):
     z, _ = eps_solutions[1]
     fs = fundamental_solution(eps_operators[1], z, cd_test)
-    errors, verdict = derivative_ratio_limits(fs)
+    errors, verdict = derivative_ratio_limits(fs, fs.ratios())
     assert verdict == "PASS"
     # first-order ratio error is exactly |z|
     assert np.allclose(errors[0], np.abs(z.value), atol=1e-15)
