@@ -24,18 +24,16 @@ The pipeline solves and certifies with ``direct`` only.
 choice, kept as a library entry point; the adjoint family remains available
 for evaluating the printed closed forms.
 
-The certificates of these properties (the second-derivative limits at the
-diagonal, the annihilating cubic, the pointwise exponential bound) and the
-adaptive decay functional L(E)(t) are test references; they live in
-tests/reference_routes.py.
+Pointwise evaluation of a kernel, the certificates of these properties (the
+second-derivative limits at the diagonal, the annihilating cubic, the
+pointwise exponential bound) and the adaptive decay functional L(E)(t) are
+test references; they live in tests/reference_routes.py.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import ZeroRoot
 from .spectra import GAP_TOL
@@ -75,27 +73,6 @@ class KernelModes:
     head: tuple
     tail: tuple
     jump: float
-
-    def eval(self, dt, d=0):
-        """d-th t-derivative at t - s = dt (array ok); head side wins ties."""
-        dt = np.asarray(dt, dtype=float)
-        out = np.zeros_like(dt)
-        head_mask = dt >= 0.0
-        for m in self.head:
-            out += np.where(head_mask, m.coef * m.rate**d * np.exp(m.rate * np.where(head_mask, dt, 0.0)), 0.0)
-        tail_mask = ~head_mask
-        for m in self.tail:
-            out += np.where(tail_mask, m.coef * m.rate**d * np.exp(m.rate * np.where(tail_mask, dt, 0.0)), 0.0)
-        return out if out.ndim else float(out)
-
-    def side_eval(self, dt, d, side):
-        """One-sided evaluation (no diagonal tie-break); side in {head, tail}."""
-        dt = np.asarray(dt, dtype=float)
-        modes = self.head if side == "head" else self.tail
-        out = np.zeros_like(dt)
-        for m in modes:
-            out += m.coef * m.rate**d * np.exp(m.rate * dt)
-        return out if out.ndim else float(out)
 
     def slowest(self):
         """(max head rate, min tail rate): the rate of the slowest-decaying
@@ -152,16 +129,6 @@ class GreenKernel:
                 jump=sign,
             )
         raise ValueError(f"unknown orientation {orientation!r}")
-
-    def eval(self, t, s, d=0, orientation="direct"):
-        """d-th t-derivative of the kernel at (t, s); d in 0..3.
-
-        d = 3 is only meaningful off the diagonal (distribution part excluded).
-        """
-        if d not in (0, 1, 2, 3):
-            raise ValueError("derivative order must be 0..3")
-        dt = np.asarray(t, dtype=float) - np.asarray(s, dtype=float)
-        return self.modes(orientation).eval(dt, d)
 
     # --- exponential bounds -------------------------------------------------
 

@@ -30,7 +30,9 @@ builds one IntegralOperator on it, and the fixed-point iteration, the
 envelope and the first-iterate ratio all take that operator: they share its
 orientation, its quadrature tolerance, its grid and its Omega samples, and
 every GridFunction they produce carries its grid.  Omega is read only through
-``sample_coefficients``, on the grid and past it.
+``sample_coefficients``, on the grid and past it.  The envelope E_i is built
+once per root (``envelope_integral``, which also validates beta), and the
+envelope check and the first-iterate ratio both read that array.
 
 Orientation: the solver uses the ``direct`` (dichotomy-split) kernel, the
 one that inverts the shifted cubic.  ``resolve_orientation`` is the residual
@@ -300,7 +302,11 @@ def envelope_integral(op: IntegralOperator, beta):
     is the printed envelope for i = 1, 4 and the gap-split envelope for
     i = 2, 3; with the direct modes it bounds the delivered fixed point.
     |Omega| is read from op's samples, and past the grid from op.omega.
+    beta must be nonzero and lie in ``beta_interval(op.sys)``.
     """
+    lo, hi = beta_interval(op.sys)
+    if beta == 0.0 or not lo <= beta <= hi:
+        raise ValueError(f"beta={beta} outside [{lo}, {hi}] or zero for i={op.sys.i}")
     head_rate, tail_rate = op.modes.slowest()
     rate_beta = beta if op.orientation == "direct" else -beta
     if head_rate is not None and rate_beta < 0:
@@ -320,35 +326,28 @@ def envelope_integral(op: IntegralOperator, beta):
     return out
 
 
-def envelope_check(op: IntegralOperator, z: GridFunction, beta, phi):
-    """Verify sum_j |z^(j)(t)| <= phi * E_i(t) on the grid, with E_i the
-    envelope of op (its orientation, tolerance and Omega samples).  z must
+def envelope_check(op: IntegralOperator, z: GridFunction, envelope, phi):
+    """Verify sum_j |z^(j)(t)| <= phi * E_i(t) on the grid, with envelope
+    E_i on the grid nodes as ``envelope_integral`` returns it for op.  z must
     live on op.grid.
 
-    Returns (verdict, max_ratio, envelope_values)."""
+    Returns (verdict, max_ratio)."""
     if z.grid is not op.grid:
         raise ValueError("z lives on another panel grid")
-    lo, hi = beta_interval(op.sys)
-    if beta == 0.0 or not lo <= beta <= hi:
-        raise ValueError(f"beta={beta} outside [{lo}, {hi}] or zero for i={op.sys.i}")
-    envelope = envelope_integral(op, beta)
     numerator = np.abs(z.value) + np.abs(z.d1) + np.abs(z.d2)
     den = phi * envelope
     tiny = 1e-300
     ratio = np.where(den > tiny, numerator / np.maximum(den, tiny),
                      np.where(numerator <= 1e-14, 0.0, np.inf))
     max_ratio = float(np.max(ratio))
-    return max_ratio <= 1.0 + 1e-9, max_ratio, envelope
+    return max_ratio <= 1.0 + 1e-9, max_ratio
 
 
-def first_iterate_ratio(op: IntegralOperator, a_const, beta, envelope=None):
+def first_iterate_ratio(op: IntegralOperator, a_const, envelope):
     """sup_t |T0(t)| / (A * E_i(t)): the first-step envelope sharpness, with
-    T0 = op.apply(None) and E_i the envelope of op.  envelope, when given, is
-    E_i on the grid nodes as envelope_check returns it for op and the same
-    beta; otherwise it is built here."""
+    T0 = op.apply(None) and envelope E_i on the grid nodes as
+    ``envelope_integral`` returns it for op."""
     t0_iterate = op.apply(None)
-    if envelope is None:
-        envelope = envelope_integral(op, beta)
     mask = a_const * envelope > 1e-300
     if not np.any(mask):
         return 0.0

@@ -46,6 +46,7 @@ RATIO_TOL = 1e-4
 ORACLE_Y_TOL = 1e-4
 ORACLE_LOGDERIV_TOL = 1e-3
 WRONSKIAN_REL_TOL = 0.01
+MODES = ("analyze", "solve", "verify", "report")
 
 
 def _num(x):
@@ -208,17 +209,15 @@ def _run_root(spec: ProblemSpec, cd, i, mode, run: _RunShared):
         # envelope certificates of the delivered z, with the envelope shaped
         # like the kernel that produced it
         beta = _default_beta(sys)
+        envelope = picard.envelope_integral(op, beta)
         certs = {"beta": _num(beta), "envelope_ratio_max": None,
                  "envelope_ok": None, "first_iterate_ratio": None}
-        envelope = None
         if env.Phi is not None:
-            ok, ratio, envelope = picard.envelope_check(op, z, beta, env.Phi)
+            ok, ratio = picard.envelope_check(op, z, envelope, env.Phi)
             certs["envelope_ratio_max"] = _num(ratio)
             certs["envelope_ok"] = ok
             checks.append(ok)
-        certs["first_iterate_ratio"] = _num(picard.first_iterate_ratio(
-            op, env.A, beta, envelope=envelope,
-        ))
+        certs["first_iterate_ratio"] = _num(picard.first_iterate_ratio(op, env.A, envelope))
         result["certificates"] = certs
 
         if mode == "solve":
@@ -230,8 +229,7 @@ def _run_root(spec: ProblemSpec, cd, i, mode, run: _RunShared):
         # certificate's apply of z formed
         fs = synthesis.fundamental_solution(op, z, cd)
         del op  # free its panel weights before the oracle
-        ratios = fs.ratios()
-        errors, verdict = synthesis.derivative_ratio_limits(fs, ratios, ratio_tol=RATIO_TOL)
+        errors, verdict = synthesis.derivative_ratio_limits(fs, ratio_tol=RATIO_TOL)
         _, gap = synthesis.asymptotic_integral_formula(fs)
         result["synthesis"] = {
             "ratio_errors_at_tmax": [_num(errors[l, -1]) for l in range(4)],
@@ -246,7 +244,7 @@ def _run_root(spec: ProblemSpec, cd, i, mode, run: _RunShared):
             _write_csv(
                 os.path.join(out_dir, f"ratios_root{i}.csv"),
                 ["t", "y", "y1_over_y", "y2_over_y", "y3_over_y", "y4_over_y"],
-                [run.node_text, np.exp(log_y), *ratios],
+                [run.node_text, np.exp(log_y), *fs.ratios],
             )
 
         val = oracle.cross_validate(fs, sys)
@@ -281,6 +279,8 @@ def run_report(spec: ProblemSpec, roots=(1, 2, 3, 4), out_dir=None,
     if not roots or any(not isinstance(i, numbers.Integral) or i not in (1, 2, 3, 4)
                         for i in roots):
         raise ValueError("root indices must be one or more integers within 1..4")
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {', '.join(MODES)}, not {mode!r}")
     roots = tuple(sorted(set(map(int, roots))))
     report = {
         "problem": {

@@ -1,13 +1,15 @@
 """Fundamental system built from the Riccati fixed points.
 
 Each solution is y_i = exp(integral from t0 of (lam_i + z_i)); only its
-logarithm is stored so large exponents never overflow.  Derivatives come from
-the logarithmic-derivative identities, always evaluated on node arrays.  The
+logarithm is stored so large exponents never overflow.  The ratios y^(l)/y
+come from the logarithmic-derivative identities, evaluated once per solution
+on the whole node array (``FundamentalSolution.ratios``); the ratio limits,
+the oracle's initial state and the Wronskian all index those arrays.  The
 Wronskian is evaluated on the ratio-normalized matrix [y^(l)/y] whose limit
-is the Vandermonde determinant of the roots; its entries are those ratios at
-the nodes read, so at every node it is the det of the ratios the report
-prints, and any number of times cost one batched det.  The asymptotic
-integral representation is checked against the direct product construction.
+is the Vandermonde determinant of the roots, so at every node it is the det
+of the ratios the report prints, and any number of times cost one batched
+det.  The asymptotic integral representation is checked against the direct
+product construction.
 
 Neither integral samples anything here: the Picard operator's pass that
 applies z with integrals (the fixed-point certificate, in the pipeline)
@@ -38,6 +40,7 @@ class FundamentalSolution:
     log_y: np.ndarray          # integral of (lam + z) at the nodes
     pi_i: float                # product of (lam_k - lam_i), k != i
     correction: np.ndarray     # (1/pi_i) integral of (p(lam_i, s) + F) at the nodes
+    ratios: tuple              # (y'/y, y''/y, y'''/y, y''''/y) at the nodes
 
     @property
     def nodes(self):
@@ -49,19 +52,12 @@ class FundamentalSolution:
     def y_at(self, ts):
         return np.exp(self.log_y_at(ts))
 
-    def ratios(self):
-        """(y'/y, y''/y, y'''/y, y''''/y) at the nodes."""
-        z = self.z
-        return log_derivative_ratios(self.lam, z.value, z.d1, z.d2, z.d3)
-
     def state_at(self, k):
         """(y, y', y'', y''') / y at node k: the state of the fourth-order
         equation for this solution scaled to y = 1 there (at t0 that is the
         normalization)."""
-        z, at = self.z, [k]  # the array path on one node: the bits of ratios()
-        r1, r2, r3, _ = log_derivative_ratios(self.lam, z.value[at], z.d1[at], z.d2[at],
-                                              z.d3[at])
-        return np.array([1.0, r1[0], r2[0], r3[0]])
+        r1, r2, r3, _ = self.ratios
+        return np.array([1.0, r1[k], r2[k], r3[k]])
 
 
 def fundamental_solution(op: IntegralOperator, z: GridFunction, cd) -> FundamentalSolution:
@@ -77,17 +73,17 @@ def fundamental_solution(op: IntegralOperator, z: GridFunction, cd) -> Fundament
         if k + 1 != sys.i:
             pi_i *= cd.lam[k] - sys.lam
     return FundamentalSolution(i=sys.i, lam=sys.lam, z=z, log_y=node_integrals(log_sums),
-                               pi_i=pi_i, correction=node_integrals(correction_sums) / pi_i)
+                               pi_i=pi_i, correction=node_integrals(correction_sums) / pi_i,
+                               ratios=log_derivative_ratios(sys.lam, z.value, z.d1, z.d2,
+                                                            z.d3))
 
 
-def derivative_ratio_limits(fs: FundamentalSolution, ratios, ratio_tol=1e-4):
-    """|y^(l)/y - lam^l| for l = 1..4 at the nodes, from ratios = fs.ratios().
+def derivative_ratio_limits(fs: FundamentalSolution, ratio_tol=1e-4):
+    """|y^(l)/y - lam^l| for l = 1..4 at the nodes, from fs.ratios.
 
     Returns (errors array shape (4, nodes), verdict string): PASS when all
     four errors at the final node are below ratio_tol."""
-    errors = np.vstack([
-        np.abs(np.asarray(ratios[l]) - fs.lam ** (l + 1)) for l in range(4)
-    ])
+    errors = np.vstack([np.abs(fs.ratios[l] - fs.lam ** (l + 1)) for l in range(4)])
     verdict = "PASS" if np.all(errors[:, -1] <= ratio_tol) else "FAIL"
     return errors, verdict
 
@@ -99,24 +95,19 @@ def wronskian_normalized(fss, t):
 
     This is W / (y_1 y_2 y_3 y_4); with z = 0 it is the Vandermonde
     determinant of the roots, and it tends to that value in general.  The
-    ratios come from the array path of `log_derivative_ratios` on the nodes
-    read, which gives them the bits of `FundamentalSolution.ratios` there,
-    the values ratios_root{i}.csv prints.  The four solutions must share one
-    grid."""
+    entries are `FundamentalSolution.ratios` at the nodes read, the values
+    ratios_root{i}.csv prints.  The four solutions must share one grid."""
     if len(fss) != 4:
         raise ValueError("need all four fundamental solutions")
     grid = fss[0].z.grid
     if any(fs.z.grid is not grid for fs in fss):
         raise ValueError("the solutions live on different panel grids")
     nodes, t = grid.nodes, np.asarray(t, dtype=float)
-    ts = t.reshape(-1)  # an array even for one time: the ratios' array path
+    ts = t.reshape(-1)
     k = np.clip(np.searchsorted(nodes, ts), 1, nodes.size - 1)
     k -= ts - nodes[k - 1] <= nodes[k] - ts
-    columns = []
-    for fs in fss:
-        z = fs.z
-        r1, r2, r3, _ = log_derivative_ratios(fs.lam, z.value[k], z.d1[k], z.d2[k], z.d3[k])
-        columns.append(np.stack([np.ones(k.size), r1, r2, r3], axis=-1))
+    columns = [np.stack([np.ones(k.size), *(r[k] for r in fs.ratios[:3])], axis=-1)
+               for fs in fss]
     w = np.linalg.det(np.stack(columns, axis=-1)).reshape(t.shape)
     return float(w) if w.ndim == 0 else w
 

@@ -4,9 +4,10 @@ Each function here restates a lemma of the paper, or a quantity the pipeline
 computes another way, so that a test can compare the two.  None of them is
 called by the pipeline:
 
-* the Green-kernel certificates: the pointwise exponential bound, the
-  one-sided limits of the second derivative at the diagonal and the cubic
-  that annihilates the kernel off the diagonal;
+* the Green kernel evaluated at (t, s) and one side of it at t - s, and its
+  certificates: the pointwise exponential bound, the one-sided limits of the
+  second derivative at the diagonal and the cubic that annihilates the
+  kernel off the diagonal;
 * the decay functional L(E)(t) by adaptive quadrature (the pipeline
   integrates it on fixed panels in hypotheses.check_h2);
 * the forcing Omega and the perturbation maps Lambda1 and Lambda2, written
@@ -28,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from riccati4.errors import SolverError
-from riccati4.greens import GreenKernel
+from riccati4.greens import GreenKernel, KernelModes
 from riccati4.quadrature import (adaptive_interval, adaptive_semi_infinite, cumulative_integral,
                                  exponential_tail_seed, head_transform, tail_transform)
 from riccati4.riccati import (F_nested, RiccatiSystem, eval_F, log_derivative_ratios,
@@ -41,6 +42,36 @@ class NoLimit(SolverError):
 
 
 # --- Green kernel --------------------------------------------------------------
+
+
+def kernel_eval(kernel: GreenKernel, t, s, d=0, orientation="direct"):
+    """d-th t-derivative of the kernel at (t, s) (arrays ok); d in 0..3, the
+    head side wins ties.
+
+    d = 3 is only meaningful off the diagonal (distribution part excluded).
+    """
+    if d not in (0, 1, 2, 3):
+        raise ValueError("derivative order must be 0..3")
+    modes = kernel.modes(orientation)
+    dt = np.asarray(t, dtype=float) - np.asarray(s, dtype=float)
+    out = np.zeros_like(dt)
+    head_mask = dt >= 0.0
+    for m in modes.head:
+        out += np.where(head_mask, m.coef * m.rate**d * np.exp(m.rate * np.where(head_mask, dt, 0.0)), 0.0)
+    tail_mask = ~head_mask
+    for m in modes.tail:
+        out += np.where(tail_mask, m.coef * m.rate**d * np.exp(m.rate * np.where(tail_mask, dt, 0.0)), 0.0)
+    return out if out.ndim else float(out)
+
+
+def side_eval(modes: KernelModes, dt, d, side):
+    """d-th t-derivative of one side's modes at t - s = dt (no diagonal
+    tie-break); side in {head, tail}."""
+    dt = np.asarray(dt, dtype=float)
+    out = np.zeros_like(dt)
+    for m in modes.head if side == "head" else modes.tail:
+        out += m.coef * m.rate**d * np.exp(m.rate * dt)
+    return out if out.ndim else float(out)
 
 
 def second_derivative_limits(kernel: GreenKernel, orientation="direct"):
@@ -100,7 +131,7 @@ def L_functional(kernel: GreenKernel, E, t, t0, quad_tol=1e-12,
         dt = t - s
         total = np.zeros_like(s)
         for d in (0, 1, 2):
-            total += np.abs(modes.side_eval(dt, d, side))
+            total += np.abs(side_eval(modes, dt, d, side))
         return total * np.abs(np.asarray(E(s), dtype=float))
 
     head_part = 0.0

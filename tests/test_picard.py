@@ -85,7 +85,7 @@ def test_first_iterate_ratio_reads_the_solves_T0(eps_systems, grid_1024, monkeyp
     applied = []
     apply = op.apply
     monkeypatch.setattr(op, "apply", lambda z: applied.append(apply(z)) or applied[-1])
-    first_iterate_ratio(op, 14.0, beta_interval(op.sys)[0])
+    first_iterate_ratio(op, 14.0, envelope_integral(op, beta_interval(op.sys)[0]))
     assert len(applied) == 1 and applied[0] is steps[0]
 
 
@@ -202,26 +202,25 @@ def test_envelope_closed_form_and_check(eps_systems, grid_1024):
     assert np.max(np.abs(env - expected) / expected) <= 1e-10
 
     z_adj, _ = iterate_to_fixed_point(adjoint)
-    ok, ratio, _ = envelope_check(adjoint, z_adj, -1.0, 20.2312138724924)
+    ok, ratio = envelope_check(adjoint, z_adj, env, 20.2312138724924)
     assert ok and 0.0 < ratio <= 1.0
 
 
 def test_envelope_zero_problem(cd_test, r_zero, grid_1024):
     sys1 = build_system(cd_test, r_zero, 1)
     z = GridFunction.zero(grid_1024)
-    ok, ratio, _ = envelope_check(IntegralOperator(sys1, grid_1024, "adjoint"), z, -1.0,
-                                  14.0)
+    op = IntegralOperator(sys1, grid_1024, "adjoint")
+    ok, ratio = envelope_check(op, z, envelope_integral(op, -1.0), 14.0)
     assert ok and ratio == 0.0
 
 
 def test_envelope_beta_validation(eps_systems, grid_1024):
-    z = GridFunction.zero(grid_1024)
     with pytest.raises(ValueError):
-        envelope_check(IntegralOperator(eps_systems[1], grid_1024, "adjoint"), z, -1.5,
-                       14.0)  # below lam2 - lam1
+        envelope_integral(IntegralOperator(eps_systems[1], grid_1024, "adjoint"),
+                          -1.5)  # below lam2 - lam1
     with pytest.raises(ValueError):
-        envelope_check(IntegralOperator(eps_systems[4], grid_1024, "adjoint"), z, -0.5,
-                       14.0)  # i=4 needs beta > 0
+        envelope_integral(IntegralOperator(eps_systems[4], grid_1024, "adjoint"),
+                          -0.5)  # i=4 needs beta > 0
 
 
 @pytest.mark.parametrize("foreign", ["more_nodes", "shifted_node"])
@@ -237,12 +236,12 @@ def test_envelope_check_refuses_a_function_of_another_grid(eps_systems, foreign)
         other[10] += 1e-9
     z = GridFunction.zero(make_panels(other))
     with pytest.raises(ValueError, match="another panel grid"):
-        envelope_check(op, z, -1.0, 14.0)
+        envelope_check(op, z, envelope_integral(op, -1.0), 14.0)
 
 
 def test_first_iterate_ratio_value(eps_systems, grid_1024):
-    ratio = first_iterate_ratio(IntegralOperator(eps_systems[1], grid_1024, "adjoint"),
-                                14.0, -1.0)
+    op = IntegralOperator(eps_systems[1], grid_1024, "adjoint")
+    ratio = first_iterate_ratio(op, 14.0, envelope_integral(op, -1.0))
     assert ratio == pytest.approx(1.0 / 280.0, rel=1e-9)
 
 
@@ -257,27 +256,11 @@ def test_direct_envelope_certifies_delivered_fixed_point(cd_test, r_eps, eps_sys
         lo, hi = beta_interval(sys)
         beta = hi if i == 4 else lo
         op = IntegralOperator(sys, grid_1024)
-        ok, ratio, _ = envelope_check(op, z, beta, env.Phi)
+        envelope = envelope_integral(op, beta)
+        ok, ratio = envelope_check(op, z, envelope, env.Phi)
         assert ok and 0.0 < ratio <= 1.0
-        first = first_iterate_ratio(op, env.A, beta)
+        first = first_iterate_ratio(op, env.A, envelope)
         assert 0.0 < first <= 1.0
-
-
-def test_first_iterate_ratio_reuses_the_checked_envelope(cd_test, r_eps, eps_systems,
-                                                        eps_solutions, grid_1024):
-    """Passing the envelope envelope_check returned gives the same ratio, bit
-    for bit, as building it again."""
-    for i in (1, 2, 3, 4):
-        sys = eps_systems[i]
-        z, _ = eps_solutions[i]
-        env = envelope_report(cd_test, i, r_eps, 0.25)
-        lo, hi = beta_interval(sys)
-        beta = hi if i == 4 else lo
-        op = IntegralOperator(sys, grid_1024)
-        _, _, envelope = envelope_check(op, z, beta, env.Phi)
-        built = first_iterate_ratio(op, env.A, beta)
-        reused = first_iterate_ratio(op, env.A, beta, envelope=envelope)
-        assert reused == built
 
 
 def test_orientation_fixed_points_differ_by_first_iterates(eps_systems, grid_1024):

@@ -198,6 +198,37 @@ def test_bad_root_index_is_rejected_before_any_work(tmp_path, monkeypatch, roots
     assert not out.exists()
 
 
+def test_unknown_mode_is_rejected_before_any_work(tmp_path, monkeypatch):
+    """A mode outside analyze, solve, verify and report would run every root
+    and skip the Wronskian gate; it is refused before the quartic is solved."""
+    def unexpected(*args, **kwargs):
+        raise AssertionError("the quartic was solved")
+
+    monkeypatch.setattr(report_module, "characteristic_data", unexpected)
+    out = tmp_path / "never"
+    with pytest.raises(ValueError, match="mode must be one of"):
+        run_report(EPS_SPEC, out_dir=str(out), mode="reprot")
+    assert not out.exists()
+
+
+def test_ratios_are_computed_once_per_root(monkeypatch):
+    """y^(l)/y is evaluated once per root, on the whole node array; the
+    ratio limits, the ratios CSV, the oracle's initial state and the
+    Wronskian read those arrays."""
+    calls = []
+    ratios = synthesis.log_derivative_ratios
+
+    def counted(lam, *channels):
+        calls.append(np.size(channels[0]))
+        return ratios(lam, *channels)
+
+    monkeypatch.setattr(synthesis, "log_derivative_ratios", counted)
+    spec = _workloads().build_spec("standard", 0)
+    report, _ = run_report(spec)
+    assert report["overall_pass"]
+    assert calls == [spec.nodes] * 4
+
+
 @pytest.mark.parametrize("t0, reason", [
     (1e12, "Gauss-Legendre nodes outside their panels"),
     (1e15, "nodes must be a strictly increasing 1-D array"),

@@ -45,7 +45,7 @@ def test_trivial_solution_is_pure_exponential(trivial_solutions, cd_test, grid_1
         y = fs.y_at(ts)
         exact = np.exp(lam * ts)
         assert np.max(np.abs(y - exact) / exact) <= 1e-10
-        for l, ratio in enumerate(fs.ratios(), start=1):
+        for l, ratio in enumerate(fs.ratios, start=1):
             assert np.allclose(ratio, lam**l, rtol=0, atol=1e-12 * max(1, abs(lam) ** l))
 
 
@@ -57,7 +57,7 @@ def test_pi_product(trivial_solutions):
 
 def test_ratio_limits_trivial(trivial_solutions):
     fs = trivial_solutions[0]
-    errors, verdict = derivative_ratio_limits(fs, fs.ratios())
+    errors, verdict = derivative_ratio_limits(fs)
     assert verdict == "PASS"
     assert np.max(errors) == 0.0
 
@@ -88,7 +88,7 @@ def test_asymptotic_formula_trivial(trivial_solutions, cd_test):
 def test_epsilon_ratio_error_tracks_z(cd_test, eps_operators, eps_solutions):
     z, _ = eps_solutions[1]
     fs = fundamental_solution(eps_operators[1], z, cd_test)
-    errors, verdict = derivative_ratio_limits(fs, fs.ratios())
+    errors, verdict = derivative_ratio_limits(fs)
     assert verdict == "PASS"
     # first-order ratio error is exactly |z|
     assert np.allclose(errors[0], np.abs(z.value), atol=1e-15)
@@ -132,11 +132,11 @@ def test_wronskian_reads_the_nearest_node(eps_fss):
 
 
 def test_ratios_on_a_node_subset_have_the_full_array_bits(eps_fss):
-    """The Wronskian and state_at evaluate the ratios on the nodes they read
-    only; they must be the bits of FundamentalSolution.ratios() there."""
+    """The ratios on any subset of nodes carry the bits of the whole-array
+    FundamentalSolution.ratios there, and state_at reads those bits."""
     rng = np.random.default_rng(11)
     for fs in eps_fss:
-        full = np.array(fs.ratios())
+        full = np.array(fs.ratios)
         z = fs.z
         for size in (1, 2, 7, 8, 9, 257):
             k = rng.integers(0, z.nodes.size, size)
