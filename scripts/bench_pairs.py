@@ -4,10 +4,13 @@
 Usage:
     python3 scripts/bench_pairs.py PARENT CHANGE --workload hard --pairs 10 --seconds 8
     python3 scripts/bench_pairs.py PARENT CHANGE --workload hard --record bench
+    python3 scripts/bench_pairs.py PARENT CHANGE --workload hard --seed 3
 
-Each pair runs `perfbench/run.py --workload W --seed 0 --trace 0` once in
-each checkout, one after the other; the side that runs first alternates
-from pair to pair, so a drift in the machine's speed hits both alike.  The
+Each pair runs `perfbench/run.py --workload W --seed S --trace 0` once in
+each checkout, one after the other; S is `--seed`, 0 by default, and another
+seed is a held-out check of a gain measured at seed 0.  The side that runs
+first alternates from pair to pair, so a drift in the machine's speed hits
+both alike.  The
 end-to-end metrics and the direction in which each is better are read from
 PARENT's BENCHMARK.json, the declaration the change is judged by.  For
 each metric the script prints both sides' median and quartiles, how many
@@ -27,7 +30,7 @@ of its stderr.
 With `--record DIR` the script also writes DIR/BENCH_<n>.json, n the
 first number not taken there: both checkouts' commits (HEAD's hash, with
 "-dirty" when tracked files differ from it, null outside a git checkout),
-the workload, the pair count, the seconds per run, the host's CPU count and
+the workload, the seed, the pair count, the seconds per run, the host's CPU count and
 Python version, and for each end-to-end metric the per-pair values of both
 sides, their quartiles, the wins and both verdicts.
 """
@@ -131,9 +134,9 @@ def commit_of(checkout):
     return git("rev-parse", "HEAD") + ("-dirty" if dirty else "")
 
 
-def bench_entry(workload, commits, seconds, metrics, pairs):
-    """The BENCH_<n>.json record of one workload's pairs; commits is
-    {"parent": hash, "change": hash}."""
+def bench_entry(workload, commits, seconds, metrics, pairs, seed=0):
+    """The BENCH_<n>.json record of one workload's pairs at one seed;
+    commits is {"parent": hash, "change": hash}."""
     metric_rows = {}
     for row in summarize(metrics, pairs):
         name = row["name"]
@@ -145,7 +148,8 @@ def bench_entry(workload, commits, seconds, metrics, pairs):
             "wins": row["wins"], "gap": row["gap"], "parent_iqr": row["iqr"],
             "verdict": gain, "bound_verdict": bound,
         }
-    return {"workload": workload, "parent": commits["parent"], "change": commits["change"],
+    return {"workload": workload, "seed": seed,
+            "parent": commits["parent"], "change": commits["change"],
             "pairs": len(pairs), "seconds_per_run": seconds,
             "host": {"cpus": os.cpu_count(), "python": platform.python_version()},
             "metrics": metric_rows}
@@ -164,10 +168,10 @@ def record(directory, entry):
     return path
 
 
-def run_once(checkout, workload, seconds):
+def run_once(checkout, workload, seconds, seed=0):
     """The final JSON line of one untraced perfbench run in checkout."""
     out = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "0",
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--trace", "0", "--seconds", str(seconds)],
         cwd=checkout, capture_output=True, text=True, check=True)
     return out.stdout.strip().splitlines()[-1]
@@ -180,6 +184,8 @@ def main(argv=None):
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=MIN_PAIRS)
     parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--seed", type=int, default=0,
+                        help="the workload seed of every run (default 0)")
     parser.add_argument("--record", metavar="DIR",
                         help="also write the pairs to DIR/BENCH_<n>.json")
     args = parser.parse_args(argv)
@@ -196,7 +202,7 @@ def main(argv=None):
         for label in order:
             where = f"pair {i + 1} {label}"
             try:
-                line = run_once(sides[label], args.workload, args.seconds)
+                line = run_once(sides[label], args.workload, args.seconds, args.seed)
                 values[label] = parse_result(line, where)
             except subprocess.CalledProcessError as exc:
                 tail = exc.stderr.strip().splitlines()[-STDERR_LINES:]
@@ -210,12 +216,13 @@ def main(argv=None):
         print(f"pair {i + 1}/{args.pairs} ({order[0]} first): " + ", ".join(
             f"{label} {first} {values[label][first]:.4g}" for label in sides),
             flush=True)
-    print(f"workload {args.workload}, {len(pairs)} pairs, {args.seconds:g} s per run")
+    print(f"workload {args.workload}, seed {args.seed}, {len(pairs)} pairs, "
+          f"{args.seconds:g} s per run")
     for row in summarize(metrics, pairs):
         print(format_row(row))
     if args.record:
         path = record(args.record, bench_entry(args.workload, commits, args.seconds,
-                                               metrics, pairs))
+                                               metrics, pairs, args.seed))
         print(f"recorded {path}")
     return 0
 

@@ -11,7 +11,13 @@ For every workload and seed it runs `run_report` on the problem that
 CSV series) to OUT/<workload>-seed<s>/.  The defaults are all three
 workloads at seeds 0 and 3.  It also writes one traced run, the standard
 workload at seed 0 with `trace=True`, to OUT/standard-seed0-trace/, so that
-the per-iteration `trace_root{i}.csv` series are compared too.  The library
+the per-iteration `trace_root{i}.csv` series are compared too, and the
+analyze-mode reports of three problems whose roots fail, to
+OUT/fail-<name>/, so that the status and error of each failing root are
+compared as well: the standard spectrum with r0 = 0.001 sin(2t)/(1+t)^3
+(root 4's transform rises on the rho sample window), the hard spectrum with
+r0 = 0.001 sin(t) e^-t (root 1's does) and the standard spectrum with
+r0 = 0.001 log(t - 1) (no root can evaluate it at t0 = 0).  The library
 and the workloads are imported from the checkout that holds this script.
 Run it in two checkouts and compare the outputs with `diff -r`, or with
 scripts/compare_reports.py when numbers are expected to move.
@@ -30,17 +36,29 @@ from riccati4.report import run_report  # noqa: E402
 
 SEEDS = (0, 3)
 TRACED = ("standard", 0)
+# analyze-mode problems whose roots fail: tree name -> (workload spectrum, r0)
+FAILING = {
+    "window-root4": ("standard", "0.001*sin(2*t)/(1+t)^3"),
+    "window-root1": ("hard", "0.001*sin(t)*exp(-t)"),
+    "domain-all": ("standard", "0.001*log(t-1)"),
+}
 
 
 def dump(out, names=tuple(workloads.WORKLOADS), seeds=SEEDS):
     """Write OUT/<name>-seed<s>/ for every pair, then the traced tree
-    OUT/standard-seed0-trace/; returns the directories."""
+    OUT/standard-seed0-trace/ and the failing trees OUT/fail-<name>/;
+    returns the directories."""
     runs = [(name, seed, False) for name in names for seed in seeds]
     dirs = []
     for name, seed, trace in runs + [(*TRACED, True)]:
         target = Path(out) / f"{name}-seed{seed}{'-trace' if trace else ''}"
         spec = replace(workloads.build_spec(name, seed), trace=trace)
         run_report(spec, out_dir=str(target))
+        dirs.append(target)
+    for name, (spectrum, r0) in FAILING.items():
+        target = Path(out) / f"fail-{name}"
+        spec = replace(workloads.build_spec(spectrum, 0), r0=r0, r1="0", r2="0", r3="0")
+        run_report(spec, out_dir=str(target), mode="analyze")
         dirs.append(target)
     return dirs
 

@@ -9,7 +9,12 @@ root thus gets a pure tail integral, the bottom root a pure head integral and
 the two in between both.  The class bound rho_i
 is the largest value of these transforms over the nodes of a dense panel
 grid, computed by the same head/tail recurrences as the Picard operator.  It
-is a maximum over nodes, not an enclosure of the supremum over t.
+is a maximum over nodes, not an enclosure of the supremum over t.  Only the
+rates depend on the root: the grid and the samples of each |r_j| on it do
+not.  So rho_bound is one pass over all the roots of a run: it builds the
+grid once, samples each |r_j| once, and forms the panel weights of each
+distinct (rate, side) once per block for every r_j; the report runs it
+before the roots and hands each root its bound.
 
 The decay hypothesis H2 is checked on the kernel functional
 L(t) = integral of w(|t - s|) |r_j(s)| ds, where w = |g| + |g_t| + |g_tt| of
@@ -47,10 +52,11 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import exprlang
-from .errors import TailNotConvergent
+from .errors import SolverError, TailNotConvergent
 from .greens import kernel_for_root
-from .quadrature import (adaptive_interval, adaptive_semi_infinite, graded_nodes, head_transform,
-                         make_panels, tail_transform, two_sided_transform)
+from .quadrature import (adaptive_interval, adaptive_semi_infinite, exponential_tail_seed,
+                         graded_nodes, head_transform, make_panels, panel_blocks, panel_decay,
+                         panel_recurrence, panel_weights, tail_transform)
 from .spectra import CharacteristicData
 
 H2_TOL = 1e-6
@@ -84,38 +90,111 @@ def F_operator_eval(cd: CharacteristicData, i: int, E, t, t0, quad_tol=1e-12):
     return float(total)
 
 
-def rho_bound(cd: CharacteristicData, i: int, r, t0):
-    """Class bound of root i: max over j and over the nodes of one dense
-    panel grid of the transform of r_j (a maximum over nodes, not an
-    enclosure of the supremum).
+def rho_bound(cd: CharacteristicData, roots, r, t0):
+    """Class bounds {i: rho_i} of the root indices in `roots`, in one pass:
+    rho_i is the max over j and over the nodes of one dense panel grid of
+    root i's transform of r_j (a maximum over nodes, not an enclosure of the
+    supremum).
 
+    The grid and the samples do not depend on the root; only the rates do.
     The grid joins RHO_GRID_NODES graded nodes on a window of 40 / min_gap
-    decay lengths with RHO_SAMPLES log-spaced offsets; the panel head/tail
-    recurrences give F_operator_eval at every node, the tail seeded past the
-    window to TAIL_TOL.  The transform at the
-    offsets must be non-increasing at the end of the window or
-    TailNotConvergent is raised.
+    decay lengths with RHO_SAMPLES log-spaced offsets, and every nonzero
+    |r_j| is sampled on its Gauss-Legendre points once.  For each distinct
+    (rate, side) of the roots (_transforms), the panel weights of each block
+    are formed once and give every r_j's panel sums, and the panel head/tail
+    recurrences give F_operator_eval at every node, the tail seeded past
+    the window to TAIL_TOL.  Root i's transform of r_j, its head plus its
+    tail, is reduced at once to its maximum and its values at the offsets,
+    which must be non-increasing at the end of the window.
+
+    A root whose pass fails maps to the SolverError that it meets first in
+    r_j order: r_j's evaluation on the grid, r_j's tail seed, or
+    TailNotConvergent on the sample window.  envelope_report raises it.
     """
-    exprs = [exprlang.as_expr(rj) for rj in r]
+    exprs = [rj for rj in map(exprlang.as_expr, r) if not exprlang.is_zero(rj)]
     t_span = 40.0 / cd.min_gap
     samples = t0 + np.concatenate([[0.0], np.geomspace(1e-3, t_span, RHO_SAMPLES - 1)])
     panels = make_panels(np.union1d(graded_nodes(t0, t0 + t_span, RHO_GRID_NODES), samples))
     at_samples = np.searchsorted(panels.nodes, samples)
-    head_rate, tail_rate = kernel_for_root(cd, i).modes("adjoint").slowest()
-    rho = 0.0
-    for rj in exprs:
-        if exprlang.is_zero(rj):
-            continue
-        transform = two_sided_transform(panels, lambda s: np.abs(rj(s)), np.abs(rj(panels.gl_x)),
-                                        head_rate, tail_rate, TAIL_TOL)
+    f_gl = [_magnitude_on(rj, panels.gl_x) for rj in exprs]
+    sides = {}  # root -> its (rate, head) keys, head first
+    for i in roots:
+        head_rate, tail_rate = kernel_for_root(cd, i).modes("adjoint").slowest()
+        sides[i] = [(rate, head) for rate, head in ((head_rate, True), (tail_rate, False))
+                    if rate is not None]
+    last = {key: i for i, keys in sides.items() for key in keys}  # the key's last root
+    cache = {}  # (rate, head) -> _transforms, dropped after its last root
+    bounds = {}
+    for i, keys in sides.items():
+        for key in keys:
+            if key not in cache:
+                cache[key] = _transforms(panels, exprs, f_gl, *key)
+        bounds[i] = _bound(exprs, [cache[key] for key in keys], at_samples)
+        for key in keys:
+            if last[key] == i:
+                del cache[key]
+    return bounds
+
+
+def _magnitude_on(rj, x):
+    """|r_j| at the points x, or the SolverError that its evaluation raised."""
+    try:
+        return np.abs(rj(x))
+    except SolverError as exc:
+        return exc
+
+
+def _magnitude(rj):
+    """s -> |r_j(s)|, the forcing of r_j's tail seeds."""
+    return lambda s: np.abs(rj(s))
+
+
+def _transforms(panels, exprs, f_gl, rate, head):
+    """The transform at one (rate, side) of every |r_j| at every node of
+    rho_bound's grid, or the SolverError of r_j's sample or tail seed.  The
+    panel weights of each block are formed once and give the panel sums of
+    every r_j."""
+    live = [j for j, f in enumerate(f_gl) if not isinstance(f, SolverError)]
+    sums = np.empty((len(live), panels.gl_x.shape[0]))
+    for block in panel_blocks(panels):
+        w = panel_weights(panels, rate, head, block)
+        for row, j in zip(sums, live):
+            (w * f_gl[j][block]).sum(axis=1, out=row[block])
+    decay = panel_decay(panels, rate, head)
+    out = list(f_gl)
+    for row, j in zip(sums, live):
+        seed = 0.0
+        if not head:
+            try:
+                seed = exponential_tail_seed(_magnitude(exprs[j]), panels, rate, TAIL_TOL)
+            except SolverError as exc:
+                out[j] = exc
+                continue
+        out[j] = panel_recurrence(decay, row, head, seed)
+    return out
+
+
+def _bound(exprs, sides, at_samples):
+    """One root's rho from its _transforms on each side: the max over j of
+    head plus tail, each sum reduced at once to its maximum and its values
+    at the sample offsets; or the first SolverError in r_j order, a failed
+    sample or tail seed, or TailNotConvergent when the transform rises over
+    the last 8 offsets."""
+    bound = 0.0
+    for j, rj in enumerate(exprs):
+        parts = [side[j] for side in sides]
+        failed = next((p for p in parts if isinstance(p, SolverError)), None)
+        if failed is not None:
+            return failed
+        transform = np.zeros(parts[0].size)
+        for part in parts:
+            transform += part
         values = transform[at_samples]
-        tail = values[-8:]
-        if values.max() > 0 and np.any(np.diff(tail) > 1e-12 + 1e-6 * values.max()):
-            raise TailNotConvergent(
-                f"transform of {rj.source!r} not settling on the sample window"
-            )
-        rho = max(rho, float(transform.max()))
-    return rho
+        if values.max() > 0 and np.any(np.diff(values[-8:]) > 1e-12 + 1e-6 * values.max()):
+            return TailNotConvergent(
+                f"transform of {rj.source!r} not settling on the sample window")
+        bound = max(bound, float(transform.max()))
+    return bound
 
 
 # --- contraction constants ---------------------------------------------------
@@ -360,9 +439,13 @@ class EnvelopeReport:
     h2: DecayReport
 
 
-def envelope_report(cd: CharacteristicData, i: int, r, eta, t0=0.0) -> EnvelopeReport:
+def envelope_report(cd: CharacteristicData, i: int, r, eta, rho, t0=0.0) -> EnvelopeReport:
+    """The constants, smallness flag and H2 report of root i.  rho is root
+    i's entry of rho_bound; when that is the root's SolverError, it is
+    raised here, after the contraction constants and before H2."""
     delta_w, alpha, a_const, varsigma = contraction_constants(cd, i, eta)
-    rho = rho_bound(cd, i, r, t0)
+    if isinstance(rho, SolverError):
+        raise rho
     ok, phi = smallness_check(rho, a_const, varsigma)
     return EnvelopeReport(
         eta=eta,

@@ -16,12 +16,15 @@ the panel sums into values at the nodes.  Sums are formed one block of
 BLOCK_PANELS panels at a time (``panel_blocks``), so the temporaries of a
 block stay in cache.  ``head_transform`` and ``tail_transform`` compose the
 two parts for one forcing, forming the weights block by block and never
-for the whole grid (rho, H2 and the envelope call them); the Picard
-operator builds the weights of its kernel modes once and forms the sums of
-every forcing from them (``picard.IntegralOperator``).  The tail seed, the
-integral past the grid of a forcing given as a callable, runs on the same
-engine: ``exponential_tail_seed`` lays geometric panels past t_max, samples
-the forcing once on all of them and sums them with ``tail_transform``.
+for the whole grid (H2 and the envelope call them).  Where one set of
+weights serves several forcings, the caller forms the sums of every
+forcing from it: the Picard operator builds the weights of its kernel
+modes once (``picard.IntegralOperator``), and ``hypotheses.rho_bound``
+forms each block's weights once per rate for every perturbation.  The tail
+seed, the integral past the grid of a forcing given as a callable, runs on
+the same engine: ``exponential_tail_seed`` lays geometric panels past
+t_max, samples the forcing once on all of them and sums them with
+``tail_transform``.
 
 A PanelGrid is the grid object of a run: ``picard.default_grid`` builds it
 once, and every GridFunction carries the grid it lives on.  It caches the
@@ -234,20 +237,6 @@ def exponential_tail_seed(f, grid: PanelGrid, rate: float, quad_tol: float) -> f
         raise TailNotConvergent(
             f"tail integral past t={t_max} did not settle below {quad_tol:g}")
     return float(out[0])
-
-
-def two_sided_transform(grid: PanelGrid, f, f_gl: np.ndarray, head_rate, tail_rate,
-                        quad_tol: float) -> np.ndarray:
-    """head_transform at head_rate plus tail_transform at tail_rate, the tail
-    seeded past the grid by exponential_tail_seed of the callable f (whose
-    GL samples are f_gl).  A rate of None drops its side."""
-    out = np.zeros(grid.nodes.size)
-    if head_rate is not None:
-        out += head_transform(grid, f_gl, head_rate)
-    if tail_rate is not None:
-        seed = exponential_tail_seed(f, grid, tail_rate, quad_tol)
-        out += tail_transform(grid, f_gl, tail_rate, seed)
-    return out
 
 
 def adaptive_interval(f, a: float, b: float, tol: float, max_depth: int = 30) -> float:

@@ -1,6 +1,8 @@
 """Pipeline orchestration and report generation.
 
-One run executes, per requested root index in turn: the hypothesis checks
+One run first computes the class bound rho of every requested root in one
+pass (``hypotheses.rho_bound``: one grid, one sample of each perturbation),
+then executes, per requested root index in turn: the hypothesis checks
 and contraction constants, the Picard solve with the direct (dichotomy)
 kernel, residual-certified, the envelope and first-iterate certificates of
 that same fixed point from the same Picard operator, synthesis of the
@@ -118,10 +120,12 @@ def _write_csv(path, header, columns):
 @dataclass
 class _RunShared:
     """What every root of one run shares: the output directory (None writes
-    no files) and the panel grid (None in analyze mode)."""
+    no files), the panel grid (None in analyze mode) and the class bounds
+    {i: rho_i or the root's SolverError} of hypotheses.rho_bound."""
 
     out_dir: str | None
     grid: PanelGrid | None
+    rho: dict
 
     @functools.cached_property
     def node_text(self):
@@ -139,7 +143,7 @@ def _run_root(spec: ProblemSpec, cd, i, mode, run: _RunShared):
     checks = []
 
     try:
-        env = hypotheses.envelope_report(cd, i, sys.r, spec.eta, t0=spec.t0)
+        env = hypotheses.envelope_report(cd, i, sys.r, spec.eta, run.rho[i], t0=spec.t0)
         result["constants"] = {
             "delta_w": _num(env.delta_w),
             "alpha": [_num(a) for a in env.alpha],
@@ -320,7 +324,7 @@ def run_report(spec: ProblemSpec, roots=(1, 2, 3, 4), out_dir=None,
             t_max = picard.default_t_max(cd, spec.t0) if spec.t_max is None else spec.t_max
             raise ValidationError(f"the run grid cannot resolve t0={spec.t0!r}, t_max="
                                   f"{t_max!r} with nodes={spec.nodes}: {exc}") from exc
-    run = _RunShared(out_dir, grid)
+    run = _RunShared(out_dir, grid, hypotheses.rho_bound(cd, roots, spec.parsed_r(), spec.t0))
 
     solutions = {}
     for i in roots:

@@ -12,6 +12,9 @@ called by the pipeline:
   integrates it on fixed panels in hypotheses.check_h2);
 * the forcing Omega and the perturbation maps Lambda1 and Lambda2, written
   out from r0..r3;
+* the class transform of one forcing unbatched: head_transform plus a
+  seeded tail_transform (hypotheses.rho_bound forms each block's panel
+  weights once per rate and sums every perturbation against them);
 * T z unblocked: Omega + F on every Gauss-Legendre point at once, then one
   head_transform or tail_transform per kernel mode (IntegralOperator.apply
   forms the same panel sums one block of panels at a time);
@@ -206,6 +209,19 @@ def kernel_integral(op, f_gl, f_nodes, past):
             ch[d] += m.coef * m.rate**d * k
     ch[3] += modes.jump * f_nodes
     return ch
+
+
+def two_sided_transform(grid, f, f_gl, head_rate, tail_rate, quad_tol):
+    """head_transform at head_rate plus tail_transform at tail_rate, the tail
+    seeded past the grid by exponential_tail_seed of the callable f (whose
+    GL samples are f_gl).  A rate of None drops its side."""
+    out = np.zeros(grid.nodes.size)
+    if head_rate is not None:
+        out += head_transform(grid, f_gl, head_rate)
+    if tail_rate is not None:
+        seed = exponential_tail_seed(f, grid, tail_rate, quad_tol)
+        out += tail_transform(grid, f_gl, tail_rate, seed)
+    return out
 
 
 def synthesis_integrals(sys: RiccatiSystem, z):

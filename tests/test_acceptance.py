@@ -169,7 +169,7 @@ def test_criterion_04_lift_equivalence(cd):
 
 def test_criterion_05_contraction_and_well_posedness(cd, eps_run):
     _, _, a1, vs1 = contraction_constants(cd, 1, 0.25)
-    rho1 = rho_bound(cd, 1, ("0.001*exp(-t)", "0", "0", "0"), 0.0)
+    rho1 = rho_bound(cd, (1,), ("0.001*exp(-t)", "0", "0", "0"), 0.0)[1]
     bound = rho1 * a1 * vs1 + 0.1
     info = eps_run[1]
     assert all(c <= bound for c in info["trace"].contraction)
@@ -195,7 +195,7 @@ def test_criterion_06_contraction_constants(cd):
 def test_criterion_07_envelope(cd, grid, eps_run):
     info = eps_run[1]
     sys = info["sys"]
-    rho1 = rho_bound(cd, 1, ("0.001*exp(-t)", "0", "0", "0"), 0.0)
+    rho1 = rho_bound(cd, (1,), ("0.001*exp(-t)", "0", "0", "0"), 0.0)[1]
     _, _, a1, vs1 = contraction_constants(cd, 1, 0.25)
     ok, phi = smallness_check(rho1, a1, vs1)
     assert ok and phi == pytest.approx(20.2312, rel=1e-4)

@@ -6,7 +6,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from riccati4 import exprlang, hypotheses
-from riccati4.errors import TailNotConvergent
+from riccati4.errors import DomainError, TailNotConvergent
 from riccati4.greens import kernel_for_root
 from riccati4.hypotheses import (
     F_operator_eval,
@@ -21,7 +21,7 @@ from riccati4.hypotheses import (
 from riccati4.quadrature import make_panels
 from riccati4.spectra import characteristic_data
 
-from reference_routes import L_functional
+from reference_routes import L_functional, two_sided_transform
 
 
 def test_class_transform_top_root(cd_test):
@@ -61,10 +61,10 @@ def test_class_transform_matches_closed_form_randomly(cd_test):
 
 def test_rho_bound_examples(cd_test):
     r = ["0.001*exp(-t)", "0", "0", "0"]
-    assert rho_bound(cd_test, 1, r, 0.0) == pytest.approx(5e-4, rel=1e-6)
-    assert rho_bound(cd_test, 2, ["0"] * 4, 0.0) == 0.0
+    assert rho_bound(cd_test, (1,), r, 0.0)[1] == pytest.approx(5e-4, rel=1e-6)
+    assert rho_bound(cd_test, (2,), ["0"] * 4, 0.0) == {2: 0.0}
     # i=4 head transform of e^{-t} is t e^{-t}, sup at t=1
-    rho4 = rho_bound(cd_test, 4, ["exp(-t)", "0", "0", "0"], 0.0)
+    rho4 = rho_bound(cd_test, (4,), ["exp(-t)", "0", "0", "0"], 0.0)[4]
     assert rho4 == pytest.approx(math.exp(-1.0), rel=1e-3)
 
 
@@ -89,12 +89,70 @@ _SLOW_R = ("0.001/(1+t)^2",)
 def test_rho_bound_matches_adaptive_route(cd_test, problem, i):
     cd, perturbations = (cd_test, _TEST_R) if problem == "test" else (_HARD_CD, _HARD_R)
     for rj in perturbations:
-        rho = rho_bound(cd, i, (rj, "0", "0", "0"), 0.0)
+        rho = rho_bound(cd, (i,), (rj, "0", "0", "0"), 0.0)[i]
         sampled, quad_tol = _sampled_rho(cd, i, exprlang.parse(rj))
         # the offsets are grid nodes: never below the sampled maximum beyond
         # the adaptive route's own tolerance, and only slightly above it
         assert rho >= sampled - quad_tol
         assert rho <= 1.001 * sampled
+
+
+@pytest.mark.parametrize("t0", [0.0, 1.5])
+@pytest.mark.parametrize("problem", ["test", "hard"])
+def test_rho_bound_over_all_roots_equals_single_root_calls(cd_test, problem, t0):
+    """One pass over roots 1-4 gives each root the bits of a pass over that
+    root alone, with every perturbation active at once."""
+    cd, r = (cd_test, _TEST_R + ("0",)) if problem == "test" else (_HARD_CD, _HARD_R)
+    bounds = rho_bound(cd, (1, 2, 3, 4), r, t0)
+    assert list(bounds) == [1, 2, 3, 4]
+    for i in (1, 2, 3, 4):
+        single = rho_bound(cd, (i,), r, t0)
+        assert isinstance(bounds[i], float) and bounds[i] > 0.0
+        assert single[i].hex() == bounds[i].hex()
+
+
+@pytest.mark.parametrize("problem", ["test", "hard"])
+def test_rho_bound_is_the_unbatched_transform(monkeypatch, cd_test, problem):
+    """The batched pass (one set of panel weights per rate for every r_j)
+    gives, root by root, the bits of the maximum over j of each r_j's own
+    head_transform plus seeded tail_transform on the same grid."""
+    cd, r = (cd_test, _TEST_R + ("0",)) if problem == "test" else (_HARD_CD, _HARD_R)
+    grids = []
+
+    def kept(nodes):
+        grids.append(make_panels(nodes))
+        return grids[-1]
+
+    monkeypatch.setattr(hypotheses, "make_panels", kept)
+    bounds = rho_bound(cd, (1, 2, 3, 4), r, 0.0)
+    (panels,) = grids
+    for i in (1, 2, 3, 4):
+        head_rate, tail_rate = kernel_for_root(cd, i).modes("adjoint").slowest()
+        expected = 0.0
+        for rj in map(exprlang.parse, r):
+            if not exprlang.is_zero(rj):
+                transform = two_sided_transform(panels, lambda s, rj=rj: np.abs(rj(s)),
+                                                np.abs(rj(panels.gl_x)), head_rate,
+                                                tail_rate, hypotheses.TAIL_TOL)
+                expected = max(expected, float(transform.max()))
+        assert bounds[i].hex() == expected.hex()
+
+
+def test_rho_bound_maps_each_failing_root_to_its_first_error(cd_test):
+    """A failing root keeps the error it meets first in r_j order, the others
+    keep their bounds, and envelope_report raises a root's error."""
+    # exp(0.5 t) fails the tail seed of roots 1-3 and the sample window of
+    # root 4 (a pure head transform); log(t - 1) fails to evaluate at t0 = 0
+    r = ("exp(0.5*t)", "0.001*exp(-t)", "0.001*log(t-1)", "0")
+    bounds = rho_bound(cd_test, (1, 2, 3, 4), r, 0.0)
+    assert all(isinstance(b, TailNotConvergent) for b in bounds.values())
+    assert [str(b) for b in bounds.values()] == (
+        ["tail integral past t=40.0 did not settle below 1e-10"] * 3
+        + ["transform of 'exp(0.5*t)' not settling on the sample window"])
+    (bound,) = rho_bound(cd_test, (2,), r[1:], 0.0).values()
+    assert isinstance(bound, DomainError) and str(bound) == "log of non-positive argument"
+    with pytest.raises(TailNotConvergent, match="tail integral past"):
+        envelope_report(cd_test, 1, r, 0.25, bounds[1])
 
 
 def test_contraction_constants_worked(cd_test):
@@ -262,7 +320,7 @@ def test_h2_rejects_samples_before_t0(cd_test):
 
 
 def test_envelope_report_epsilon(cd_test, r_eps):
-    env = envelope_report(cd_test, 1, r_eps, 0.25)
+    env = envelope_report(cd_test, 1, r_eps, 0.25, rho_bound(cd_test, (1,), r_eps, 0.0)[1])
     assert env.smallness_ok
     assert env.Phi == pytest.approx(20.2312, rel=1e-4)
     assert env.rho == pytest.approx(5e-4, rel=1e-6)

@@ -3,7 +3,7 @@ import pytest
 
 from riccati4.errors import Diverged, MaxIterExceeded
 from riccati4.grid import GridFunction
-from riccati4.hypotheses import envelope_report
+from riccati4.hypotheses import envelope_report, rho_bound
 from riccati4.picard import (
     IntegralOperator,
     beta_interval,
@@ -249,10 +249,11 @@ def test_direct_envelope_certifies_delivered_fixed_point(cd_test, r_eps, eps_sys
                                                         eps_solutions, grid_1024):
     """The direct-kernel envelope bounds the z the solver delivers, with the
     same Phi, and the direct first iterate stays below A times it."""
+    rho = rho_bound(cd_test, (1, 2, 3, 4), r_eps, 0.0)
     for i in (1, 2, 3, 4):
         sys = eps_systems[i]
         z, _ = eps_solutions[i]
-        env = envelope_report(cd_test, i, r_eps, 0.25)
+        env = envelope_report(cd_test, i, r_eps, 0.25, rho[i])
         lo, hi = beta_interval(sys)
         beta = hi if i == 4 else lo
         op = IntegralOperator(sys, grid_1024)

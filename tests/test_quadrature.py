@@ -14,10 +14,11 @@ from riccati4.quadrature import (
     head_transform,
     make_panels,
     tail_transform,
-    two_sided_transform,
 )
 from riccati4.riccati import build_system
 from riccati4.spectra import order_and_check_h1
+
+from reference_routes import two_sided_transform
 
 T0, T_MAX = 0.5, 12.0
 GRID = make_panels(graded_nodes(T0, T_MAX, 200))

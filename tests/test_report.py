@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riccati4 import oracle, picard, quadrature, riccati, synthesis
+from riccati4 import exprlang, hypotheses, oracle, picard, quadrature, riccati, synthesis
 from riccati4 import report as report_module
 from riccati4.grid import GridFunction
 from riccati4.errors import ValidationError
@@ -227,6 +227,112 @@ def test_ratios_are_computed_once_per_root(monkeypatch):
     report, _ = run_report(spec)
     assert report["overall_pass"]
     assert calls == [spec.nodes] * 4
+
+
+_HARD_A = tuple(float(c) for c in np.poly([5.0, 1.0, -2.0, -6.0])[1:])
+
+
+@pytest.mark.parametrize("a, r0, errors", [
+    # the transform of root 4 rises on the sample window; roots 1-3 settle
+    ((0.0, -5.0, 0.0, 4.0), "0.001*sin(2*t)/(1+t)^3",
+     {4: "TailNotConvergent: transform of '0.001*sin(2*t)/(1+t)^3' not settling "
+         "on the sample window"}),
+    (_HARD_A, "0.001*sin(t)*exp(-t)",
+     {1: "TailNotConvergent: transform of '0.001*sin(t)*exp(-t)' not settling "
+         "on the sample window"}),
+    ((0.0, -5.0, 0.0, 4.0), "0.001*log(t-1)",
+     dict.fromkeys((1, 2, 3, 4), "DomainError: log of non-positive argument")),
+])
+def test_a_failing_root_keeps_its_error_and_the_others_run_on(a, r0, errors):
+    """The run's one rho pass records each root's first failure, and each
+    root raises its own inside its own run, so a failing root ends with its
+    status and error and the other roots are analyzed."""
+    spec = ProblemSpec(*a, r0=r0)
+    report, code = run_report(spec, mode="analyze")
+    assert code == 1
+    for i in (1, 2, 3, 4):
+        root = report["roots"][str(i)]
+        if i in errors:
+            assert (root["status"], root["error"], root["pass"]) == ("error", errors[i], False)
+            assert root["constants"] is None
+        else:
+            assert (root["status"], root["error"]) == ("analyzed", None)
+    if r0.startswith("0.001*sin(2*t)"):
+        rho = [report["roots"][str(i)]["constants"]["rho"] for i in (1, 2, 3)]
+        assert rho == pytest.approx([1.41e-4, 1.60e-4, 1.68e-4], abs=5e-7)
+
+
+def _rho_grid_work(monkeypatch):
+    """Lists of the FunctionExpr evaluations on rho_bound's grid and of the
+    first-block panel_weights formations (rate, head) on it."""
+    grids, evals, weights = [], [], []
+    rho_bound, make_panels = hypotheses.rho_bound, hypotheses.make_panels
+    call, panel_weights = exprlang.FunctionExpr.__call__, quadrature.panel_weights
+    inside = []
+
+    def traced_rho(*args, **kwargs):
+        inside.append(True)
+        try:
+            return rho_bound(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def kept(nodes):
+        grid = make_panels(nodes)
+        if inside:
+            grids.append(grid)
+        return grid
+
+    def counted_call(self, t):
+        if any(t is grid.gl_x for grid in grids):
+            evals.append(self.source)
+        return call(self, t)
+
+    def counted_weights(grid, rate, head, panels=slice(None)):
+        if any(grid is g for g in grids) and panels.start in (0, None):
+            weights.append((rate, head))
+        return panel_weights(grid, rate, head, panels)
+
+    monkeypatch.setattr(hypotheses, "rho_bound", traced_rho)
+    monkeypatch.setattr(hypotheses, "make_panels", kept)
+    monkeypatch.setattr(exprlang.FunctionExpr, "__call__", counted_call)
+    monkeypatch.setattr(quadrature, "panel_weights", counted_weights)
+    monkeypatch.setattr(hypotheses, "panel_weights", counted_weights, raising=False)
+    return grids, evals, weights
+
+
+@pytest.fixture
+def hard_rho_work(monkeypatch):
+    """(rho grids, evaluations on them, weight formations on them) of one
+    analyze run of the hard workload, whose four perturbations are active."""
+    grids, evals, weights = _rho_grid_work(monkeypatch)
+    spec = _workloads().build_spec("hard", 0)
+    report, _ = run_report(spec, mode="analyze")
+    assert all(root["status"] == "analyzed" for root in report["roots"].values())
+    return spec, grids, evals, weights
+
+
+def test_rho_samples_each_perturbation_once_per_run(hard_rho_work):
+    """The run builds one rho grid and evaluates each r_j on it once."""
+    spec, grids, evals, _ = hard_rho_work
+    assert evals == list(spec.r)
+    assert len(grids) == 1
+
+
+def test_rho_forms_the_weights_of_each_rate_once_per_run(hard_rho_work):
+    """The panel weights of each of the six (rate, side) pairs of the four
+    roots are formed once, for all four perturbations."""
+    weights = hard_rho_work[3]
+    assert len(weights) == len(set(weights)) == 6
+
+
+def test_a_single_root_run_gives_that_root_the_entry_of_the_full_run():
+    spec = _workloads().build_spec("hard", 0)
+    full, _ = run_report(spec)
+    alone, _ = run_report(spec, roots=(3,))
+    assert list(alone["roots"]) == ["3"]
+    assert alone["roots"]["3"] == full["roots"]["3"]
+    assert alone["roots"]["3"]["status"] == "ok"
 
 
 @pytest.mark.parametrize("t0, reason", [

@@ -33,18 +33,24 @@ def test_dump_reports_is_reproducible(tmp_path):
     trees = []
     for name in ("a", "b"):
         targets = dump(tmp_path / name, ["standard"], [0])
-        assert [t.name for t in targets] == ["standard-seed0", "standard-seed0-trace"]
+        assert [t.name for t in targets] == ["standard-seed0", "standard-seed0-trace",
+                                             "fail-window-root4", "fail-window-root1",
+                                             "fail-domain-all"]
         trees.append({(t.name, p.name): p.read_bytes()
                       for t in targets for p in t.iterdir()})
     assert ("standard-seed0", "report.json") in trees[0]
     assert ("standard-seed0", "wronskian.csv") in trees[0]
     assert ("standard-seed0", "trace_root1.csv") not in trees[0]
     assert ("standard-seed0-trace", "trace_root1.csv") in trees[0]
+    # the failing problems are analyzed only: one report.json each
+    assert [p for t, p in trees[0] if t.startswith("fail-")] == ["report.json"] * 3
+    failing = json.loads(trees[0][("fail-window-root1", "report.json")])
+    assert [failing["roots"][i]["status"] for i in "1234"] == ["error"] + ["analyzed"] * 3
     assert trees[0] == trees[1]
 
 
 def test_compare_reports_smoke(tmp_path, capsys):
-    tree, _ = load_script("dump_reports").dump(tmp_path / "a", ["standard"], [0])
+    tree = load_script("dump_reports").dump(tmp_path / "a", ["standard"], [0])[0]
     compare = load_script("compare_reports").main
     assert compare([str(tmp_path / "a"), str(tmp_path / "a")]) == 0
     assert capsys.readouterr().out.split("\n")[0].endswith("report.json: no difference")
@@ -56,8 +62,9 @@ def test_compare_reports_smoke(tmp_path, capsys):
     edited.write_text(json.dumps(report))
     assert compare([str(tmp_path / "a"), str(tmp_path / "b")]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert re.search(r"report\.json: differs at 1 of \d+ paths$", lines[0])
-    path, shift = lines[1].split()
+    at = next(k for k, line in enumerate(lines) if line.startswith(f"{tree.name}/"))
+    assert re.search(r"report\.json: differs at 1 of \d+ paths$", lines[at])
+    path, shift = lines[at + 1].split()
     assert path == "roots.*.h2.samples[*][*]" and 5e-10 < float(shift) < 2e-9
 
     # a moved CSV value: a mismatch, with the drift of each column that moved
@@ -209,14 +216,15 @@ def test_bench_pairs_records_a_bench_entry(tmp_path):
               script.parse_result(_result_line(p - 0.05, 91.0 + 0.2 * (k == 3)), "change"))
              for k, p in enumerate(parent)]
     commits = {"parent": "a" * 40, "change": "b" * 40 + "-dirty"}
-    entry = script.bench_entry("hard", commits, 8.0, metrics, pairs)
+    entry = script.bench_entry("hard", commits, 8.0, metrics, pairs, seed=3)
     paths = [script.record(tmp_path / "bench", entry) for _ in range(2)]
     assert [p.name for p in paths] == ["BENCH_1.json", "BENCH_2.json"]
     saved = json.loads(paths[0].read_text())
     assert saved == json.loads(json.dumps(entry))
     assert (saved["workload"], saved["parent"], saved["change"]) == ("hard", "a" * 40,
                                                                      "b" * 40 + "-dirty")
-    assert saved["pairs"] == 10 and saved["seconds_per_run"] == 8.0
+    assert saved["pairs"] == 10 and saved["seconds_per_run"] == 8.0 and saved["seed"] == 3
+    assert script.bench_entry("hard", commits, 8.0, metrics, pairs)["seed"] == 0
     timing, rss = saved["metrics"]["report_s"], saved["metrics"]["peak_rss_mb"]
     assert timing["parent"] == parent
     assert timing["change"] == [p - 0.05 for p in parent]
@@ -238,7 +246,9 @@ def test_bench_pairs_record_from_the_command_line(tmp_path, capsys):
         (checkout / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
             {"name": "report_s", "better": "lower", "bound": 0.25},
             {"name": "peak_rss_mb", "better": "lower", "bound": 0.1}]}))
+        # each run checks that it got the seed of the command line
         (checkout / "perfbench" / "run.py").write_text(
+            "import sys\nassert sys.argv[sys.argv.index('--seed') + 1] == '3'\n"
             f"print({_result_line(report_s, 90.0)!r})\n")
         sides[name] = checkout
     subprocess.run(git + ["init", "-q", str(sides["change"])], check=True)
@@ -251,11 +261,12 @@ def test_bench_pairs_record_from_the_command_line(tmp_path, capsys):
     (sides["change"] / "untracked.txt").write_text("")
     assert script.commit_of(sides["change"]) == head
     assert script.main([str(sides["parent"]), str(sides["change"]), "--workload", "hard",
-                        "--pairs", "2", "--seconds", "1", "--record",
+                        "--pairs", "2", "--seconds", "1", "--seed", "3", "--record",
                         str(tmp_path / "bench")]) == 0
     assert capsys.readouterr().out.splitlines()[-1].endswith("BENCH_1.json")
     saved = json.loads((tmp_path / "bench" / "BENCH_1.json").read_text())
     assert (saved["parent"], saved["change"], saved["pairs"]) == (None, head, 2)
+    assert saved["seed"] == 3
     assert saved["metrics"]["report_s"]["change"] == [0.2, 0.2]
     (sides["change"] / "BENCHMARK.json").write_text("{}")
     assert script.commit_of(sides["change"]) == head + "-dirty"
