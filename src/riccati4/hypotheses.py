@@ -137,11 +137,12 @@ def rho_bound(cd: CharacteristicData, roots, r, t0):
 
 
 def _magnitude_on(rj, x):
-    """|r_j| at the points x, or the SolverError that its evaluation raised."""
+    """|r_j| at the points x, or the SolverError that its evaluation raised
+    (without its traceback, whose frames would keep the grid alive)."""
     try:
         return np.abs(rj(x))
     except SolverError as exc:
-        return exc
+        return exc.with_traceback(None)
 
 
 def _magnitude(rj):
@@ -168,7 +169,7 @@ def _transforms(panels, exprs, f_gl, rate, head):
             try:
                 seed = exponential_tail_seed(_magnitude(exprs[j]), panels, rate, TAIL_TOL)
             except SolverError as exc:
-                out[j] = exc
+                out[j] = exc.with_traceback(None)
                 continue
         out[j] = panel_recurrence(decay, row, head, seed)
     return out
