@@ -13,7 +13,7 @@ is a maximum over nodes, not an enclosure of the supremum over t.  Only the
 rates depend on the root: the grid and the samples of each |r_j| on it do
 not.  So rho_bound is one pass over all the roots of a run: it builds the
 grid once, samples each |r_j| once, and forms the panel weights of each
-distinct (rate, side) once per block for every r_j; the report runs it
+root's (rate, side) once per block for every r_j; the report runs it
 before the roots and hands each root its bound.
 
 The decay hypothesis H2 is checked on the kernel functional
@@ -99,13 +99,15 @@ def rho_bound(cd: CharacteristicData, roots, r, t0):
     The grid and the samples do not depend on the root; only the rates do.
     The grid joins RHO_GRID_NODES graded nodes on a window of 40 / min_gap
     decay lengths with RHO_SAMPLES log-spaced offsets, and every nonzero
-    |r_j| is sampled on its Gauss-Legendre points once.  For each distinct
-    (rate, side) of the roots (_transforms), the panel weights of each block
-    are formed once and give every r_j's panel sums, and the panel head/tail
-    recurrences give F_operator_eval at every node, the tail seeded past
-    the window to TAIL_TOL.  Root i's transform of r_j, its head plus its
-    tail, is reduced at once to its maximum and its values at the offsets,
-    which must be non-increasing at the end of the window.
+    |r_j| is sampled on its Gauss-Legendre points once.  For each side of
+    each root (_transforms), the panel weights of each block are formed once
+    and give every r_j's panel sums, and the panel head/tail recurrences give
+    F_operator_eval at every node, the tail seeded past the window to
+    TAIL_TOL.  Root i's transform of r_j, its head plus its tail, is reduced
+    at once to its maximum and its values at the offsets, which must be
+    non-increasing at the end of the window.  A (rate, side) is one root's
+    own unless two computed gaps tie to the last bit, which costs only a
+    second formation of the same weights.
 
     A root whose pass fails maps to the SolverError that it meets first in
     r_j order: r_j's evaluation on the grid, r_j's tail seed, or
@@ -117,22 +119,12 @@ def rho_bound(cd: CharacteristicData, roots, r, t0):
     panels = make_panels(np.union1d(graded_nodes(t0, t0 + t_span, RHO_GRID_NODES), samples))
     at_samples = np.searchsorted(panels.nodes, samples)
     f_gl = [_magnitude_on(rj, panels.gl_x) for rj in exprs]
-    sides = {}  # root -> its (rate, head) keys, head first
+    bounds = {}
     for i in roots:
         head_rate, tail_rate = kernel_for_root(cd, i).modes("adjoint").slowest()
-        sides[i] = [(rate, head) for rate, head in ((head_rate, True), (tail_rate, False))
-                    if rate is not None]
-    last = {key: i for i, keys in sides.items() for key in keys}  # the key's last root
-    cache = {}  # (rate, head) -> _transforms, dropped after its last root
-    bounds = {}
-    for i, keys in sides.items():
-        for key in keys:
-            if key not in cache:
-                cache[key] = _transforms(panels, exprs, f_gl, *key)
-        bounds[i] = _bound(exprs, [cache[key] for key in keys], at_samples)
-        for key in keys:
-            if last[key] == i:
-                del cache[key]
+        sides = [_transforms(panels, exprs, f_gl, rate, head)
+                 for rate, head in ((head_rate, True), (tail_rate, False)) if rate is not None]
+        bounds[i] = _bound(exprs, sides, at_samples)
     return bounds
 
 
