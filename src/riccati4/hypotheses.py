@@ -8,13 +8,14 @@ gap, lam_i - lam_{i-1} on [t0, t] and lam_i - lam_{i+1} on [t, inf).  The top
 root thus gets a pure tail integral, the bottom root a pure head integral and
 the two in between both.  The class bound rho_i
 is the largest value of these transforms over the nodes of a dense panel
-grid, computed by the same head/tail recurrences as the Picard operator.  It
-is a maximum over nodes, not an enclosure of the supremum over t.  Only the
+grid, computed by the engine's head_transform and tail_transform.  It is a
+maximum over nodes, not an enclosure of the supremum over t.  Only the
 rates depend on the root: the grid and the samples of each |r_j| on it do
 not.  So rho_bound is one pass over all the roots of a run: it builds the
-grid once, samples each |r_j| once, and forms the panel weights of each
-root's (rate, side) once per block for every r_j; the report runs it
-before the roots and hands each root its bound.
+grid once, samples each |r_j| once into one stack, and transforms the whole
+stack in one call per (root, side), which forms each block's panel weights
+once for every r_j; the report runs it before the roots and hands each
+root its bound.
 
 The decay hypothesis H2 is checked on the kernel functional
 L(t) = integral of w(|t - s|) |r_j(s)| ds, where w = |g| + |g_t| + |g_tt| of
@@ -55,8 +56,7 @@ from . import exprlang
 from .errors import SolverError, TailNotConvergent
 from .greens import kernel_for_root
 from .quadrature import (adaptive_interval, adaptive_semi_infinite, exponential_tail_seed,
-                         graded_nodes, head_transform, make_panels, panel_blocks, panel_decay,
-                         panel_recurrence, panel_weights, tail_transform)
+                         graded_nodes, head_transform, make_panels, tail_transform)
 from .spectra import CharacteristicData
 
 H2_TOL = 1e-6
@@ -99,15 +99,12 @@ def rho_bound(cd: CharacteristicData, roots, r, t0):
     The grid and the samples do not depend on the root; only the rates do.
     The grid joins RHO_GRID_NODES graded nodes on a window of 40 / min_gap
     decay lengths with RHO_SAMPLES log-spaced offsets, and every nonzero
-    |r_j| is sampled on its Gauss-Legendre points once.  For each side of
-    each root (_transforms), the panel weights of each block are formed once
-    and give every r_j's panel sums, and the panel head/tail recurrences give
-    F_operator_eval at every node, the tail seeded past the window to
-    TAIL_TOL.  Root i's transform of r_j, its head plus its tail, is reduced
-    at once to its maximum and its values at the offsets, which must be
-    non-increasing at the end of the window.  A (rate, side) is one root's
-    own unless two computed gaps tie to the last bit, which costs only a
-    second formation of the same weights.
+    |r_j| is sampled on its Gauss-Legendre points once, into one stack.  Each
+    side of each root is one head_transform or seeded tail_transform of the
+    whole stack, which forms each block's panel weights once for every r_j
+    and gives F_operator_eval at every node, the tail seeded past the window
+    to TAIL_TOL.  Root i's transform of r_j is its head plus its tail; its
+    values at the offsets must be non-increasing at the end of the window.
 
     A root whose pass fails maps to the SolverError that it meets first in
     r_j order: r_j's evaluation on the grid, r_j's tail seed, or
@@ -118,75 +115,48 @@ def rho_bound(cd: CharacteristicData, roots, r, t0):
     samples = t0 + np.concatenate([[0.0], np.geomspace(1e-3, t_span, RHO_SAMPLES - 1)])
     panels = make_panels(np.union1d(graded_nodes(t0, t0 + t_span, RHO_GRID_NODES), samples))
     at_samples = np.searchsorted(panels.nodes, samples)
-    f_gl = [_magnitude_on(rj, panels.gl_x) for rj in exprs]
+    f_gl = np.zeros((len(exprs), *panels.gl_x.shape))
+    sampled = [None] * len(exprs)  # the SolverError of each failed sample; its row stays 0
+    for j, rj in enumerate(exprs):
+        try:
+            np.abs(rj(panels.gl_x), out=f_gl[j])
+        except SolverError as exc:  # its traceback's frames would keep the grid alive
+            sampled[j] = exc.with_traceback(None)
     bounds = {}
     for i in roots:
         head_rate, tail_rate = kernel_for_root(cd, i).modes("adjoint").slowest()
-        sides = [_transforms(panels, exprs, f_gl, rate, head)
-                 for rate, head in ((head_rate, True), (tail_rate, False)) if rate is not None]
-        bounds[i] = _bound(exprs, sides, at_samples)
+        failed = list(sampled)
+        transform = np.zeros((len(exprs), panels.nodes.size))
+        if head_rate is not None:
+            transform += head_transform(panels, f_gl, head_rate)
+        if tail_rate is not None:
+            seeds = np.zeros(len(exprs))
+            for j, rj in enumerate(exprs):
+                if failed[j] is None:
+                    try:
+                        seeds[j] = exponential_tail_seed(lambda s: np.abs(rj(s)), panels,
+                                                         tail_rate, TAIL_TOL)
+                    except SolverError as exc:
+                        failed[j] = exc.with_traceback(None)
+            transform += tail_transform(panels, f_gl, tail_rate, seeds)
+        bounds[i] = _bound(exprs, transform, failed, at_samples)
     return bounds
 
 
-def _magnitude_on(rj, x):
-    """|r_j| at the points x, or the SolverError that its evaluation raised
-    (without its traceback, whose frames would keep the grid alive)."""
-    try:
-        return np.abs(rj(x))
-    except SolverError as exc:
-        return exc.with_traceback(None)
-
-
-def _magnitude(rj):
-    """s -> |r_j(s)|, the forcing of r_j's tail seeds."""
-    return lambda s: np.abs(rj(s))
-
-
-def _transforms(panels, exprs, f_gl, rate, head):
-    """The transform at one (rate, side) of every |r_j| at every node of
-    rho_bound's grid, or the SolverError of r_j's sample or tail seed.  The
-    panel weights of each block are formed once and give the panel sums of
-    every r_j."""
-    live = [j for j, f in enumerate(f_gl) if not isinstance(f, SolverError)]
-    sums = np.empty((len(live), panels.gl_x.shape[0]))
-    for block in panel_blocks(panels):
-        w = panel_weights(panels, rate, head, block)
-        for row, j in zip(sums, live):
-            (w * f_gl[j][block]).sum(axis=1, out=row[block])
-    decay = panel_decay(panels, rate, head)
-    out = list(f_gl)
-    for row, j in zip(sums, live):
-        seed = 0.0
-        if not head:
-            try:
-                seed = exponential_tail_seed(_magnitude(exprs[j]), panels, rate, TAIL_TOL)
-            except SolverError as exc:
-                out[j] = exc.with_traceback(None)
-                continue
-        out[j] = panel_recurrence(decay, row, head, seed)
-    return out
-
-
-def _bound(exprs, sides, at_samples):
-    """One root's rho from its _transforms on each side: the max over j of
-    head plus tail, each sum reduced at once to its maximum and its values
-    at the sample offsets; or the first SolverError in r_j order, a failed
-    sample or tail seed, or TailNotConvergent when the transform rises over
-    the last 8 offsets."""
+def _bound(exprs, transform, failed, at_samples):
+    """One root's rho from its transform, head plus tail, of each r_j (one
+    row per r_j): the max over j of each row's maximum; or the first
+    SolverError in r_j order, a failed sample or tail seed, or
+    TailNotConvergent when the transform rises over the last 8 offsets."""
     bound = 0.0
-    for j, rj in enumerate(exprs):
-        parts = [side[j] for side in sides]
-        failed = next((p for p in parts if isinstance(p, SolverError)), None)
-        if failed is not None:
-            return failed
-        transform = np.zeros(parts[0].size)
-        for part in parts:
-            transform += part
-        values = transform[at_samples]
+    for rj, row, error in zip(exprs, transform, failed):
+        if error is not None:
+            return error
+        values = row[at_samples]
         if values.max() > 0 and np.any(np.diff(values[-8:]) > 1e-12 + 1e-6 * values.max()):
             return TailNotConvergent(
                 f"transform of {rj.source!r} not settling on the sample window")
-        bound = max(bound, float(transform.max()))
+        bound = max(bound, float(row.max()))
     return bound
 
 

@@ -71,6 +71,8 @@ QUAD_TOL = 1e-12
 MAX_ITER = 50
 DEFAULT_NODES = 2048
 TRUNCATION = 1e-12
+PROBE_NODES = 1536          # grid of resolve_orientation's probe problem
+PROBE_RESIDUAL_TOL = 1e-8   # residual at which its orientation passes
 
 
 def default_t_max(cd, t0):
@@ -195,19 +197,19 @@ class IntegralOperator:
 
 # --- orientation ground-truth test -------------------------------------------
 
-def resolve_orientation(sys: RiccatiSystem, t0=0.0, n_nodes=1536,
-                        residual_tol=1e-8):
+def resolve_orientation(sys: RiccatiSystem):
     """Adopt the kernel orientation under which T inverts the operator.
 
     A zero-nonlinearity problem (pure linear cubic with a smooth non-resonant
-    exponential forcing) is solved with both orientations; the residual of
-    z''' + b2 z'' + b1 z' + b0 z against the forcing decides.
+    exponential forcing) is solved with both orientations on PROBE_NODES
+    graded nodes from t = 0; the residual of z''' + b2 z'' + b1 z' + b0 z
+    against the forcing decides, and passes at most PROBE_RESIDUAL_TOL.
     """
     gmax = max(abs(g) for g in sys.kernel.gamma)
     sigma = 1.37 * gmax + 0.7071
-    probe = lambda s: np.exp(-sigma * (np.asarray(s, dtype=float) - t0))
-    t_max = t0 + math.log(1e10) / min(abs(g) for g in sys.kernel.gamma)
-    grid = make_panels(graded_nodes(t0, t_max, n_nodes))
+    probe = lambda s: np.exp(-sigma * np.asarray(s, dtype=float))
+    t_max = math.log(1e10) / min(abs(g) for g in sys.kernel.gamma)
+    grid = make_panels(graded_nodes(0.0, t_max, PROBE_NODES))
     nodes = grid.nodes
     b2, b1, b0 = sys.b
     residuals = {}
@@ -217,7 +219,7 @@ def resolve_orientation(sys: RiccatiSystem, t0=0.0, n_nodes=1536,
         z3 = CubicSpline(nodes, z.d2)(nodes, 1)
         res = z3 + b2 * z.d2 + b1 * z.d1 + b0 * z.value - probe(nodes)
         residuals[orientation] = float(np.max(np.abs(res)))
-    passing = [o for o, r in residuals.items() if r <= residual_tol]
+    passing = [o for o, r in residuals.items() if r <= PROBE_RESIDUAL_TOL]
     if not passing:
         raise Diverged(
             f"no kernel orientation inverts the operator (residuals {residuals!r})"

@@ -15,16 +15,16 @@ are (weights * f_gl) summed over each panel.  ``panel_recurrence`` turns
 the panel sums into values at the nodes.  Sums are formed one block of
 BLOCK_PANELS panels at a time (``panel_blocks``), so the temporaries of a
 block stay in cache.  ``head_transform`` and ``tail_transform`` compose the
-two parts for one forcing, forming the weights block by block and never
-for the whole grid (H2 and the envelope call them).  Where one set of
-weights serves several forcings, the caller forms the sums of every
-forcing from it: the Picard operator builds the weights of its kernel
-modes once (``picard.IntegralOperator``), and ``hypotheses.rho_bound``
-forms each block's weights once per rate for every perturbation.  The tail
-seed, the integral past the grid of a forcing given as a callable, runs on
-the same engine: ``exponential_tail_seed`` lays geometric panels past
-t_max, samples the forcing once on all of them and sums them with
-``tail_transform``.
+two parts, forming the weights block by block and never for the whole
+grid.  They take one forcing (H2 and the envelope) or a stack of forcings
+with one tail seed each (``hypotheses.rho_bound``, every perturbation at
+once), and each block's weights give the panel sums of every forcing of the
+stack.  The one other caller of the parts is the Picard operator, which
+builds the grid-wide weights of its kernel modes once and reuses them in
+every apply (``picard.IntegralOperator``).  The tail seed, the integral
+past the grid of a forcing given as a callable, runs on the same engine:
+``exponential_tail_seed`` lays geometric panels past t_max, samples the
+forcing once on all of them and sums them with ``tail_transform``.
 
 A PanelGrid is the grid object of a run: ``picard.default_grid`` builds it
 once, and every GridFunction carries the grid it lives on.  It caches the
@@ -50,15 +50,17 @@ BLOCK_PANELS = 1024  # panels per block of a transform: its temporaries stay in 
 # grid: a bounded forcing's last panel is then below e^-40 ~ 4e-18 of the seed
 TAIL_DECAY_LENGTHS = 40.0
 MAX_TAIL_PANELS = 400
+ADAPTIVE_MAX_DEPTH = 30     # halvings of one adaptive_interval panel
+ADAPTIVE_MAX_WINDOWS = 200  # windows of one adaptive_semi_infinite integral
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(GL_ORDER)
 
 
-def graded_nodes(t0: float, t_max: float, n: int, power: float = 2.0) -> np.ndarray:
-    """n strictly increasing nodes t0 + (t_max - t0) * u**power, u uniform on
-    [0, 1]: denser near t0 (the default is square-root grading, spacing
-    growing like sqrt(t - t0))."""
+def graded_nodes(t0: float, t_max: float, n: int) -> np.ndarray:
+    """n strictly increasing nodes t0 + (t_max - t0) * u**2, u uniform on
+    [0, 1]: denser near t0 (square-root grading, spacing growing like
+    sqrt(t - t0))."""
     u = np.linspace(0.0, 1.0, n)
-    return t0 + (t_max - t0) * u**power
+    return t0 + (t_max - t0) * u**2.0
 
 
 @dataclass(frozen=True)
@@ -154,31 +156,41 @@ def panel_recurrence(decay: np.ndarray, sums: np.ndarray, head: bool,
 def head_transform(grid: PanelGrid, f_gl: np.ndarray, rate: float) -> np.ndarray:
     """H[k] = integral_{t0}^{t_k} exp(rate*(t_k - s)) f(s) ds at every node.
 
-    Stable for rate <= 0 (the only case used: kernels decay into the head
-    side); each recurrence factor is exp(rate * panel width) <= 1.
+    f_gl is one forcing on the Gauss-Legendre points, shape (N-1, GL_ORDER),
+    or a stack of m forcings, shape (m, N-1, GL_ORDER), whose transforms are
+    the rows of an (m, N) result.  Stable for rate <= 0 (the only case used:
+    kernels decay into the head side); each recurrence factor is
+    exp(rate * panel width) <= 1.
     """
     return _transform(grid, f_gl, rate, True, 0.0)
 
 
 def tail_transform(grid: PanelGrid, f_gl: np.ndarray, rate: float,
-                   tail_seed: float = 0.0) -> np.ndarray:
+                   tail_seed=0.0) -> np.ndarray:
     """K[k] = integral_{t_k}^{inf} exp(rate*(t_k - s)) f(s) ds at every node.
 
-    f beyond t_max must be accounted for through tail_seed, the value of the
-    integral from t_max on.  Stable for rate >= 0 (again the only use)."""
+    f_gl is one forcing or a stack of them, as for head_transform.  f beyond
+    t_max must be accounted for through tail_seed, the value of the integral
+    from t_max on: one value, or for a stack one per row.  Stable for
+    rate >= 0 (again the only use)."""
     return _transform(grid, f_gl, rate, False, tail_seed)
 
 
 def _transform(grid, f_gl, rate, head, tail_seed):
-    """panel_weights and the panel sums one block of panels at a time, so
-    that no grid-sized weight array is formed, then panel_recurrence."""
-    f_gl = np.broadcast_to(f_gl, grid.gl_x.shape)
-    sums = np.empty(grid.gl_x.shape[0])
+    """panel_weights one block of panels at a time, so that no grid-sized
+    weight array is formed, and each block's weights give the panel sums of
+    every forcing of the stack; then one panel_recurrence per forcing."""
+    stack = np.ndim(f_gl) == 3
+    f_gl = f_gl if stack else np.broadcast_to(f_gl, grid.gl_x.shape)[None]
+    seeds = np.broadcast_to(tail_seed, len(f_gl))
+    sums = np.empty((len(f_gl), grid.gl_x.shape[0]))
     for panels in panel_blocks(grid):
         w = panel_weights(grid, rate, head, panels)
-        w *= f_gl[panels]
-        w.sum(axis=1, out=sums[panels])
-    return panel_recurrence(panel_decay(grid, rate, head), sums, head, tail_seed)
+        for f, row in zip(f_gl, sums):
+            (w * f[panels]).sum(axis=1, out=row[panels])
+    decay = panel_decay(grid, rate, head)
+    out = [panel_recurrence(decay, row, head, seed) for row, seed in zip(sums, seeds)]
+    return np.array(out).reshape(-1, grid.nodes.size) if stack else out[0]
 
 
 def _recurrence(decay: np.ndarray, rhs: np.ndarray, head: bool) -> np.ndarray:
@@ -239,10 +251,11 @@ def exponential_tail_seed(f, grid: PanelGrid, rate: float, quad_tol: float) -> f
     return float(out[0])
 
 
-def adaptive_interval(f, a: float, b: float, tol: float, max_depth: int = 30) -> float:
+def adaptive_interval(f, a: float, b: float, tol: float) -> float:
     """Adaptive Gauss-Legendre on [a, b] for possibly kinked integrands
     (absolute values of smooth functions).  Compares one panel against its
-    two halves and recurses on disagreement."""
+    two halves and recurses on disagreement, at most ADAPTIVE_MAX_DEPTH
+    halvings deep."""
     def gl(lo, hi):
         half = 0.5 * (hi - lo)
         x = 0.5 * (lo + hi) + half * _GL_X
@@ -252,7 +265,7 @@ def adaptive_interval(f, a: float, b: float, tol: float, max_depth: int = 30) ->
         mid = 0.5 * (lo + hi)
         left = gl(lo, mid)
         right = gl(mid, hi)
-        if abs(left + right - whole) <= tol_here or depth >= max_depth:
+        if abs(left + right - whole) <= tol_here or depth >= ADAPTIVE_MAX_DEPTH:
             return left + right
         return (recurse(lo, mid, left, depth + 1, 0.5 * tol_here)
                 + recurse(mid, hi, right, depth + 1, 0.5 * tol_here))
@@ -262,17 +275,17 @@ def adaptive_interval(f, a: float, b: float, tol: float, max_depth: int = 30) ->
     return recurse(a, b, gl(a, b), 0, tol)
 
 
-def adaptive_semi_infinite(f, a: float, decay_rate: float, tol: float,
-                           max_windows: int = 200) -> float:
+def adaptive_semi_infinite(f, a: float, decay_rate: float, tol: float) -> float:
     """Integral of f over [a, inf) for integrands decaying at least like
     exp(-decay_rate * s).  Windows of width a few decay lengths are added
-    until one contributes less than tol / 10."""
+    until one contributes less than tol / 10, at most ADAPTIVE_MAX_WINDOWS
+    of them."""
     if decay_rate <= 0.0:
         raise ValueError("need a positive decay rate estimate")
     width = max(2.0 / decay_rate, 1e-3)
     total = 0.0
     lo = a
-    for _ in range(max_windows):
+    for _ in range(ADAPTIVE_MAX_WINDOWS):
         hi = lo + width
         contrib = adaptive_interval(f, lo, hi, tol)
         total += contrib

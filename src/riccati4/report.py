@@ -120,11 +120,12 @@ def _write_csv(path, header, columns):
 @dataclass
 class _RunShared:
     """What every root of one run shares: the output directory (None writes
-    no files), the panel grid (None in analyze mode) and the class bounds
-    {i: rho_i or the root's SolverError} of hypotheses.rho_bound."""
+    no files), the panel grid, the parsed perturbations r0..r3 and the class
+    bounds {i: rho_i or the root's SolverError} of hypotheses.rho_bound."""
 
     out_dir: str | None
-    grid: PanelGrid | None
+    grid: PanelGrid
+    r: tuple
     rho: dict
 
     @functools.cached_property
@@ -136,7 +137,7 @@ class _RunShared:
 def _run_root(spec: ProblemSpec, cd, i, mode, run: _RunShared):
     out_dir, grid = run.out_dir, run.grid
     result = _root_keys()
-    sys = build_system(cd, spec.parsed_r(), i)
+    sys = build_system(cd, run.r, i)
     result["lambda"] = _num(sys.lam)
     result["gamma"] = [_num(g) for g in sys.kernel.gamma]
     result["case"] = sys.kernel.case.value
@@ -315,16 +316,17 @@ def run_report(spec: ProblemSpec, roots=(1, 2, 3, 4), out_dir=None,
         "min_gap": _num(cd.min_gap),
     }
 
-    grid = None
-    if mode != "analyze":
-        try:
-            grid = picard.default_grid(cd, spec.t0, spec.nodes, spec.t_max)
-            grid.hermite_basis  # noqa: B018  (checks each GL point lies in its panel)
-        except ValueError as exc:  # a t0 too far out for doubles to grade the grid
-            t_max = picard.default_t_max(cd, spec.t0) if spec.t_max is None else spec.t_max
-            raise ValidationError(f"the run grid cannot resolve t0={spec.t0!r}, t_max="
-                                  f"{t_max!r} with nodes={spec.nodes}: {exc}") from exc
-    run = _RunShared(out_dir, grid, hypotheses.rho_bound(cd, roots, spec.parsed_r(), spec.t0))
+    # checked in every mode: analyze mode solves nothing on the grid, but a t0
+    # that the grid cannot resolve is out of reach of rho's grid too
+    try:
+        grid = picard.default_grid(cd, spec.t0, spec.nodes, spec.t_max)
+        grid.hermite_basis  # noqa: B018  (checks each GL point lies in its panel)
+    except ValueError as exc:  # a t0 too far out for doubles to grade the grid
+        t_max = picard.default_t_max(cd, spec.t0) if spec.t_max is None else spec.t_max
+        raise ValidationError(f"the run grid cannot resolve t0={spec.t0!r}, t_max="
+                              f"{t_max!r} with nodes={spec.nodes}: {exc}") from exc
+    r = spec.parsed_r()
+    run = _RunShared(out_dir, grid, r, hypotheses.rho_bound(cd, roots, r, spec.t0))
 
     solutions = {}
     for i in roots:

@@ -12,9 +12,9 @@ called by the pipeline:
   integrates it on fixed panels in hypotheses.check_h2);
 * the forcing Omega and the perturbation maps Lambda1 and Lambda2, written
   out from r0..r3;
-* the class transform of one forcing unbatched: head_transform plus a
-  seeded tail_transform (hypotheses.rho_bound forms each block's panel
-  weights once per rate and sums every perturbation against them);
+* the class transform of one forcing alone: head_transform plus a seeded
+  tail_transform (hypotheses.rho_bound transforms the stack of every
+  perturbation in one call per side, with one tail seed per row);
 * T z unblocked: Omega + F on every Gauss-Legendre point at once, then one
   head_transform or tail_transform per kernel mode (IntegralOperator.apply
   forms the same panel sums one block of panels at a time);

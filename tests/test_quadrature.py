@@ -116,6 +116,27 @@ def test_transforms_equal_the_numpy_scalar_loop(rate):
                                  tail_loop(grid, f_gl, rate, seed))
 
 
+@pytest.mark.parametrize("rate", [0.7, 400.0])
+def test_a_stack_of_forcings_gives_each_row_the_bits_of_its_own_call(rate):
+    """One call on a stack of three forcings, one tail seed per row, gives
+    each row what a call on that forcing alone gives, also across blocks."""
+    seeds = [0.3, -0.0, 1.5]
+    for grid in LOOP_GRIDS:
+        stack = np.stack(loop_inputs(grid))
+        heads = head_transform(grid, stack, -rate)
+        tails = tail_transform(grid, stack, rate, seeds)
+        assert heads.shape == tails.shape == (3, grid.nodes.size)
+        for f_gl, seed, head, tail in zip(stack, seeds, heads, tails):
+            assert same_bits(head, head_transform(grid, f_gl, -rate))
+            assert same_bits(tail, tail_transform(grid, f_gl, rate, seed))
+
+
+def test_an_empty_stack_gives_no_rows():
+    empty = np.zeros((0, *GRID.gl_x.shape))
+    assert head_transform(GRID, empty, -0.7).shape == (0, T.size)
+    assert tail_transform(GRID, empty, 0.7, []).shape == (0, T.size)
+
+
 def test_recurrence_keeps_the_sign_of_zero():
     # -0.0 right-hand sides after negative entries, across zero decays: dgtsv
     # alone returns +0.0 for some of the entries where the loop gives -0.0

@@ -261,9 +261,11 @@ def test_a_failing_root_keeps_its_error_and_the_others_run_on(a, r0, errors, rho
 
 
 def _rho_grid_work(monkeypatch):
-    """Lists of the FunctionExpr evaluations on rho_bound's grid and of the
-    first-block panel_weights formations (rate, head) on it."""
-    grids, evals, weights = [], [], []
+    """Lists of the FunctionExpr evaluations on rho_bound's grid, of the
+    first-block panel_weights formations (rate, head) on it and of the
+    (name, stack shape) of each head_transform or tail_transform call, by the
+    names that hypotheses binds, on a stack of forcings."""
+    grids, evals, weights, stacks = [], [], [], []
     rho_bound, make_panels = hypotheses.rho_bound, hypotheses.make_panels
     call, panel_weights = exprlang.FunctionExpr.__call__, quadrature.panel_weights
     inside = []
@@ -294,25 +296,36 @@ def _rho_grid_work(monkeypatch):
     monkeypatch.setattr(hypotheses, "rho_bound", traced_rho)
     monkeypatch.setattr(hypotheses, "make_panels", kept)
     monkeypatch.setattr(exprlang.FunctionExpr, "__call__", counted_call)
+    def stacked(name):
+        transform = getattr(hypotheses, name)
+
+        def traced(grid, f_gl, *args):
+            if np.ndim(f_gl) == 3:
+                stacks.append((name, np.shape(f_gl)))
+            return transform(grid, f_gl, *args)
+        return traced
+
     monkeypatch.setattr(quadrature, "panel_weights", counted_weights)
-    monkeypatch.setattr(hypotheses, "panel_weights", counted_weights, raising=False)
-    return grids, evals, weights
+    for name in ("head_transform", "tail_transform"):
+        monkeypatch.setattr(hypotheses, name, stacked(name))
+    return grids, evals, weights, stacks
 
 
 @pytest.fixture
 def hard_rho_work(monkeypatch):
-    """(rho grids, evaluations on them, weight formations on them) of one
-    analyze run of the hard workload, whose four perturbations are active."""
-    grids, evals, weights = _rho_grid_work(monkeypatch)
+    """(rho grids, evaluations on them, weight formations on them, stacked
+    transform calls) of one analyze run of the hard workload, whose four
+    perturbations are active."""
+    grids, evals, weights, stacks = _rho_grid_work(monkeypatch)
     spec = _workloads().build_spec("hard", 0)
     report, _ = run_report(spec, mode="analyze")
     assert all(root["status"] == "analyzed" for root in report["roots"].values())
-    return spec, grids, evals, weights
+    return spec, grids, evals, weights, stacks
 
 
 def test_rho_samples_each_perturbation_once_per_run(hard_rho_work):
     """The run builds one rho grid and evaluates each r_j on it once."""
-    spec, grids, evals, _ = hard_rho_work
+    spec, grids, evals, *_ = hard_rho_work
     assert evals == list(spec.r)
     assert len(grids) == 1
 
@@ -322,6 +335,15 @@ def test_rho_forms_the_weights_of_each_rate_once_per_run(hard_rho_work):
     roots are formed once, for all four perturbations."""
     weights = hard_rho_work[3]
     assert len(weights) == len(set(weights)) == 6
+
+
+def test_rho_runs_each_side_of_each_root_on_the_transform_engine(hard_rho_work):
+    """Each of the six (rate, side) pairs is one head_transform or
+    tail_transform call on the stack of all four perturbations, so the
+    engine's own functions do rho's work."""
+    (grid,), stacks = hard_rho_work[1], hard_rho_work[4]
+    shape = (4, *grid.gl_x.shape)
+    assert sorted(stacks) == [("head_transform", shape)] * 3 + [("tail_transform", shape)] * 3
 
 
 def test_a_single_root_run_gives_that_root_the_entry_of_the_full_run():
@@ -346,6 +368,17 @@ def test_t0_the_run_grid_cannot_resolve_is_a_validation_error(t0, reason):
     message = str(err.value)
     assert f"t0={t0!r}" in message and "t_max=" in message and "nodes=256" in message
     assert reason in message
+
+
+@pytest.mark.parametrize("t0", [1e17, 1e20])
+def test_analyze_mode_checks_the_run_grid(t0):
+    """Analyze mode solves nothing on the run grid, but it refuses a t0 that
+    the grid cannot resolve as the other modes do, before rho's grid meets
+    it."""
+    spec = ProblemSpec(0.0, -5.0, 0.0, 4.0, r0="0.001", t0=t0).validate()
+    with pytest.raises(ValidationError) as err:
+        run_report(spec, mode="analyze")
+    assert str(err.value).startswith(f"the run grid cannot resolve t0={t0!r}, t_max=")
 
 
 # floats whose text is easy to get wrong: specials, signed zero, the smallest
