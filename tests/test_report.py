@@ -293,9 +293,6 @@ def _rho_grid_work(monkeypatch):
             weights.append((rate, head))
         return panel_weights(grid, rate, head, panels)
 
-    monkeypatch.setattr(hypotheses, "rho_bound", traced_rho)
-    monkeypatch.setattr(hypotheses, "make_panels", kept)
-    monkeypatch.setattr(exprlang.FunctionExpr, "__call__", counted_call)
     def stacked(name):
         transform = getattr(hypotheses, name)
 
@@ -305,6 +302,9 @@ def _rho_grid_work(monkeypatch):
             return transform(grid, f_gl, *args)
         return traced
 
+    monkeypatch.setattr(hypotheses, "rho_bound", traced_rho)
+    monkeypatch.setattr(hypotheses, "make_panels", kept)
+    monkeypatch.setattr(exprlang.FunctionExpr, "__call__", counted_call)
     monkeypatch.setattr(quadrature, "panel_weights", counted_weights)
     for name in ("head_transform", "tail_transform"):
         monkeypatch.setattr(hypotheses, name, stacked(name))
