@@ -1,9 +1,12 @@
 """Independent ground truth: adaptive direct integration.
 
-Every comparison reads a run of the fourth-order equation, integrated with an
-embedded high-order Runge-Kutta pair (DOP853) from the synthesized data.  By
-the change of variable y = exp(integral of (lam + z)), the Riccati solution
-with the same data is y'/y - lam, so the log-derivative gap
+Every comparison reads a run of the fourth-order equation from the
+synthesized data, integrated by ODEPACK's LSODA (scipy's odeint: compiled
+stepping that switches between Adams and BDF formulas; L. Petzold, SIAM J.
+Sci. Stat. Comput. 4, 1983).  LSODA interpolates its output points from its
+own step history, so the output points of a run cost no extra right-hand-side
+calls.  By the change of variable y = exp(integral of (lam + z)), the Riccati
+solution with the same data is y'/y - lam, so the log-derivative gap
 |y'/y - (lam + z)| checks z against the Riccati equation without integrating
 it and without the solver's Omega and F.  Forward integration is reliable for
 the dominant mode only; subdominant modes are compared on short spans and,
@@ -18,17 +21,18 @@ are library entry points that the pipeline does not run.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import ODEintWarning, odeint
 
 from .errors import NonFinite, StepUnderflow
 from .exprlang import is_zero
 from .riccati import F_nested, RiccatiSystem, sample_coefficients
 from .synthesis import FundamentalSolution
 
-ORACLE_TOL = 1e-10
+ORACLE_TOL = 1e-12
 SPAN_DOMINANT = 5.0
 SPAN_SUBDOMINANT = 3.0
 
@@ -38,40 +42,70 @@ class Trajectory:
     states: np.ndarray  # (n_state, len(t_eval))
 
 
-def _solve(rhs, t_span, y0, t_eval, tol):
-    sol = solve_ivp(
-        rhs, t_span, np.asarray(y0, dtype=float),
-        method="DOP853", rtol=tol, atol=tol * 1e-2, t_eval=t_eval,
-    )
-    if not sol.success:
-        raise StepUnderflow(f"direct integration failed: {sol.message}")
-    if not np.all(np.isfinite(sol.y)):
+def _solve(rhs, t_span, y0, t_eval, tol) -> Trajectory:
+    """Run rhs from t_span[0] and return its states at t_eval, evaluating rhs
+    only inside the span that t_eval covers.  LSODA reports a failed run only
+    as an ODEintWarning; it ends here as StepUnderflow.  A SolverError raised
+    by rhs comes out as itself."""
+    t = np.asarray(t_eval, dtype=float)
+    start = bool(t[0] != t_span[0])
+    if start:
+        t = np.concatenate(([t_span[0]], t))
+    if t[-1] < t[0]:
+        # a backward run goes forward in s = -t: odeint's tcrit, which keeps
+        # LSODA from stepping past the end, holds on increasing runs only
+        forward = rhs
+        rhs = lambda s, y: [-v for v in forward(-s, y)]  # noqa: E731
+        t = -t
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ODEintWarning)
+        try:
+            states, info = odeint(rhs, np.asarray(y0, dtype=float), t, rtol=tol,
+                                  atol=tol * 1e-2, tcrit=t[-1:], tfirst=True,
+                                  full_output=True)
+        except ODEintWarning as exc:
+            message = str(exc).partition(" Run with full_output")[0]
+            raise StepUnderflow(f"direct integration failed: {message}") from None
+    # LSODA can report success without leaving t[0] (a first step that
+    # underflows to 0 on a huge right-hand side): check that it got to the
+    # end, which it counts as reached within 100 rounding units
+    end = t[-1]
+    if info["tcur"][-1] < end - 100 * np.finfo(float).eps * (abs(end) + end - t[0]):
+        raise StepUnderflow("direct integration failed: LSODA stopped short of "
+                            "the end of the span")
+    if not np.all(np.isfinite(states)):
         raise NonFinite("direct integration produced non-finite states")
-    return sol
+    return Trajectory(states=states[start:].T)
 
 
 def _coefficient(a_k, r_k):
-    """t -> a_k + r_k(t); a perturbation that is syntactically zero is never
-    evaluated."""
+    """t -> a_k + r_k(t) as a Python float; a perturbation that is
+    syntactically zero is never evaluated."""
+    a_k = float(a_k)
     if is_zero(r_k):
         return lambda t: a_k
     return lambda t: a_k + r_k(t)
 
 
 def linear4_rhs(a, r_exprs):
-    """State (y, y', y'', y''') for the perturbed fourth-order equation."""
+    """State (y, y', y'', y''') for the perturbed fourth-order equation.  The
+    fourth derivative is formed on Python floats, where an overflow gives inf
+    or nan without a warning; a value that is not finite raises NonFinite at
+    once instead of costing the integrator its step budget."""
     c0, c1, c2, c3 = map(_coefficient, reversed(a), r_exprs)
 
     def rhs(t, y):
-        y4 = -(c3(t) * y[3] + c2(t) * y[2] + c1(t) * y[1] + c0(t) * y[0])
-        return (y[1], y[2], y[3], y4)
+        y0, y1, y2, y3 = y.tolist()
+        y4 = -(c3(t) * y3 + c2(t) * y2 + c1(t) * y1 + c0(t) * y0)
+        if not math.isfinite(y4):
+            raise NonFinite(f"fourth-order right-hand side is not finite at t={t!r}")
+        return (y1, y2, y3, y4)
 
     return rhs
 
 
 def integrate_linear4(a, r_exprs, y0, t_span, t_eval, tol=ORACLE_TOL) -> Trajectory:
-    sol = _solve(linear4_rhs(a, r_exprs), t_span, y0, t_eval, tol)
-    return Trajectory(states=sol.y)
+    return _solve(linear4_rhs(a, r_exprs), t_span, y0, t_eval, tol)
 
 
 def riccati_rhs(sys: RiccatiSystem):
@@ -90,8 +124,7 @@ def riccati_rhs(sys: RiccatiSystem):
 
 def integrate_riccati(sys: RiccatiSystem, x0, t_span, t_eval,
                       tol=ORACLE_TOL) -> Trajectory:
-    sol = _solve(riccati_rhs(sys), t_span, x0, t_eval, tol)
-    return Trajectory(states=sol.y)
+    return _solve(riccati_rhs(sys), t_span, x0, t_eval, tol)
 
 
 def _logderiv_gap(fs: FundamentalSolution, sys: RiccatiSystem, k, t_span, t_eval):

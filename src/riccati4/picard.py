@@ -81,10 +81,13 @@ def default_t_max(cd, t0):
 
 
 def default_grid(cd, t0, n_nodes=DEFAULT_NODES, t_max=None) -> PanelGrid:
-    """The panel grid of a run on n_nodes graded nodes over [t0, t_max]."""
+    """The panel grid of a run on n_nodes graded nodes over [t0, t_max];
+    ValueError when its Gauss-Legendre nodes leave their panels."""
     if t_max is None:
         t_max = default_t_max(cd, t0)
-    return make_panels(graded_nodes(t0, t_max, n_nodes))
+    grid = make_panels(graded_nodes(t0, t_max, n_nodes))
+    grid.check_gl_nodes()
+    return grid
 
 
 class IntegralOperator:

@@ -30,7 +30,10 @@ A PanelGrid is the grid object of a run: ``picard.default_grid`` builds it
 once, and every GridFunction carries the grid it lives on.  It caches the
 cubic Hermite basis at its Gauss-Legendre nodes (``hermite_basis``), so a
 GridFunction is interpolated there (``GridFunction.channels_on``) without
-locating a single point, and the basis is computed once per run.
+locating a single point, and the basis is computed once per run, on first
+use.  ``default_grid`` checks apart from the basis that every Gauss-Legendre
+node lies in its panel, so a run that interpolates nothing (analyze mode)
+never forms the basis.
 """
 
 from __future__ import annotations
@@ -75,15 +78,19 @@ class PanelGrid:
     def widths(self):
         return self.nodes[1:] - self.nodes[:-1]
 
+    def check_gl_nodes(self):
+        """ValueError unless every Gauss-Legendre node lies in its own panel
+        (far from 0 the panels of a fine grid collapse in floating point)."""
+        if not np.all((self.nodes[:-1, None] <= self.gl_x) & (self.gl_x < self.nodes[1:, None])):
+            raise ValueError("Gauss-Legendre nodes outside their panels")
+
     @cached_property
     def hermite_basis(self):
-        """Cubic Hermite basis at gl_x, computed on first use; checks once
-        that every Gauss-Legendre node lies in its own panel."""
+        """Cubic Hermite basis at gl_x, computed on first use, after
+        check_gl_nodes."""
+        self.check_gl_nodes()
         left = self.nodes[:-1, None]
-        right = self.nodes[1:, None]
-        if not np.all((left <= self.gl_x) & (self.gl_x < right)):
-            raise ValueError("Gauss-Legendre nodes outside their panels")
-        return hermite_basis(left, right - left, self.gl_x)
+        return hermite_basis(left, self.nodes[1:, None] - left, self.gl_x)
 
 
 def make_panels(nodes) -> PanelGrid:

@@ -24,14 +24,17 @@ called by the pipeline:
 * the lift identity R4 = y * R3 between the fourth-order residual at
   y = exp(integral(lam + z)) and the residual of the third-order form;
 * the shifted-cubic residuals and the Phi_k recursion of the envelope
-  constant, with NoLimit, the error it raises when the recursion diverges.
+  constant, with NoLimit, the error it raises when the recursion diverges;
+* a direct run by solve_ivp's DOP853, the explicit Runge-Kutta pair the
+  oracle integrated with before it moved to LSODA.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.integrate import solve_ivp
 
-from riccati4.errors import SolverError
+from riccati4.errors import SolverError, StepUnderflow
 from riccati4.greens import GreenKernel, KernelModes
 from riccati4.quadrature import (adaptive_interval, adaptive_semi_infinite, cumulative_integral,
                                  exponential_tail_seed, head_transform, tail_transform)
@@ -299,3 +302,17 @@ def phi_sequence(a_const, rho, varsigma, n):
     if ratio >= 1.0:
         raise NoLimit(f"rho * A * varsigma = {ratio:.6g} >= 1")
     return seq, a_const / (1.0 - ratio)
+
+
+# --- direct integration ----------------------------------------------------------
+
+
+def dop853_states(rhs, t_span, y0, t_eval, tol):
+    """States at t_eval, shape (n_state, len(t_eval)), of a DOP853 run of rhs
+    over t_span at rtol tol and atol tol * 1e-2 (the tolerances that
+    oracle._solve hands LSODA)."""
+    sol = solve_ivp(rhs, t_span, np.asarray(y0, dtype=float), method="DOP853",
+                    rtol=tol, atol=tol * 1e-2, t_eval=t_eval)
+    if not sol.success:
+        raise StepUnderflow(f"direct integration failed: {sol.message}")
+    return sol.y

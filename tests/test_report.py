@@ -97,6 +97,17 @@ def test_one_hermite_basis_per_run(monkeypatch):
     assert len(calls) == 1
 
 
+def test_analyze_mode_forms_no_hermite_basis(monkeypatch):
+    """Analyze mode interpolates nothing on the run grid; its check that the
+    grid resolves t0 runs apart from the basis."""
+    def refused(*args):
+        raise AssertionError("analyze mode formed the Hermite basis")
+
+    monkeypatch.setattr(quadrature, "hermite_basis", refused)
+    report, _ = run_report(EPS_SPEC, mode="analyze")
+    assert all(root["status"] == "analyzed" for root in report["roots"].values())
+
+
 def test_root_subset_skips_wronskian(tmp_path):
     report, code = run_report(EPS_SPEC, roots=(1,), out_dir=str(tmp_path / "o"))
     assert code == 0
