@@ -30,10 +30,10 @@ A PanelGrid is the grid object of a run: ``picard.default_grid`` builds it
 once, and every GridFunction carries the grid it lives on.  It caches the
 cubic Hermite basis at its Gauss-Legendre nodes (``hermite_basis``), so a
 GridFunction is interpolated there (``GridFunction.channels_on``) without
-locating a single point, and the basis is computed once per run, on first
-use.  ``default_grid`` checks apart from the basis that every Gauss-Legendre
-node lies in its panel, so a run that interpolates nothing (analyze mode)
-never forms the basis.
+locating a single point, and the basis is computed once per run.
+``default_grid`` checks apart from the basis that every Gauss-Legendre node
+lies in its panel, so a run that interpolates nothing (analyze mode) never
+forms the basis.
 """
 
 from __future__ import annotations

@@ -324,6 +324,12 @@ def run_report(spec: ProblemSpec, roots=(1, 2, 3, 4), out_dir=None,
         t_max = picard.default_t_max(cd, spec.t0) if spec.t_max is None else spec.t_max
         raise ValidationError(f"the run grid cannot resolve t0={spec.t0!r}, t_max="
                               f"{t_max!r} with nodes={spec.nodes}: {exc}") from exc
+    if mode != "analyze":
+        # the modes that interpolate z form the basis here, before any
+        # transient array of the run: formed inside the first Picard pass,
+        # its long-lived arrays land among the pass's and raise the peak RSS
+        # (by about 2 MB on 8192 nodes)
+        grid.hermite_basis  # noqa: B018
     r = spec.parsed_r()
     run = _RunShared(out_dir, grid, r, hypotheses.rho_bound(cd, roots, r, spec.t0))
 
