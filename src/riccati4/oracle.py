@@ -48,8 +48,8 @@ def _solve(rhs, t_span, y0, t_eval, tol) -> Trajectory:
     as an ODEintWarning; it ends here as StepUnderflow.  A SolverError raised
     by rhs comes out as itself."""
     t = np.asarray(t_eval, dtype=float)
-    start = bool(t[0] != t_span[0])
-    if start:
+    prepended = bool(t[0] != t_span[0])
+    if prepended:
         t = np.concatenate(([t_span[0]], t))
     if t[-1] < t[0]:
         # a backward run goes forward in s = -t: odeint's tcrit, which keeps
@@ -75,7 +75,7 @@ def _solve(rhs, t_span, y0, t_eval, tol) -> Trajectory:
                             "the end of the span")
     if not np.all(np.isfinite(states)):
         raise NonFinite("direct integration produced non-finite states")
-    return Trajectory(states=states[start:].T)
+    return Trajectory(states=states[prepended:].T)
 
 
 def _coefficient(a_k, r_k):
