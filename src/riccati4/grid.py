@@ -6,32 +6,28 @@ only to interpolate z'' between nodes.  Interpolation is cubic Hermite per
 channel, pairing each channel with the next one as its slope, so the three
 channels stay mutually consistent to interpolation accuracy.
 
-The Hermite basis depends only on where the points sit in their intervals,
-so at the fixed Gauss-Legendre nodes of a panel grid it is computed once
-(``PanelGrid.hermite_basis``) and ``channels_on`` only combines it with the
-node values; ``channels_at`` serves arbitrary points.  Every function of a
-run shares the run's one grid, so the basis is computed once per run.
-``channels_on`` reads all panels or a slice of them: the Picard operator
-works one block of panels at a time, and its pass is the only one of a run
-that reads z there.
+The Gauss-Legendre nodes sit at the same relative place u = (1 + xi) / 2 in
+every panel, so the Hermite basis there is one (4, GL_ORDER) matrix
+(``_GL_HERMITE``); only the slope terms scale with the panel width.
+``channels_on`` contracts each panel's end values and width-scaled slopes
+with it, for all panels or a slice of them: the Picard operator works one
+block of panels at a time, and its pass is the only one of a run that reads
+z there.  ``channels_at`` serves arbitrary points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import NonFinite
-
-if TYPE_CHECKING:
-    from .quadrature import PanelGrid
+from .quadrature import GL_X, PanelGrid
 
 
 def hermite_basis(left, width, x):
     """Cubic Hermite basis (h00, h10 * width, h01, h11 * width) at points x of
-    the intervals [left, left + width]; combine it with hermite_combine."""
+    the intervals [left, left + width]."""
     u = (x - left) / width
     u2 = u * u
     u3 = u2 * u
@@ -42,19 +38,16 @@ def hermite_basis(left, width, x):
     return h00, h10 * width, h01, h11 * width
 
 
-def hermite_combine(basis, v_left, s_left, v_right, s_right):
-    """Hermite interpolant from its basis and the values and slopes at the
-    interval ends."""
-    h00, h10, h01, h11 = basis
-    return h00 * v_left + h10 * s_left + h01 * v_right + h11 * s_right
-
-
 def hermite_eval(nodes, values, slopes, x):
     """Vectorized cubic Hermite evaluation at points x inside [nodes[0], nodes[-1]]."""
     x = np.asarray(x, dtype=float)
     idx = np.clip(np.searchsorted(nodes, x, side="right") - 1, 0, nodes.size - 2)
-    basis = hermite_basis(nodes[idx], nodes[idx + 1] - nodes[idx], x)
-    return hermite_combine(basis, values[idx], slopes[idx], values[idx + 1], slopes[idx + 1])
+    h00, h10, h01, h11 = hermite_basis(nodes[idx], nodes[idx + 1] - nodes[idx], x)
+    return h00 * values[idx] + h10 * slopes[idx] + h01 * values[idx + 1] + h11 * slopes[idx + 1]
+
+
+# rows h00, h10, h01, h11 at the Gauss-Legendre nodes of the unit panel
+_GL_HERMITE = np.stack(hermite_basis(0.0, 1.0, 0.5 * (1.0 + GL_X)))
 
 
 @dataclass(frozen=True)
@@ -94,16 +87,20 @@ class GridFunction:
 
     def channels_on(self, panels=slice(None)):
         """(z, z', z'') at the Gauss-Legendre nodes of this function's grid,
-        shape (N-1, GL order), or of the panels of the slice `panels`; equal
-        to channels_at(grid.gl_x[panels]) bit for bit, from the grid's
-        cached basis."""
-        return (self._on(self.value, self.d1, panels), self._on(self.d1, self.d2, panels),
-                self._on(self.d2, self.d3, panels))
+        shape (N-1, GL order), or of the panels of the slice `panels`.  A
+        panel's row has the same bits in every slice that holds it."""
+        width = self.nodes[1:][panels] - self.nodes[:-1][panels]
+        return (self._on(self.value, self.d1, width, panels),
+                self._on(self.d1, self.d2, width, panels),
+                self._on(self.d2, self.d3, width, panels))
 
-    def _on(self, values, slopes, panels):
-        basis = [b[panels] for b in self.grid.hermite_basis]
-        return hermite_combine(basis, values[:-1][panels, None], slopes[:-1][panels, None],
-                               values[1:][panels, None], slopes[1:][panels, None])
+    @staticmethod
+    def _on(values, slopes, width, panels):
+        ends = np.stack((values[:-1][panels], width * slopes[:-1][panels],
+                         values[1:][panels], width * slopes[1:][panels]), axis=1)
+        # einsum, not matmul: matmul may route a 1-row slice to another BLAS
+        # kernel, whose row then differs in its last bits
+        return np.einsum("pk,kj->pj", ends, _GL_HERMITE)
 
     def norm_c02(self):
         """sup over nodes of |z| + |z'| + |z''|."""

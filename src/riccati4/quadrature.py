@@ -27,25 +27,18 @@ past the grid of a forcing given as a callable, runs on the same engine:
 forcing once on all of them and sums them with ``tail_transform``.
 
 A PanelGrid is the grid object of a run: ``picard.default_grid`` builds it
-once, and every GridFunction carries the grid it lives on.  It caches the
-cubic Hermite basis at its Gauss-Legendre nodes (``hermite_basis``), so a
-GridFunction is interpolated there (``GridFunction.channels_on``) without
-locating a single point, and the basis is computed once per run.
-``default_grid`` checks apart from the basis that every Gauss-Legendre node
-lies in its panel, so a run that interpolates nothing (analyze mode) never
-forms the basis.
+once and checks that every Gauss-Legendre node lies in its panel
+(``check_gl_nodes``), and every GridFunction carries the grid it lives on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
 
 from .errors import TailNotConvergent
-from .grid import hermite_basis
 
 GL_ORDER = 16
 BLOCK_PANELS = 1024  # panels per block of a transform: its temporaries stay in cache
@@ -55,7 +48,7 @@ TAIL_DECAY_LENGTHS = 40.0
 MAX_TAIL_PANELS = 400
 ADAPTIVE_MAX_DEPTH = 30     # halvings of one adaptive_interval panel
 ADAPTIVE_MAX_WINDOWS = 200  # windows of one adaptive_semi_infinite integral
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(GL_ORDER)
+GL_X, GL_W = np.polynomial.legendre.leggauss(GL_ORDER)
 
 
 def graded_nodes(t0: float, t_max: float, n: int) -> np.ndarray:
@@ -84,14 +77,6 @@ class PanelGrid:
         if not np.all((self.nodes[:-1, None] <= self.gl_x) & (self.gl_x < self.nodes[1:, None])):
             raise ValueError("Gauss-Legendre nodes outside their panels")
 
-    @cached_property
-    def hermite_basis(self):
-        """Cubic Hermite basis at gl_x, computed on first use, after
-        check_gl_nodes."""
-        self.check_gl_nodes()
-        left = self.nodes[:-1, None]
-        return hermite_basis(left, self.nodes[1:, None] - left, self.gl_x)
-
 
 def make_panels(nodes) -> PanelGrid:
     nodes = np.asarray(nodes, dtype=float)
@@ -100,8 +85,8 @@ def make_panels(nodes) -> PanelGrid:
     a = nodes[:-1, None]
     b = nodes[1:, None]
     half = 0.5 * (b - a)
-    gl_x = 0.5 * (a + b) + half * _GL_X[None, :]
-    gl_w = half * np.broadcast_to(_GL_W, gl_x.shape)
+    gl_x = 0.5 * (a + b) + half * GL_X[None, :]
+    gl_w = half * np.broadcast_to(GL_W, gl_x.shape)
     return PanelGrid(nodes=nodes, gl_x=gl_x, gl_w=gl_w.copy())
 
 
@@ -265,8 +250,8 @@ def adaptive_interval(f, a: float, b: float, tol: float) -> float:
     halvings deep."""
     def gl(lo, hi):
         half = 0.5 * (hi - lo)
-        x = 0.5 * (lo + hi) + half * _GL_X
-        return half * float(np.sum(_GL_W * f(x)))
+        x = 0.5 * (lo + hi) + half * GL_X
+        return half * float(np.sum(GL_W * f(x)))
 
     def recurse(lo, hi, whole, depth, tol_here):
         mid = 0.5 * (lo + hi)

@@ -178,7 +178,7 @@ def lambda2(sys: RiccatiSystem, t):
 def operator_forcing(op, z):
     """The forcing of T z on op's grid as (samples at the Gauss-Legendre
     points, samples at the nodes, past): Omega, plus F(z, z', z'') unless z
-    is None (the zero function), with z interpolated by channels_at.  past
+    is None (the zero function), with z interpolated by channels_on.  past
     is the callable whose integral beyond the grid seeds the tail: Omega, or
     None when Omega vanishes on the grid."""
     grid = op.grid
@@ -188,7 +188,7 @@ def operator_forcing(op, z):
     f_nodes = np.broadcast_to(k_nodes.omega, grid.nodes.shape)
     past = op.omega if np.any(f_gl) else None
     if z is not None:
-        f_gl = f_gl + F_nested(op.sys, k_gl, *z.channels_at(grid.gl_x))
+        f_gl = f_gl + F_nested(op.sys, k_gl, *z.channels_on())
         f_nodes = f_nodes + F_nested(op.sys, k_nodes, z.value, z.d1, z.d2)
     return f_gl, f_nodes, past
 

@@ -81,33 +81,6 @@ def test_wronskian_csv_written(eps_report):
     assert len(lines) > 100
 
 
-def test_one_hermite_basis_per_run(monkeypatch):
-    """Every stage of every root shares the run's one panel grid, so its
-    Hermite basis is computed once."""
-    calls = []
-    basis = quadrature.hermite_basis
-
-    def counted(*args):
-        calls.append(args)
-        return basis(*args)
-
-    monkeypatch.setattr(quadrature, "hermite_basis", counted)
-    report, _ = run_report(EPS_SPEC)
-    assert report["overall_pass"]
-    assert len(calls) == 1
-
-
-def test_analyze_mode_forms_no_hermite_basis(monkeypatch):
-    """Analyze mode interpolates nothing on the run grid; its check that the
-    grid resolves t0 runs apart from the basis."""
-    def refused(*args):
-        raise AssertionError("analyze mode formed the Hermite basis")
-
-    monkeypatch.setattr(quadrature, "hermite_basis", refused)
-    report, _ = run_report(EPS_SPEC, mode="analyze")
-    assert all(root["status"] == "analyzed" for root in report["roots"].values())
-
-
 def test_root_subset_skips_wronskian(tmp_path):
     report, code = run_report(EPS_SPEC, roots=(1,), out_dir=str(tmp_path / "o"))
     assert code == 0
