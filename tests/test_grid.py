@@ -27,9 +27,10 @@ def test_channels_on_reads_each_panel_the_same_in_every_slice(nodes):
     z = random_function(panels, 1)
     whole = z.channels_on()
     n = panels.gl_x.shape[0]
-    parts = panel_blocks(panels) + [slice(0, 1), slice(n // 2, n // 2 + 1), slice(n - 1, None),
-                                    slice(3, 200), slice(n - 10, None)]
-    assert panel_blocks(panels)[-1].stop - panel_blocks(panels)[-1].start < BLOCK_PANELS
+    blocks = panel_blocks(panels)
+    assert blocks[-1].stop - blocks[-1].start < BLOCK_PANELS  # a partial last block
+    parts = blocks + [slice(0, 1), slice(n // 2, n // 2 + 1), slice(n - 1, None),
+                      slice(3, 200), slice(n - 10, None)]
     for part in parts:
         for on, row in zip(z.channels_on(part), whole):
             assert on.shape == panels.gl_x[part].shape
@@ -48,10 +49,10 @@ def test_both_routes_reproduce_a_cubic(nodes):
     Gauss-Legendre point, which gl_x rounds, and channels_at's u = (x - left)
     / width rounds too."""
     panels = make_panels(nodes)
-    c = np.array([0.7, -1.3, 0.45, -0.02])
-    poly = np.polynomial.Polynomial(c)
+    poly = np.polynomial.Polynomial([0.7, -1.3, 0.45, -0.02])
     derivs = [poly.deriv(d) for d in range(4)]
-    z = GridFunction(panels, *(d(panels.nodes) for d in derivs))
+    on_nodes = [d(panels.nodes) for d in derivs]
+    z = GridFunction(panels, *on_nodes)
     x = panels.gl_x
     exact = [d(x.astype(np.longdouble)) for d in derivs]
     width = (panels.nodes[1:] - panels.nodes[:-1])[:, None]
@@ -59,7 +60,7 @@ def test_both_routes_reproduce_a_cubic(nodes):
     eps = np.finfo(float).eps
     for route in (z.channels_on(), z.channels_at(x)):
         for k, got in enumerate(route):
-            v, s = (d(panels.nodes) for d in derivs[k:k + 2])
+            v, s = on_nodes[k:k + 2]
             terms = (h[0] * np.abs(v[:-1, None]) + h[1] * np.abs(width * s[:-1, None])
                      + h[2] * np.abs(v[1:, None]) + h[3] * np.abs(width * s[1:, None]))
             bound = 16.0 * eps * (terms + np.abs(x) * np.abs(exact[k + 1]))
