@@ -19,7 +19,10 @@ compared as well: the standard spectrum with r0 = 0.001 sin(2t)/(1+t)^3
 r0 = 0.001 sin(t) e^-t (root 1's does), the standard spectrum with
 r0 = 0.001 log(t - 1) (no root can evaluate it at t0 = 0) and the standard
 spectrum with r0 = 0.001 e^(3t) (the rho tail seed of roots 1-3 does not
-settle, and root 4's transform rises on the sample window).  The library
+settle, and root 4's transform rises on the sample window).  It also
+writes the analyze-mode report of the standard spectrum with
+r0 = 0.001/(1+t)^2, whose H2 functional decays like a power law and ends
+within a factor 5 of H2_TOL, to OUT/analyze-h2-powerlaw/.  The library
 and the workloads are imported from the checkout that holds this script.
 Run it in two checkouts and compare the outputs with `diff -r`, or with
 scripts/compare_reports.py when numbers are expected to move.
@@ -38,18 +41,20 @@ from riccati4.report import run_report  # noqa: E402
 
 SEEDS = (0, 3)
 TRACED = ("standard", 0)
-# analyze-mode problems whose roots fail: tree name -> (workload spectrum, r0)
-FAILING = {
-    "window-root4": ("standard", "0.001*sin(2*t)/(1+t)^3"),
-    "window-root1": ("hard", "0.001*sin(t)*exp(-t)"),
-    "domain-all": ("standard", "0.001*log(t-1)"),
-    "seed-roots123": ("standard", "0.001*exp(3*t)"),
+# analyze-mode problems: tree name -> (workload spectrum, r0); the roots of
+# the fail- trees fail
+ANALYZED = {
+    "fail-window-root4": ("standard", "0.001*sin(2*t)/(1+t)^3"),
+    "fail-window-root1": ("hard", "0.001*sin(t)*exp(-t)"),
+    "fail-domain-all": ("standard", "0.001*log(t-1)"),
+    "fail-seed-roots123": ("standard", "0.001*exp(3*t)"),
+    "analyze-h2-powerlaw": ("standard", "0.001/(1+t)^2"),
 }
 
 
 def dump(out, names=tuple(workloads.WORKLOADS), seeds=SEEDS):
     """Write OUT/<name>-seed<s>/ for every pair, then the traced tree
-    OUT/standard-seed0-trace/ and the failing trees OUT/fail-<name>/;
+    OUT/standard-seed0-trace/ and the analyze-mode trees of ANALYZED;
     returns the directories."""
     runs = [(name, seed, False) for name in names for seed in seeds]
     dirs = []
@@ -58,8 +63,8 @@ def dump(out, names=tuple(workloads.WORKLOADS), seeds=SEEDS):
         spec = replace(workloads.build_spec(name, seed), trace=trace)
         run_report(spec, out_dir=str(target))
         dirs.append(target)
-    for name, (spectrum, r0) in FAILING.items():
-        target = Path(out) / f"fail-{name}"
+    for name, (spectrum, r0) in ANALYZED.items():
+        target = Path(out) / name
         spec = replace(workloads.build_spec(spectrum, 0), r0=r0, r1="0", r2="0", r3="0")
         run_report(spec, out_dir=str(target), mode="analyze")
         dirs.append(target)

@@ -98,10 +98,7 @@ def main(argv=None) -> int:
         }
         print(json.dumps(summary, indent=2))
         return code
-    except ConfigError as exc:
-        print(f"input error: {exc}", file=_sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:  # before SolverError: ConfigError is one
         print(f"input error: {exc}", file=_sys.stderr)
         return 2
     except SolverError as exc:

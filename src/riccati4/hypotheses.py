@@ -19,14 +19,15 @@ root its bound.
 
 The decay hypothesis H2 is checked on the kernel functional
 L(t) = integral of w(|t - s|) |r_j(s)| ds, where w = |g| + |g_t| + |g_tt| of
-the printed kernel depends only on u = |t - s|.  Each of its three inner
+the printed kernel depends only on u = |t - s|, at 12 times evenly spaced on
+rho's window [t0, t0 + 40 / min_gap].  Each of its three inner
 sums has at most three exponential terms and so at most two real zeros
 (Laguerre's rule of signs), located once per root with brentq.  With these
 kinks as cut points, w is one exponential sum per side between consecutive
 cuts, so L is an exact combination of the same head/tail transforms of
 |r_j|, one per kernel mode, read at t - cut and t + cut.  Each call runs
 them on one graded panel grid that holds every point read.  The tail guard
-weighs the kernel: when the part of L beyond H2_TAIL_LENGTHS slowest-mode
+weighs the kernel: when the part of L beyond TAIL_DECAY_LENGTHS slowest-mode
 decay lengths is not negligible, TailNotConvergent is raised.  The tests
 check L against the adaptive route, L_functional in
 tests/reference_routes.py.
@@ -55,8 +56,9 @@ from scipy.optimize import brentq
 from . import exprlang
 from .errors import SolverError, TailNotConvergent
 from .greens import kernel_for_root
-from .quadrature import (adaptive_interval, adaptive_semi_infinite, exponential_tail_seed,
-                         graded_nodes, head_transform, make_panels, tail_transform)
+from .quadrature import (TAIL_DECAY_LENGTHS, adaptive_interval, adaptive_semi_infinite,
+                         exponential_tail_seed, graded_nodes, head_transform, make_panels,
+                         tail_transform)
 from .spectra import CharacteristicData
 
 H2_TOL = 1e-6
@@ -64,7 +66,6 @@ TAIL_TOL = 1e-10         # tails of rho and H2; not a run's quad_tol
 RHO_GRID_NODES = 4096
 RHO_SAMPLES = 256        # log-spaced sample offsets of rho_bound's tail check
 H2_GRID_NODES = 1024     # graded nodes of check_h2's transform grid
-H2_TAIL_LENGTHS = 40.0   # check_h2 tail length, in slowest-mode decay lengths
 
 
 def F_operator_eval(cd: CharacteristicData, i: int, E, t, t0, quad_tol=1e-12):
@@ -313,10 +314,11 @@ class DecayReport:
     fitted_rate: float | None
 
 
-def check_h2(cd: CharacteristicData, i: int, r, sample_ts=None, t0=0.0):
-    """Evaluate the kernel functional L of each perturbation at increasing
-    times; PASS when the curve decays below H2_TOL by the last sample.
-    The fitted exponential rate of the tail is reported.
+def check_h2(cd: CharacteristicData, i: int, r, t0=0.0):
+    """Evaluate the kernel functional L of each perturbation at 12 times
+    evenly spaced on [t0, t0 + 40 / min_gap]; PASS when the curve decays
+    below H2_TOL by the last sample.  The fitted exponential rate of the
+    tail is reported.
 
     L(t) = integral over [t0, inf) of w(|t - s|) |r_j(s)| ds, where w is
     |g| + |g_t| + |g_tt| of the adjoint kernel on the side of s.  Between
@@ -324,20 +326,16 @@ def check_h2(cd: CharacteristicData, i: int, r, sample_ts=None, t0=0.0):
     head_transform / tail_transform values of |r_j|, one transform per
     kernel mode, read at t - cut (above t0) and t + cut.  They all run on
     one _transform_grid per call, on [t0, t_last + 2 span] with span =
-    H2_TAIL_LENGTHS slowest-tail decay lengths, and |r_j| is sampled once on
+    TAIL_DECAY_LENGTHS slowest-tail decay lengths, and |r_j| is sampled once on
     its Gauss-Legendre points.  TailNotConvergent is raised when the part of
     L past u = span exceeds max(0.1 TAIL_TOL, 1e-15 times the tail part).
     """
     exprs = [rj for rj in map(exprlang.as_expr, r) if not exprlang.is_zero(rj)]
-    if sample_ts is None:
-        sample_ts = t0 + np.linspace(0.0, 40.0 / cd.min_gap, 12)
-    sample_ts = np.asarray(sample_ts, dtype=float)
-    if np.any(sample_ts < t0):
-        raise ValueError("H2 sample times must not precede t0")
+    sample_ts = t0 + np.linspace(0.0, 40.0 / cd.min_gap, 12)
 
     modes = kernel_for_root(cd, i).modes("adjoint")
-    t_last = float(sample_ts.max())
-    span = H2_TAIL_LENGTHS / modes.slowest()[1] if modes.tail else 0.0
+    t_last = float(sample_ts[-1])
+    span = TAIL_DECAY_LENGTHS / modes.slowest()[1] if modes.tail else 0.0
     sides = []  # (modes, transform, read points, steps, remainder weights)
     if modes.head:
         cuts, steps, _ = _cut_steps(modes, "head", t_last - t0)

@@ -31,8 +31,8 @@ envelope and the first-iterate ratio all take that operator: they share its
 orientation, its quadrature tolerance, its grid and its Omega samples, and
 every GridFunction they produce carries its grid.  Omega is read only through
 ``sample_coefficients``, on the grid and past it.  The envelope E_i is built
-once per root (``envelope_integral``, which also validates beta), and the
-envelope check and the first-iterate ratio both read that array.
+once per root (``envelope_integral``, at the rates of its slowest modes), and
+the envelope check and the first-iterate ratio both read that array.
 
 Orientation: the solver uses the ``direct`` (dichotomy-split) kernel, the
 one that inverts the shifted cubic.  ``resolve_orientation`` is the residual
@@ -48,7 +48,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import Diverged, MaxIterExceeded
 from .grid import GridFunction
@@ -64,7 +63,8 @@ from .quadrature import (
     panel_weights,
     tail_transform,
 )
-from .riccati import Coefficients, F_nested, RiccatiSystem, sample_coefficients
+from .riccati import (Coefficients, F_nested, RiccatiSystem, sample_coefficients,
+                      third_order_lhs)
 
 FP_TOL = 1e-10
 QUAD_TOL = 1e-12
@@ -213,14 +213,11 @@ def resolve_orientation(sys: RiccatiSystem):
     probe = lambda s: np.exp(-sigma * np.asarray(s, dtype=float))
     t_max = math.log(1e10) / min(abs(g) for g in sys.kernel.gamma)
     grid = make_panels(graded_nodes(0.0, t_max, PROBE_NODES))
-    nodes = grid.nodes
-    b2, b1, b0 = sys.b
     residuals = {}
     for orientation in ("direct", "adjoint"):
         op = IntegralOperator(sys, grid, orientation, quad_tol=1e-13)
         z = op.apply_forcing(probe)
-        z3 = CubicSpline(nodes, z.d2)(nodes, 1)
-        res = z3 + b2 * z.d2 + b1 * z.d1 + b0 * z.value - probe(nodes)
+        res = third_order_lhs(sys, z) - probe(grid.nodes)
         residuals[orientation] = float(np.max(np.abs(res)))
     passing = [o for o, r in residuals.items() if r <= PROBE_RESIDUAL_TOL]
     if not passing:
@@ -290,34 +287,26 @@ def beta_interval(sys: RiccatiSystem):
     """Admissible beta interval, from the slowest direct-kernel modes:
     [head rate, 0) = [lam_{i+1} - lam_i, 0) when the kernel has head modes
     (i = 1..3), else (0, tail rate] = (0, lam_3 - lam_4] (i = 4), where beta
-    governs the tail side."""
+    governs the tail side.  ``envelope_integral`` takes the gap end."""
     head, tail = sys.kernel.modes("direct").slowest()
     return (head, 0.0) if head is not None else (0.0, tail)
 
 
-def envelope_integral(op: IntegralOperator, beta):
+def envelope_integral(op: IntegralOperator):
     """E_i(t) on the grid nodes of op: exponential transforms of
-    |p(lam_i, s)| = |Omega(s)| shaped like the kernel of op's orientation.
+    |p(lam_i, s)| = |Omega(s)| at the rates of op's slowest kernel modes.
 
     Each side of the diagonal that carries kernel modes contributes one
     transform (head: integral over [t0, t], tail: over [t, inf)) at the rate
-    of its slowest mode, so every mode is dominated on its side.  beta sets
-    the rate of the side it governs instead: rate beta for the direct kernel,
-    the mirrored rate -beta for the adjoint one.  With the adjoint modes this
-    is the printed envelope for i = 1, 4 and the gap-split envelope for
-    i = 2, 3; with the direct modes it bounds the delivered fixed point.
-    |Omega| is read from op's samples, and past the grid from op.omega.
-    beta must be nonzero and lie in ``beta_interval(op.sys)``.
+    of its slowest mode (``op.modes.slowest()``), so every mode is dominated
+    on its side.  On the side beta governs that rate is the gap end of
+    ``beta_interval(op.sys)`` (mirrored for the adjoint kernel); any other
+    admissible beta only loosens E_i.  With the adjoint modes this is the
+    printed envelope for i = 1, 4 and the gap-split envelope for i = 2, 3;
+    with the direct modes it bounds the delivered fixed point.  |Omega| is
+    read from op's samples, and past the grid from op.omega.
     """
-    lo, hi = beta_interval(op.sys)
-    if beta == 0.0 or not lo <= beta <= hi:
-        raise ValueError(f"beta={beta} outside [{lo}, {hi}] or zero for i={op.sys.i}")
     head_rate, tail_rate = op.modes.slowest()
-    rate_beta = beta if op.orientation == "direct" else -beta
-    if head_rate is not None and rate_beta < 0:
-        head_rate = rate_beta
-    if tail_rate is not None and rate_beta > 0:
-        tail_rate = rate_beta
     p_gl = np.abs(op._omega_gl)
     out = np.zeros(op.grid.nodes.size)
     if not np.any(p_gl):

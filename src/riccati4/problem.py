@@ -10,7 +10,8 @@ from dataclasses import dataclass
 
 from . import exprlang
 from .errors import ExpressionError, ParseError, ValidationError
-from .spectra import vieta_coefficients
+from .picard import DEFAULT_NODES, FP_TOL, MAX_ITER, QUAD_TOL
+from .spectra import GAP_TOL, ROOT_TOL, vieta_coefficients
 
 
 @dataclass(frozen=True)
@@ -25,13 +26,13 @@ class ProblemSpec:
     r3: str = "0"
     t0: float = 0.0
     t_max: float | None = None      # None -> horizon from the spectral gap
-    nodes: int = 2048
+    nodes: int = DEFAULT_NODES
     eta: float = 0.25
-    fp_tol: float = 1e-10
-    quad_tol: float = 1e-12
-    root_tol: float = 1e-10
-    gap_tol: float = 1e-8
-    max_iter: int = 50
+    fp_tol: float = FP_TOL
+    quad_tol: float = QUAD_TOL
+    root_tol: float = ROOT_TOL
+    gap_tol: float = GAP_TOL
+    max_iter: int = MAX_ITER
     trace: bool = False
 
     @property

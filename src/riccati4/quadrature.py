@@ -42,8 +42,9 @@ from .errors import TailNotConvergent
 
 GL_ORDER = 16
 BLOCK_PANELS = 1024  # panels per block of a transform: its temporaries stay in cache
-# exponential_tail_seed's last panel starts this many decay lengths past the
-# grid: a bounded forcing's last panel is then below e^-40 ~ 4e-18 of the seed
+# a tail is negligible this many decay lengths out: exponential_tail_seed's
+# last panel starts there past the grid (a bounded forcing's last panel is
+# then below e^-40 ~ 4e-18 of the seed), and check_h2 cuts its kernel there
 TAIL_DECAY_LENGTHS = 40.0
 MAX_TAIL_PANELS = 400
 ADAPTIVE_MAX_DEPTH = 30     # halvings of one adaptive_interval panel

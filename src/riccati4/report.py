@@ -44,7 +44,6 @@ from .riccati import build_system, residual_profile
 from .spectra import characteristic_data
 
 RESIDUAL_TOL = 1e-6
-RATIO_TOL = 1e-4
 ORACLE_Y_TOL = 1e-4
 ORACLE_LOGDERIV_TOL = 1e-3
 WRONSKIAN_REL_TOL = 0.01
@@ -68,7 +67,7 @@ def _root_keys():
 
 
 def _default_beta(sys):
-    """The gap end of the admissible beta interval."""
+    """The gap end of the beta interval: the envelope's rate on beta's side."""
     lo, hi = picard.beta_interval(sys)
     return lo or hi
 
@@ -213,9 +212,8 @@ def _run_root(spec: ProblemSpec, cd, i, mode, run: _RunShared):
 
         # envelope certificates of the delivered z, with the envelope shaped
         # like the kernel that produced it
-        beta = _default_beta(sys)
-        envelope = picard.envelope_integral(op, beta)
-        certs = {"beta": _num(beta), "envelope_ratio_max": None,
+        envelope = picard.envelope_integral(op)
+        certs = {"beta": _num(_default_beta(sys)), "envelope_ratio_max": None,
                  "envelope_ok": None, "first_iterate_ratio": None}
         if env.Phi is not None:
             ok, ratio = picard.envelope_check(op, z, envelope, env.Phi)
@@ -234,7 +232,7 @@ def _run_root(spec: ProblemSpec, cd, i, mode, run: _RunShared):
         # certificate's apply of z formed
         fs = synthesis.fundamental_solution(op, z, cd)
         del op  # free its panel weights before the oracle
-        errors, verdict = synthesis.derivative_ratio_limits(fs, ratio_tol=RATIO_TOL)
+        errors, verdict = synthesis.derivative_ratio_limits(fs)
         _, gap = synthesis.asymptotic_integral_formula(fs)
         result["synthesis"] = {
             "ratio_errors_at_tmax": [_num(errors[l, -1]) for l in range(4)],

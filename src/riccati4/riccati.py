@@ -138,8 +138,8 @@ def eval_F(sys: RiccatiSystem, t, x1, x2, x3):
 
 # --- residuals ---------------------------------------------------------------
 
-def residual_profile(sys: RiccatiSystem, z: GridFunction):
-    """Residual of the third-order form at every node.
+def third_order_lhs(sys: RiccatiSystem, z: GridFunction):
+    """z''' + b2 z'' + b1 z' + b0 z at every node of z.
 
     z''' is recovered by differentiating a spline through the z'' channel,
     keeping the check independent of the integral representation that
@@ -148,8 +148,14 @@ def residual_profile(sys: RiccatiSystem, z: GridFunction):
     t = z.nodes
     z3 = CubicSpline(t, z.d2)(t, 1)
     b2, b1, b0 = sys.b
-    lhs = z3 + b2 * z.d2 + b1 * z.d1 + b0 * z.value
-    k = sample_coefficients(sys, t)
+    return z3 + b2 * z.d2 + b1 * z.d1 + b0 * z.value
+
+
+def residual_profile(sys: RiccatiSystem, z: GridFunction):
+    """Residual of the third-order form at every node (``third_order_lhs``
+    against Omega + F)."""
+    lhs = third_order_lhs(sys, z)
+    k = sample_coefficients(sys, z.nodes)
     return lhs - (k.omega + F_nested(sys, k, z.value, z.d1, z.d2))
 
 

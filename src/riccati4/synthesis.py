@@ -31,6 +31,8 @@ from .picard import IntegralOperator
 from .quadrature import node_integrals
 from .riccati import log_derivative_ratios
 
+RATIO_TOL = 1e-4
+
 
 @dataclass(frozen=True)
 class FundamentalSolution:
@@ -78,13 +80,13 @@ def fundamental_solution(op: IntegralOperator, z: GridFunction, cd) -> Fundament
                                                             z.d3))
 
 
-def derivative_ratio_limits(fs: FundamentalSolution, ratio_tol=1e-4):
+def derivative_ratio_limits(fs: FundamentalSolution):
     """|y^(l)/y - lam^l| for l = 1..4 at the nodes, from fs.ratios.
 
     Returns (errors array shape (4, nodes), verdict string): PASS when all
-    four errors at the final node are below ratio_tol."""
+    four errors at the final node are below RATIO_TOL."""
     errors = np.vstack([np.abs(fs.ratios[l] - fs.lam ** (l + 1)) for l in range(4)])
-    verdict = "PASS" if np.all(errors[:, -1] <= ratio_tol) else "FAIL"
+    verdict = "PASS" if np.all(errors[:, -1] <= RATIO_TOL) else "FAIL"
     return errors, verdict
 
 

@@ -21,6 +21,9 @@ called by the pipeline:
 * the integrals of synthesis on every Gauss-Legendre point at once: log y
   and the asymptotic correction (the pipeline sums the panel integrals that
   IntegralOperator.apply forms one block of panels at a time);
+* the residuals of picard.resolve_orientation's probe problem, with the
+  third-order left-hand side written out (the library forms it in
+  riccati.third_order_lhs);
 * the lift identity R4 = y * R3 between the fourth-order residual at
   y = exp(integral(lam + z)) and the residual of the third-order form;
 * the shifted-cubic residuals and the Phi_k recursion of the envelope
@@ -31,13 +34,18 @@ called by the pipeline:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.interpolate import CubicSpline
 
 from riccati4.errors import SolverError, StepUnderflow
 from riccati4.greens import GreenKernel, KernelModes
+from riccati4.picard import PROBE_NODES, IntegralOperator
 from riccati4.quadrature import (adaptive_interval, adaptive_semi_infinite, cumulative_integral,
-                                 exponential_tail_seed, head_transform, tail_transform)
+                                 exponential_tail_seed, graded_nodes, head_transform, make_panels,
+                                 tail_transform)
 from riccati4.riccati import (F_nested, RiccatiSystem, eval_F, log_derivative_ratios,
                               sample_coefficients)
 from riccati4.spectra import CharacteristicData, shifted_cubic_coeffs
@@ -238,6 +246,26 @@ def synthesis_integrals(sys: RiccatiSystem, z):
     log_y = cumulative_integral(grid, sys.lam + z0)
     correction = cumulative_integral(grid, -k.omega + F_nested(sys, k, z0, z1, z2))
     return log_y, correction
+
+
+def probe_residuals(sys: RiccatiSystem):
+    """{orientation: max residual} of the probe problem of
+    picard.resolve_orientation, with z''' + b2 z'' + b1 z' + b0 z written out
+    here: a spline through the z'' channel for z''', then the three terms in
+    that order."""
+    sigma = 1.37 * max(abs(g) for g in sys.kernel.gamma) + 0.7071
+    probe = lambda s: np.exp(-sigma * np.asarray(s, dtype=float))
+    t_max = math.log(1e10) / min(abs(g) for g in sys.kernel.gamma)
+    grid = make_panels(graded_nodes(0.0, t_max, PROBE_NODES))
+    nodes = grid.nodes
+    b2, b1, b0 = sys.b
+    residuals = {}
+    for orientation in ("direct", "adjoint"):
+        z = IntegralOperator(sys, grid, orientation, quad_tol=1e-13).apply_forcing(probe)
+        z3 = CubicSpline(nodes, z.d2)(nodes, 1)
+        res = z3 + b2 * z.d2 + b1 * z.d1 + b0 * z.value - probe(nodes)
+        residuals[orientation] = float(np.max(np.abs(res)))
+    return residuals
 
 
 def fourth_order_residual_over_y(sys: RiccatiSystem, t, z0, z1, z2, z3):

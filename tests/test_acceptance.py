@@ -202,7 +202,7 @@ def test_criterion_07_envelope(cd, grid, eps_run):
 
     # quadrature envelope agrees with the closed form (eps/2) e^{-t}
     adjoint = IntegralOperator(sys, grid, "adjoint")
-    env = envelope_integral(adjoint, -1.0)
+    env = envelope_integral(adjoint)
     closed = (EPS / 2.0) * np.exp(-grid.nodes)
     assert np.max(np.abs(env - closed) / closed) <= 1e-9
 
@@ -219,7 +219,7 @@ def test_criterion_08_asymptotic_limits(cd, eps_run):
     for i in (1, 2, 3, 4):
         fs = fundamental_solution(eps_run[i]["op"], eps_run[i]["z"], cd)
         fss.append(fs)
-        errors, verdict = derivative_ratio_limits(fs, ratio_tol=1e-4)
+        errors, verdict = derivative_ratio_limits(fs)
         assert verdict == "PASS"
         assert np.max(errors[:, -1]) <= 1e-4
     w = wronskian_normalized(fss, fss[0].nodes[-1])

@@ -6,7 +6,6 @@ from riccati4.grid import GridFunction
 from riccati4.hypotheses import envelope_report, rho_bound
 from riccati4.picard import (
     IntegralOperator,
-    beta_interval,
     default_grid,
     envelope_check,
     envelope_integral,
@@ -17,7 +16,8 @@ from riccati4.picard import (
 from riccati4.quadrature import BLOCK_PANELS, graded_nodes, make_panels
 from riccati4.riccati import build_system, residual_profile
 
-from reference_routes import NoLimit, kernel_integral, operator_forcing, phi_sequence
+from reference_routes import (NoLimit, kernel_integral, operator_forcing, phi_sequence,
+                              probe_residuals, two_sided_transform)
 
 EPS = 1e-3
 
@@ -85,7 +85,7 @@ def test_first_iterate_ratio_reads_the_solves_T0(eps_systems, grid_1024, monkeyp
     applied = []
     apply = op.apply
     monkeypatch.setattr(op, "apply", lambda z: applied.append(apply(z)) or applied[-1])
-    first_iterate_ratio(op, 14.0, envelope_integral(op, beta_interval(op.sys)[0]))
+    first_iterate_ratio(op, 14.0, envelope_integral(op))
     assert len(applied) == 1 and applied[0] is steps[0]
 
 
@@ -95,6 +95,15 @@ def test_orientation_resolution(eps_systems):
         assert probe["selected"] == "direct"
         assert probe["residuals"]["direct"] <= 1e-8
         assert probe["residuals"]["adjoint"] > 1e-3
+
+
+def test_orientation_residuals_keep_their_bytes(eps_systems):
+    """The probe residuals formed through riccati.third_order_lhs have the
+    bits of the left-hand side written out in place."""
+    for i in (1, 2, 3, 4):
+        got = resolve_orientation(eps_systems[i])["residuals"]
+        expected = probe_residuals(eps_systems[i])
+        assert {o: r.hex() for o, r in got.items()} == {o: r.hex() for o, r in expected.items()}
 
 
 def test_zero_perturbation_converges_in_one_iteration(cd_test, r_zero, grid_1024):
@@ -197,7 +206,7 @@ def test_phi_sequence():
 
 def test_envelope_closed_form_and_check(eps_systems, grid_1024):
     adjoint = IntegralOperator(eps_systems[1], grid_1024, "adjoint")
-    env = envelope_integral(adjoint, -1.0)
+    env = envelope_integral(adjoint)
     expected = (EPS / 2.0) * np.exp(-grid_1024.nodes)
     assert np.max(np.abs(env - expected) / expected) <= 1e-10
 
@@ -210,17 +219,8 @@ def test_envelope_zero_problem(cd_test, r_zero, grid_1024):
     sys1 = build_system(cd_test, r_zero, 1)
     z = GridFunction.zero(grid_1024)
     op = IntegralOperator(sys1, grid_1024, "adjoint")
-    ok, ratio = envelope_check(op, z, envelope_integral(op, -1.0), 14.0)
+    ok, ratio = envelope_check(op, z, envelope_integral(op), 14.0)
     assert ok and ratio == 0.0
-
-
-def test_envelope_beta_validation(eps_systems, grid_1024):
-    with pytest.raises(ValueError):
-        envelope_integral(IntegralOperator(eps_systems[1], grid_1024, "adjoint"),
-                          -1.5)  # below lam2 - lam1
-    with pytest.raises(ValueError):
-        envelope_integral(IntegralOperator(eps_systems[4], grid_1024, "adjoint"),
-                          -0.5)  # i=4 needs beta > 0
 
 
 @pytest.mark.parametrize("foreign", ["more_nodes", "shifted_node"])
@@ -236,12 +236,12 @@ def test_envelope_check_refuses_a_function_of_another_grid(eps_systems, foreign)
         other[10] += 1e-9
     z = GridFunction.zero(make_panels(other))
     with pytest.raises(ValueError, match="another panel grid"):
-        envelope_check(op, z, envelope_integral(op, -1.0), 14.0)
+        envelope_check(op, z, envelope_integral(op), 14.0)
 
 
 def test_first_iterate_ratio_value(eps_systems, grid_1024):
     op = IntegralOperator(eps_systems[1], grid_1024, "adjoint")
-    ratio = first_iterate_ratio(op, 14.0, envelope_integral(op, -1.0))
+    ratio = first_iterate_ratio(op, 14.0, envelope_integral(op))
     assert ratio == pytest.approx(1.0 / 280.0, rel=1e-9)
 
 
@@ -254,14 +254,25 @@ def test_direct_envelope_certifies_delivered_fixed_point(cd_test, r_eps, eps_sys
         sys = eps_systems[i]
         z, _ = eps_solutions[i]
         env = envelope_report(cd_test, i, r_eps, 0.25, rho[i])
-        lo, hi = beta_interval(sys)
-        beta = hi if i == 4 else lo
         op = IntegralOperator(sys, grid_1024)
-        envelope = envelope_integral(op, beta)
+        envelope = envelope_integral(op)
         ok, ratio = envelope_check(op, z, envelope, env.Phi)
         assert ok and 0.0 < ratio <= 1.0
         first = first_iterate_ratio(op, env.A, envelope)
         assert 0.0 < first <= 1.0
+
+
+@pytest.mark.parametrize("orientation", ["direct", "adjoint"])
+def test_envelope_is_the_transform_at_the_slowest_modes(eps_systems, grid_1024, orientation):
+    """E_i is the head transform of |Omega| at the operator's slowest head
+    mode plus its seeded tail transform at the slowest tail mode, byte for
+    byte, in either orientation."""
+    for i in (1, 2, 3, 4):
+        op = IntegralOperator(eps_systems[i], grid_1024, orientation)
+        expected = two_sided_transform(grid_1024, lambda s: np.abs(op.omega(s)),
+                                       np.abs(op.omega(grid_1024.gl_x)), *op.modes.slowest(),
+                                       op.quad_tol)
+        assert envelope_integral(op).tobytes() == expected.tobytes()
 
 
 def test_orientation_fixed_points_differ_by_first_iterates(eps_systems, grid_1024):

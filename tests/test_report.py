@@ -104,6 +104,30 @@ def test_one_operator_per_root(monkeypatch):
     assert calls == [1, 2, 3, 4]
 
 
+def test_beta_is_the_envelope_rate_on_its_side(monkeypatch):
+    """certificates.beta is the rate at which the root's envelope transforms
+    |Omega| on the side that beta governs: the head side, or the tail side
+    for root 4, whose direct kernel has no head modes."""
+    used = []  # {side: rate} of each envelope, in root order
+    envelope = picard.envelope_integral
+
+    def recorder(side, transform):
+        def recorded(grid, f_gl, rate, *seed):
+            used[-1][side] = rate
+            return transform(grid, f_gl, rate, *seed)
+        return recorded
+
+    monkeypatch.setattr(picard, "envelope_integral", lambda op: used.append({}) or envelope(op))
+    for side in ("head", "tail"):
+        monkeypatch.setattr(picard, f"{side}_transform",
+                            recorder(side, getattr(picard, f"{side}_transform")))
+    report, _ = run_report(EPS_SPEC, mode="solve")
+    assert [sorted(rates) for rates in used] == [["head"], ["head", "tail"],
+                                                 ["head", "tail"], ["tail"]]
+    for i, rates in zip("1234", used):
+        assert report["roots"][i]["certificates"]["beta"] == rates["head" if i < "4" else "tail"]
+
+
 def test_the_run_grid_is_sampled_once_per_root(monkeypatch):
     """Within a root, the coefficients are sampled on the run grid's
     Gauss-Legendre points once, when the operator is built, and z is read

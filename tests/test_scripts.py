@@ -35,17 +35,20 @@ def test_dump_reports_is_reproducible(tmp_path):
         targets = dump(tmp_path / name, ["standard"], [0])
         assert [t.name for t in targets] == ["standard-seed0", "standard-seed0-trace",
                                              "fail-window-root4", "fail-window-root1",
-                                             "fail-domain-all", "fail-seed-roots123"]
+                                             "fail-domain-all", "fail-seed-roots123",
+                                             "analyze-h2-powerlaw"]
         trees.append({(t.name, p.name): p.read_bytes()
                       for t in targets for p in t.iterdir()})
     assert ("standard-seed0", "report.json") in trees[0]
     assert ("standard-seed0", "wronskian.csv") in trees[0]
     assert ("standard-seed0", "trace_root1.csv") not in trees[0]
     assert ("standard-seed0-trace", "trace_root1.csv") in trees[0]
-    # the failing problems are analyzed only: one report.json each
-    assert [p for t, p in trees[0] if t.startswith("fail-")] == ["report.json"] * 4
+    # the analyze-mode problems: one report.json each
+    assert [p for t, p in trees[0] if t.startswith(("fail-", "analyze-"))] == ["report.json"] * 5
     failing = json.loads(trees[0][("fail-window-root1", "report.json")])
     assert [failing["roots"][i]["status"] for i in "1234"] == ["error"] + ["analyzed"] * 3
+    powerlaw = json.loads(trees[0][("analyze-h2-powerlaw", "report.json")])
+    assert [powerlaw["roots"][i]["h2"]["verdict"] for i in "1234"] == ["PASS"] * 4
     assert trees[0] == trees[1]
 
 
