@@ -20,17 +20,17 @@ root its bound.
 The decay hypothesis H2 is checked on the kernel functional
 L(t) = integral of w(|t - s|) |r_j(s)| ds, where w = |g| + |g_t| + |g_tt| of
 the printed kernel depends only on u = |t - s|, at 12 times evenly spaced on
-rho's window [t0, t0 + 40 / min_gap].  Each of its three inner
-sums has at most three exponential terms and so at most two real zeros
-(Laguerre's rule of signs), located once per root with brentq.  With these
-kinks as cut points, w is one exponential sum per side between consecutive
-cuts, so L is an exact combination of the same head/tail transforms of
-|r_j|, one per kernel mode, read at t - cut and t + cut.  Each call runs
-them on one graded panel grid that holds every point read.  The tail guard
-weighs the kernel: when the part of L beyond TAIL_DECAY_LENGTHS slowest-mode
-decay lengths is not negligible, TailNotConvergent is raised.  The tests
-check L against the adaptive route, L_functional in
-tests/reference_routes.py.
+rho's window [t0, t0 + 40 / min_gap].  Each of its three inner sums has at
+most three exponential terms and so at most two real zeros (Laguerre's rule
+of signs), located once per root with brentq.  With these kinks as cut
+points, w is one exponential sum per side between consecutive cuts, so L is
+an exact combination of the same head/tail transforms of |r_j|, one per
+kernel mode, read at t - cut and t + cut.  Each call samples the stack of
+|r_j| once, as rho_bound does, on one graded panel grid that holds every
+point read, and transforms it once per kernel mode.  The tail guard weighs
+the kernel: when the part of L beyond TAIL_DECAY_LENGTHS slowest-mode decay
+lengths is not negligible, TailNotConvergent is raised.  The tests check L
+against the adaptive route, L_functional in tests/reference_routes.py.
 
 Both rho and H2 settle their tails to TAIL_TOL = 1e-10, a module constant
 that is not a run's quad_tol (1e-12 by default); H2 passes below
@@ -111,18 +111,11 @@ def rho_bound(cd: CharacteristicData, roots, r, t0):
     r_j order: r_j's evaluation on the grid, r_j's tail seed, or
     TailNotConvergent on the sample window.  envelope_report raises it.
     """
-    exprs = [rj for rj in map(exprlang.as_expr, r) if not exprlang.is_zero(rj)]
     t_span = 40.0 / cd.min_gap
     samples = t0 + np.concatenate([[0.0], np.geomspace(1e-3, t_span, RHO_SAMPLES - 1)])
     panels = make_panels(np.union1d(graded_nodes(t0, t0 + t_span, RHO_GRID_NODES), samples))
     at_samples = np.searchsorted(panels.nodes, samples)
-    f_gl = np.zeros((len(exprs), *panels.gl_x.shape))
-    sampled = [None] * len(exprs)  # the SolverError of each failed sample; its row stays 0
-    for j, rj in enumerate(exprs):
-        try:
-            np.abs(rj(panels.gl_x), out=f_gl[j])
-        except SolverError as exc:  # its traceback's frames would keep the grid alive
-            sampled[j] = exc.with_traceback(None)
+    exprs, f_gl, sampled = _abs_samples(r, panels)
     bounds = {}
     for i in roots:
         head_rate, tail_rate = kernel_for_root(cd, i).modes("adjoint").slowest()
@@ -142,6 +135,21 @@ def rho_bound(cd: CharacteristicData, roots, r, t0):
             transform += tail_transform(panels, f_gl, tail_rate, seeds)
         bounds[i] = _bound(exprs, transform, failed, at_samples)
     return bounds
+
+
+def _abs_samples(r, panels):
+    """The nonzero r_j, their |r_j| on the panels' Gauss-Legendre points as
+    one zero-filled stack (one row per r_j), and each row's SolverError, its
+    row left 0, or None."""
+    exprs = [rj for rj in map(exprlang.as_expr, r) if not exprlang.is_zero(rj)]
+    f_gl = np.zeros((len(exprs), *panels.gl_x.shape))
+    errors = [None] * len(exprs)
+    for j, rj in enumerate(exprs):
+        try:
+            np.abs(rj(panels.gl_x), out=f_gl[j])
+        except SolverError as exc:  # its traceback's frames would keep the grid alive
+            errors[j] = exc.with_traceback(None)
+    return exprs, f_gl, errors
 
 
 def _bound(exprs, transform, failed, at_samples):
@@ -326,11 +334,11 @@ def check_h2(cd: CharacteristicData, i: int, r, t0=0.0):
     head_transform / tail_transform values of |r_j|, one transform per
     kernel mode, read at t - cut (above t0) and t + cut.  They all run on
     one _transform_grid per call, on [t0, t_last + 2 span] with span =
-    TAIL_DECAY_LENGTHS slowest-tail decay lengths, and |r_j| is sampled once on
-    its Gauss-Legendre points.  TailNotConvergent is raised when the part of
-    L past u = span exceeds max(0.1 TAIL_TOL, 1e-15 times the tail part).
+    TAIL_DECAY_LENGTHS slowest-tail decay lengths, each on the stack of
+    |r_j| sampled there once.  In r_j order, a failed sample raises its
+    SolverError, and a part of L past u = span above max(0.1 TAIL_TOL,
+    1e-15 times the tail part) raises TailNotConvergent.
     """
-    exprs = [rj for rj in map(exprlang.as_expr, r) if not exprlang.is_zero(rj)]
     sample_ts = t0 + np.linspace(0.0, 40.0 / cd.min_gap, 12)
 
     modes = kernel_for_root(cd, i).modes("adjoint")
@@ -352,12 +360,16 @@ def check_h2(cd: CharacteristicData, i: int, r, t0=0.0):
     if not all(np.array_equal(panels.nodes[at], side[2]) for at, side in zip(reads, sides)):
         raise RuntimeError("H2 read points are not nodes of the transform grid")
 
+    exprs, f_gl, sampled = _abs_samples(r, panels)
+    stacked = [[transform(panels, f_gl, m.rate)[:, at] for m in sided]
+               for (sided, transform, *_), at in zip(sides, reads)] if exprs else []
     curve = np.zeros_like(sample_ts)
-    for rj in exprs:
-        f_gl = np.abs(rj(panels.gl_x))
+    for j, (rj, error) in enumerate(zip(exprs, sampled)):
+        if error is not None:
+            raise error
         vals = np.zeros_like(sample_ts)
-        for (sided, transform, _, steps, last), at in zip(sides, reads):
-            values = np.array([transform(panels, f_gl, m.rate)[at] for m in sided])
+        for (*_, steps, last), side_modes in zip(sides, stacked):
+            values = np.array([mode[j] for mode in side_modes])
             part = np.einsum("msk,km->s", values[:, :, :len(steps)], steps)
             if last is not None and np.any(last @ values[:, :, -1]
                                            > np.maximum(0.1 * TAIL_TOL, 1e-15 * part)):

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import ODEintWarning, odeint
@@ -37,16 +36,11 @@ SPAN_DOMINANT = 5.0
 SPAN_SUBDOMINANT = 3.0
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    states: np.ndarray  # (n_state, len(t_eval))
-
-
-def _solve(rhs, t_span, y0, t_eval, tol) -> Trajectory:
-    """Run rhs from t_span[0] and return its states at t_eval, evaluating rhs
-    only inside the span that t_eval covers.  LSODA reports a failed run only
-    as an ODEintWarning; it ends here as StepUnderflow.  A SolverError raised
-    by rhs comes out as itself."""
+def _solve(rhs, t_span, y0, t_eval, tol) -> np.ndarray:
+    """Run rhs from t_span[0] and return its states at t_eval, shape
+    (n_state, len(t_eval)), evaluating rhs only inside the span that t_eval
+    covers.  LSODA reports a failed run only as an ODEintWarning; it ends
+    here as StepUnderflow.  A SolverError raised by rhs comes out as itself."""
     t = np.asarray(t_eval, dtype=float)
     prepended = bool(t[0] != t_span[0])
     if prepended:
@@ -75,7 +69,7 @@ def _solve(rhs, t_span, y0, t_eval, tol) -> Trajectory:
                             "the end of the span")
     if not np.all(np.isfinite(states)):
         raise NonFinite("direct integration produced non-finite states")
-    return Trajectory(states=states[prepended:].T)
+    return states[prepended:].T
 
 
 def _coefficient(a_k, r_k):
@@ -104,7 +98,7 @@ def linear4_rhs(a, r_exprs):
     return rhs
 
 
-def integrate_linear4(a, r_exprs, y0, t_span, t_eval, tol=ORACLE_TOL) -> Trajectory:
+def integrate_linear4(a, r_exprs, y0, t_span, t_eval, tol=ORACLE_TOL) -> np.ndarray:
     return _solve(linear4_rhs(a, r_exprs), t_span, y0, t_eval, tol)
 
 
@@ -122,17 +116,16 @@ def riccati_rhs(sys: RiccatiSystem):
     return rhs
 
 
-def integrate_riccati(sys: RiccatiSystem, x0, t_span, t_eval,
-                      tol=ORACLE_TOL) -> Trajectory:
+def integrate_riccati(sys: RiccatiSystem, x0, t_span, t_eval, tol=ORACLE_TOL) -> np.ndarray:
     return _solve(riccati_rhs(sys), t_span, x0, t_eval, tol)
 
 
 def _logderiv_gap(fs: FundamentalSolution, sys: RiccatiSystem, k, t_span, t_eval):
     """Run the fourth-order equation from the state of y at node k and return
-    the run and its log-derivative gap |y'/y - (lam + z)| at t_eval."""
-    traj = integrate_linear4(sys.a, sys.r, fs.state_at(k), t_span, t_eval)
+    the run's states and its log-derivative gap |y'/y - (lam + z)| at t_eval."""
+    states = integrate_linear4(sys.a, sys.r, fs.state_at(k), t_span, t_eval)
     z0, _, _ = fs.z.channels_at(t_eval)
-    return traj, np.abs(traj.states[1] / traj.states[0] - (fs.lam + z0))
+    return states, np.abs(states[1] / states[0] - (fs.lam + z0))
 
 
 def cross_validate(fs: FundamentalSolution, sys: RiccatiSystem):
@@ -157,11 +150,11 @@ def cross_validate(fs: FundamentalSolution, sys: RiccatiSystem):
     t_end = min(t0 + span, float(fs.nodes[-1]))
     t_eval = np.linspace(t0, t_end, 101)
 
-    traj, ld_gap = _logderiv_gap(fs, sys, 0, (t0, t_end), t_eval)
+    states, ld_gap = _logderiv_gap(fs, sys, 0, (t0, t_end), t_eval)
     out["span"] = [t0, t_end]
 
     if fs.i == 1:
-        y_direct = traj.states[0]
+        y_direct = states[0]
         y_synth = fs.y_at(t_eval)
         out["y_rel_error"] = float(
             np.max(np.abs(y_direct - y_synth) / np.maximum(np.abs(y_synth), 1e-300))

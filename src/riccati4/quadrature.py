@@ -16,13 +16,13 @@ the panel sums into values at the nodes.  Sums are formed one block of
 BLOCK_PANELS panels at a time (``panel_blocks``), so the temporaries of a
 block stay in cache.  ``head_transform`` and ``tail_transform`` compose the
 two parts, forming the weights block by block and never for the whole
-grid.  They take one forcing (H2 and the envelope) or a stack of forcings
-with one tail seed each (``hypotheses.rho_bound``, every perturbation at
-once), and each block's weights give the panel sums of every forcing of the
-stack.  The one other caller of the parts is the Picard operator, which
-builds the grid-wide weights of its kernel modes once and reuses them in
-every apply (``picard.IntegralOperator``).  The tail seed, the integral
-past the grid of a forcing given as a callable, runs on the same engine:
+grid.  They take one forcing (the envelope and the tail seed) or a stack of
+forcings with one tail seed each (``hypotheses.rho_bound`` and ``check_h2``),
+and each block's weights give the panel sums of every forcing of the stack.
+The one other caller of the parts is the Picard operator, which builds the
+grid-wide weights of its kernel modes once and reuses them in every apply
+(``picard.IntegralOperator``).  The tail seed, the integral past the grid
+of a forcing given as a callable, runs on the same engine:
 ``exponential_tail_seed`` lays geometric panels past t_max, samples the
 forcing once on all of them and sums them with ``tail_transform``.
 
@@ -91,11 +91,6 @@ def make_panels(nodes) -> PanelGrid:
     return PanelGrid(nodes=nodes, gl_x=gl_x, gl_w=gl_w.copy())
 
 
-def panel_integrals(grid: PanelGrid, f_gl: np.ndarray) -> np.ndarray:
-    """Plain integral of f over each panel from its GL samples."""
-    return (grid.gl_w * f_gl).sum(axis=1)
-
-
 def node_integrals(panel_sums: np.ndarray) -> np.ndarray:
     """Integral from t0 to each node (first entry 0) from the plain
     integral over each panel."""
@@ -107,7 +102,7 @@ def node_integrals(panel_sums: np.ndarray) -> np.ndarray:
 
 def cumulative_integral(grid: PanelGrid, f_gl: np.ndarray) -> np.ndarray:
     """Integral of f from t0 to each node (first entry 0)."""
-    return node_integrals(panel_integrals(grid, f_gl))
+    return node_integrals((grid.gl_w * f_gl).sum(axis=1))
 
 
 def panel_blocks(grid: PanelGrid):

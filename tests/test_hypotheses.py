@@ -229,6 +229,16 @@ def test_h2_growing_perturbation_raises(cd_test):
         check_h2(cd_test, 1, ("exp(0.5*t)", "0", "0", "0"))
 
 
+def test_h2_raises_the_first_error_in_perturbation_order(cd_test):
+    """A row's sampling error or its TailNotConvergent is raised in r_j
+    order, as each r_j is reached, not when all of them are sampled."""
+    growing, undefined = "exp(0.5*t)", "log(t-1)"
+    with pytest.raises(TailNotConvergent, match=r"'exp\(0\.5\*t\)'"):
+        check_h2(cd_test, 1, (growing, undefined, "0", "0"))
+    with pytest.raises(DomainError, match="log of non-positive argument"):
+        check_h2(cd_test, 1, (undefined, growing, "0", "0"))
+
+
 def test_h2_pure_tail_root_decays_at_the_perturbation_rate(cd_test):
     # root 1 has tail modes only, so L(t) = L(t0) exp(-(t - t0)) exactly
     report = check_h2(cd_test, 1, ("0.001*exp(-t)", "0", "0", "0"))

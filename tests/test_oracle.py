@@ -28,26 +28,26 @@ def test_pure_exponential_modes():
     # y0 = (1, lam, lam^2, lam^3) rides a single mode e^{lam t}
     for lam in (2.0, -2.0):
         y0 = [lam**k for k in range(4)]
-        traj = integrate_linear4(A_TEST, R_ZERO, y0, (0.0, 1.0),
-                                 t_eval=np.array([0.0, 1.0]))
-        assert traj.states[0, -1] == pytest.approx(math.exp(lam), abs=1e-8)
+        states = integrate_linear4(A_TEST, R_ZERO, y0, (0.0, 1.0),
+                                   t_eval=np.array([0.0, 1.0]))
+        assert states[0, -1] == pytest.approx(math.exp(lam), abs=1e-8)
 
 
 def test_self_convergence_under_tolerance_halving():
     y0 = [1.0, 2.0, 4.0, 8.0]
     end = []
     for tol in (1e-8, 5e-9):
-        traj = integrate_linear4(A_TEST, R_ZERO, y0, (0.0, 5.0),
-                                 tol=tol, t_eval=np.array([0.0, 5.0]))
-        end.append(traj.states[:, -1])
+        states = integrate_linear4(A_TEST, R_ZERO, y0, (0.0, 5.0),
+                                   tol=tol, t_eval=np.array([0.0, 5.0]))
+        end.append(states[:, -1])
     assert np.max(np.abs(end[0] - end[1])) <= 10.0 * 1e-8 * np.max(np.abs(end[1]))
 
 
 def test_riccati_trivial_integration(cd_test, r_zero):
     sys1 = build_system(cd_test, r_zero, 1)
-    traj = integrate_riccati(sys1, (0.0, 0.0, 0.0), (0.0, 4.0),
-                             t_eval=np.linspace(0.0, 4.0, 5))
-    assert np.max(np.abs(traj.states)) <= 1e-12
+    states = integrate_riccati(sys1, (0.0, 0.0, 0.0), (0.0, 4.0),
+                               t_eval=np.linspace(0.0, 4.0, 5))
+    assert np.max(np.abs(states)) <= 1e-12
 
 
 def test_cross_validation_epsilon(cd_test, eps_systems, eps_operators, eps_solutions):
@@ -158,7 +158,7 @@ def test_backward_and_forward_runs_stay_inside_their_span():
             return rhs(t, y)
 
         states = oracle._solve(recording, span, [1.0, 1.0, 1.0, 1.0],
-                               np.linspace(*span, 11), oracle.ORACLE_TOL).states
+                               np.linspace(*span, 11), oracle.ORACLE_TOL)
         assert np.all(np.isfinite(states))
         assert min(span) <= min(seen) and max(seen) <= max(span)
 
@@ -256,12 +256,12 @@ def test_oracle_runs_agree_with_a_tight_dop853_run(hard_oracle_runs):
             calls.append(t)
             return rhs(t, y)
 
-        lsoda = oracle._solve(counting, t_span, y0, t_eval, oracle.ORACLE_TOL).states
+        lsoda = oracle._solve(counting, t_span, y0, t_eval, oracle.ORACLE_TOL)
         n_lsoda = len(calls)
         calls.clear()
         reference = dop853_states(counting, t_span, y0, t_eval, 1e-13)
         n_reference = len(calls)
-        assert np.array_equal(lsoda, integrate_linear4(a, r, y0, t_span, t_eval).states)
+        assert np.array_equal(lsoda, integrate_linear4(a, r, y0, t_span, t_eval))
 
         forward = t_span[1] > t_span[0]
         gap = max(gamma[0] if forward else -gamma[-1], 0.0)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from riccati4 import exprlang, hypotheses, oracle, picard, quadrature, riccati, synthesis
 from riccati4 import report as report_module
+from riccati4.greens import kernel_for_root
 from riccati4.grid import GridFunction
 from riccati4.errors import ValidationError
 from riccati4.picard import default_grid
@@ -272,7 +273,7 @@ def _rho_grid_work(monkeypatch):
     """Lists of the FunctionExpr evaluations on rho_bound's grid, of the
     first-block panel_weights formations (rate, head) on it and of the
     (name, stack shape) of each head_transform or tail_transform call, by the
-    names that hypotheses binds, on a stack of forcings."""
+    names that hypotheses binds, on a stack of forcings on it."""
     grids, evals, weights, stacks = [], [], [], []
     rho_bound, make_panels = hypotheses.rho_bound, hypotheses.make_panels
     call, panel_weights = exprlang.FunctionExpr.__call__, quadrature.panel_weights
@@ -305,7 +306,7 @@ def _rho_grid_work(monkeypatch):
         transform = getattr(hypotheses, name)
 
         def traced(grid, f_gl, *args):
-            if np.ndim(f_gl) == 3:
+            if np.ndim(f_gl) == 3 and any(grid is g for g in grids):
                 stacks.append((name, np.shape(f_gl)))
             return transform(grid, f_gl, *args)
         return traced
@@ -352,6 +353,73 @@ def test_rho_runs_each_side_of_each_root_on_the_transform_engine(hard_rho_work):
     (grid,), stacks = hard_rho_work[1], hard_rho_work[4]
     shape = (4, *grid.gl_x.shape)
     assert sorted(stacks) == [("head_transform", shape)] * 3 + [("tail_transform", shape)] * 3
+
+
+@pytest.fixture
+def hard_h2_work(monkeypatch):
+    """(spec, {root: (its H2 grids, the FunctionExpr evaluations on them, the
+    (name, forcing shape, rate) of each head_transform or tail_transform call
+    on them)}) of one analyze run of the hard workload."""
+    check_h2, make_panels = hypotheses.check_h2, hypotheses.make_panels
+    call = exprlang.FunctionExpr.__call__
+    work, inside = {}, []
+
+    def traced_h2(cd, i, *args, **kwargs):
+        inside.append(work.setdefault(i, ([], [], [])))
+        try:
+            return check_h2(cd, i, *args, **kwargs)
+        finally:
+            inside.pop()
+
+    def kept(nodes):
+        grid = make_panels(nodes)
+        if inside:
+            inside[-1][0].append(grid)
+        return grid
+
+    def on_h2_grid(t):
+        return bool(inside) and any(t is grid.gl_x for grid in inside[-1][0])
+
+    def counted_call(self, t):
+        if on_h2_grid(t):
+            inside[-1][1].append(self.source)
+        return call(self, t)
+
+    def recorded(name):
+        transform = getattr(hypotheses, name)
+
+        def traced(grid, f_gl, rate, *args):
+            if on_h2_grid(grid.gl_x):
+                inside[-1][2].append((name, np.shape(f_gl), rate))
+            return transform(grid, f_gl, rate, *args)
+        return traced
+
+    monkeypatch.setattr(hypotheses, "check_h2", traced_h2)
+    monkeypatch.setattr(hypotheses, "make_panels", kept)
+    monkeypatch.setattr(exprlang.FunctionExpr, "__call__", counted_call)
+    for name in ("head_transform", "tail_transform"):
+        monkeypatch.setattr(hypotheses, name, recorded(name))
+    spec = _workloads().build_spec("hard", 0)
+    report, _ = run_report(spec, mode="analyze")
+    assert all(root["status"] == "analyzed" for root in report["roots"].values())
+    return spec, work
+
+
+def test_h2_runs_each_kernel_mode_once_on_the_stack_of_perturbations(hard_h2_work):
+    """Each root's check_h2 samples each r_j once on its one grid and makes
+    one head_transform or tail_transform call per kernel mode, each on the
+    stack of all four perturbations: 12 calls per run."""
+    spec, work = hard_h2_work
+    cd = characteristic_data(spec.a, root_tol=spec.root_tol, gap_tol=spec.gap_tol)
+    assert sorted(work) == [1, 2, 3, 4]
+    for i, (grids, evals, calls) in work.items():
+        (grid,) = grids
+        assert evals == list(spec.r)
+        modes = kernel_for_root(cd, i).modes("adjoint")
+        shape = (4, *grid.gl_x.shape)
+        assert calls == ([("head_transform", shape, m.rate) for m in modes.head]
+                         + [("tail_transform", shape, m.rate) for m in modes.tail])
+    assert sum(len(calls) for *_, calls in work.values()) == 12
 
 
 def test_a_single_root_run_gives_that_root_the_entry_of_the_full_run():
