@@ -9,10 +9,12 @@ Usage:
 For every workload and seed it runs `run_report` on the problem that
 `perfbench/workloads.py` builds and writes its files (report.json and every
 CSV series) to OUT/<workload>-seed<s>/.  The defaults are all three
-workloads at seeds 0 and 3.  It also writes one traced run, the standard
-workload at seed 0 with `trace=True`, to OUT/standard-seed0-trace/, so that
-the per-iteration `trace_root{i}.csv` series are compared too, and the
-analyze-mode reports of four problems whose roots fail, to
+workloads at seeds 0 and 3.  It also writes three more runs of the standard
+workload at seed 0: one with `trace=True`, to OUT/standard-seed0-trace/, so
+that the per-iteration `trace_root{i}.csv` series are compared too, and one
+each in modes solve and verify, to OUT/standard-seed0-solve/ and
+OUT/standard-seed0-verify/, so that the report.json those modes write is
+compared as well; and the analyze-mode reports of four problems whose roots fail, to
 OUT/fail-<name>/, so that the status and error of each failing root are
 compared as well: the standard spectrum with r0 = 0.001 sin(2t)/(1+t)^3
 (root 4's transform rises on the rho sample window), the hard spectrum with
@@ -40,7 +42,10 @@ import workloads  # noqa: E402  (the benchmark's problem builder, read-only)
 from riccati4.report import run_report  # noqa: E402
 
 SEEDS = (0, 3)
-TRACED = ("standard", 0)
+# runs of the standard workload at seed 0 besides its report: tree suffix ->
+# (trace, mode)
+STANDARD_SEED0 = {"trace": (True, "report"), "solve": (False, "solve"),
+                  "verify": (False, "verify")}
 # analyze-mode problems: tree name -> (workload spectrum, r0); the roots of
 # the fail- trees fail
 ANALYZED = {
@@ -53,15 +58,18 @@ ANALYZED = {
 
 
 def dump(out, names=tuple(workloads.WORKLOADS), seeds=SEEDS):
-    """Write OUT/<name>-seed<s>/ for every pair, then the traced tree
-    OUT/standard-seed0-trace/ and the analyze-mode trees of ANALYZED;
-    returns the directories."""
-    runs = [(name, seed, False) for name in names for seed in seeds]
+    """Write OUT/<name>-seed<s>/ for every pair, then the trees
+    OUT/standard-seed0-<suffix>/ of STANDARD_SEED0 and the analyze-mode trees
+    of ANALYZED; returns the directories."""
+    runs = [(f"{name}-seed{seed}", name, seed, False, "report")
+            for name in names for seed in seeds]
+    runs += [(f"standard-seed0-{suffix}", "standard", 0, trace, mode)
+             for suffix, (trace, mode) in STANDARD_SEED0.items()]
     dirs = []
-    for name, seed, trace in runs + [(*TRACED, True)]:
-        target = Path(out) / f"{name}-seed{seed}{'-trace' if trace else ''}"
+    for tree, name, seed, trace, mode in runs:
+        target = Path(out) / tree
         spec = replace(workloads.build_spec(name, seed), trace=trace)
-        run_report(spec, out_dir=str(target))
+        run_report(spec, out_dir=str(target), mode=mode)
         dirs.append(target)
     for name, (spectrum, r0) in ANALYZED.items():
         target = Path(out) / name

@@ -74,10 +74,6 @@ class GridFunction:
     def nodes(self):
         return self.grid.nodes
 
-    @property
-    def t_max(self):
-        return float(self.nodes[-1])
-
     def channels_at(self, x):
         """(z, z', z'') at arbitrary points inside the grid."""
         z = hermite_eval(self.nodes, self.value, self.d1, x)

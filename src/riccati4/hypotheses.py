@@ -20,11 +20,11 @@ root its bound.
 The decay hypothesis H2 is checked on the kernel functional
 L(t) = integral of w(|t - s|) |r_j(s)| ds, where w = |g| + |g_t| + |g_tt| of
 the printed kernel depends only on u = |t - s|, at 12 times evenly spaced on
-rho's window [t0, t0 + 40 / min_gap].  Each of its three inner sums has at
-most three exponential terms and so at most two real zeros (Laguerre's rule
-of signs), located once per root with brentq.  With these kinks as cut
-points, w is one exponential sum per side between consecutive cuts, so L is
-an exact combination of the same head/tail transforms of |r_j|, one per
+rho's window [t0, t0 + TAIL_DECAY_LENGTHS / min_gap].  Each of its three
+inner sums has at most three exponential terms and so at most two real zeros
+(Laguerre's rule of signs), located once per root with brentq.  With these
+kinks as cut points, w is one exponential sum per side between consecutive
+cuts, so L is an exact combination of the same head/tail transforms of |r_j|, one per
 kernel mode, read at t - cut and t + cut.  Each call samples the stack of
 |r_j| once, as rho_bound does, on one graded panel grid that holds every
 point read, and transforms it once per kernel mode.  The tail guard weighs
@@ -98,9 +98,9 @@ def rho_bound(cd: CharacteristicData, roots, r, t0):
     supremum).
 
     The grid and the samples do not depend on the root; only the rates do.
-    The grid joins RHO_GRID_NODES graded nodes on a window of 40 / min_gap
-    decay lengths with RHO_SAMPLES log-spaced offsets, and every nonzero
-    |r_j| is sampled on its Gauss-Legendre points once, into one stack.  Each
+    The grid joins RHO_GRID_NODES graded nodes on the window
+    [t0, t0 + TAIL_DECAY_LENGTHS / min_gap] with RHO_SAMPLES log-spaced
+    offsets, and every nonzero |r_j| is sampled on its Gauss-Legendre points once, into one stack.  Each
     side of each root is one head_transform or seeded tail_transform of the
     whole stack, which forms each block's panel weights once for every r_j
     and gives F_operator_eval at every node, the tail seeded past the window
@@ -111,7 +111,7 @@ def rho_bound(cd: CharacteristicData, roots, r, t0):
     r_j order: r_j's evaluation on the grid, r_j's tail seed, or
     TailNotConvergent on the sample window.  envelope_report raises it.
     """
-    t_span = 40.0 / cd.min_gap
+    t_span = TAIL_DECAY_LENGTHS / cd.min_gap
     samples = t0 + np.concatenate([[0.0], np.geomspace(1e-3, t_span, RHO_SAMPLES - 1)])
     panels = make_panels(np.union1d(graded_nodes(t0, t0 + t_span, RHO_GRID_NODES), samples))
     at_samples = np.searchsorted(panels.nodes, samples)
@@ -270,16 +270,10 @@ def _exp_sum_zeros(coefs, rates, hi):
             if np.sign(scaled(a)) * np.sign(scaled(b)) < 0.0]
 
 
-def _kinks(modes, side, hi):
-    """Kinks of one side's weight w(u) = sum_d |S_d(u)| ("head": s = t - u,
-    "tail": s = t + u): the zeros in (0, hi) of its inner sums S_d."""
-    sign, sided = (1.0, modes.head) if side == "head" else (-1.0, modes.tail)
-    return np.array([z for d in range(3) for z in _exp_sum_zeros(
-        [m.coef * m.rate**d for m in sided], [sign * m.rate for m in sided], hi)])
-
-
 def _cut_steps(modes, side, hi):
-    """(cuts, steps, last) of one side's weight, its kinks below hi as cuts.
+    """(cuts, steps, last) of one side's weight w(u) = sum_d |S_d(u)|
+    ("head": s = t - u, "tail": s = t + u), with the kinks of w, the zeros
+    in (0, hi) of its inner sums S_d, as cuts.
 
     On (cuts[k], cuts[k+1]) the weight is sum_m a[k, m] exp(e_m u), with
     e_m = +-rate_m the mode's exponent in u, so L on that side is
@@ -288,9 +282,11 @@ def _cut_steps(modes, side, hi):
     (a[k, m] - a[k-1, m]) exp(e_m cuts[k]) and a[-1, m] = 0.  last[m] =
     |a[-1, m]| exp(e_m hi) weighs the remainder past u = hi."""
     sign, sided = (1.0, modes.head) if side == "head" else (-1.0, modes.tail)
-    cuts = np.unique(np.append(_kinks(modes, side, hi), 0.0))
     exps = np.array([sign * m.rate for m in sided])
     terms = np.array([[m.coef * m.rate**d for m in sided] for d in range(3)])
+    # S_d(u) = sum_m terms[d, m] exp(e_m u)
+    kinks = [z for row in terms for z in _exp_sum_zeros(row, exps, hi)]
+    cuts = np.unique(np.append(kinks, 0.0))
     # signs of S_d between the cuts, scaled so that no exponent is positive
     probes = 0.5 * (cuts + np.append(cuts[1:], hi))
     signs = np.sign(np.exp(np.outer(probes, exps - exps.max())) @ terms.T)
@@ -324,9 +320,9 @@ class DecayReport:
 
 def check_h2(cd: CharacteristicData, i: int, r, t0=0.0):
     """Evaluate the kernel functional L of each perturbation at 12 times
-    evenly spaced on [t0, t0 + 40 / min_gap]; PASS when the curve decays
-    below H2_TOL by the last sample.  The fitted exponential rate of the
-    tail is reported.
+    evenly spaced on rho's window [t0, t0 + TAIL_DECAY_LENGTHS / min_gap];
+    PASS when the curve decays below H2_TOL by the last sample.  The fitted
+    exponential rate of the tail is reported.
 
     L(t) = integral over [t0, inf) of w(|t - s|) |r_j(s)| ds, where w is
     |g| + |g_t| + |g_tt| of the adjoint kernel on the side of s.  Between
@@ -339,7 +335,7 @@ def check_h2(cd: CharacteristicData, i: int, r, t0=0.0):
     SolverError, and a part of L past u = span above max(0.1 TAIL_TOL,
     1e-15 times the tail part) raises TailNotConvergent.
     """
-    sample_ts = t0 + np.linspace(0.0, 40.0 / cd.min_gap, 12)
+    sample_ts = t0 + np.linspace(0.0, TAIL_DECAY_LENGTHS / cd.min_gap, 12)
 
     modes = kernel_for_root(cd, i).modes("adjoint")
     t_last = float(sample_ts[-1])

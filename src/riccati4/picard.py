@@ -234,7 +234,6 @@ def resolve_orientation(sys: RiccatiSystem):
 class IterationTrace:
     deltas: list = field(default_factory=list)     # ||omega_{n+1} - omega_n||_0
     contraction: list = field(default_factory=list)
-    converged: bool = False
     n_iter: int = 0
     certificate: float = float("nan")              # ||T z* - z*||_0
 
@@ -243,10 +242,11 @@ def iterate_to_fixed_point(op: IntegralOperator, fp_tol=FP_TOL, max_iter=MAX_ITE
                            eta=0.25, snapshot=None, integrals=True):
     """Plain Picard iteration of the operator op from omega_0 = 0.
 
-    Returns (z, trace); z lives on op.grid.  Raises Diverged when the
-    iterate leaves the eta ball by a factor 10 or deltas grow three steps in
-    a row; MaxIterExceeded at the cap.  snapshot, when given, is called with
-    (iteration, GridFunction) after every step.  The certificate
+    Returns (z, trace), z on op.grid, only once a step moves the iterate by
+    at most fp_tol.  Raises Diverged when the iterate leaves the eta ball by
+    a factor 10 or deltas grow three steps in a row; MaxIterExceeded at the
+    cap.  snapshot, when given, is called with (iteration, GridFunction)
+    after every step.  The certificate
     ||T z - z||_0 is one more apply of z; with integrals it also forms the
     panel integrals that synthesis reads (``IntegralOperator.panel_integrals``),
     which a caller that stops before synthesis leaves out.
@@ -274,7 +274,6 @@ def iterate_to_fixed_point(op: IntegralOperator, fp_tol=FP_TOL, max_iter=MAX_ITE
         if snapshot is not None:
             snapshot(n, z_new)
         if delta <= fp_tol:
-            trace.converged = True
             trace.n_iter = n
             trace.certificate = op.apply(z_new, integrals=integrals).diff_norm(z_new)
             return z_new, trace
@@ -287,7 +286,8 @@ def beta_interval(sys: RiccatiSystem):
     """Admissible beta interval, from the slowest direct-kernel modes:
     [head rate, 0) = [lam_{i+1} - lam_i, 0) when the kernel has head modes
     (i = 1..3), else (0, tail rate] = (0, lam_3 - lam_4] (i = 4), where beta
-    governs the tail side.  ``envelope_integral`` takes the gap end."""
+    governs the tail side.  The gap end is the rate of op.modes.slowest()
+    on that side, the rate ``envelope_integral`` reads."""
     head, tail = sys.kernel.modes("direct").slowest()
     return (head, 0.0) if head is not None else (0.0, tail)
 

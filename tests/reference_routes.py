@@ -131,7 +131,7 @@ def L_functional(kernel: GreenKernel, E, t, t0, quad_tol=1e-12,
     """
     if hasattr(E, "channels_at"):
         grid_E = E
-        t_hi = grid_E.t_max
+        t_hi = float(grid_E.nodes[-1])
 
         def E(s):  # noqa: F811 - sampled function wrapper
             s = np.asarray(s, dtype=float)

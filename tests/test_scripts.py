@@ -34,6 +34,7 @@ def test_dump_reports_is_reproducible(tmp_path):
     for name in ("a", "b"):
         targets = dump(tmp_path / name, ["standard"], [0])
         assert [t.name for t in targets] == ["standard-seed0", "standard-seed0-trace",
+                                             "standard-seed0-solve", "standard-seed0-verify",
                                              "fail-window-root4", "fail-window-root1",
                                              "fail-domain-all", "fail-seed-roots123",
                                              "analyze-h2-powerlaw"]
@@ -43,6 +44,13 @@ def test_dump_reports_is_reproducible(tmp_path):
     assert ("standard-seed0", "wronskian.csv") in trees[0]
     assert ("standard-seed0", "trace_root1.csv") not in trees[0]
     assert ("standard-seed0-trace", "trace_root1.csv") in trees[0]
+    # the solve- and verify-mode trees: report.json and the z series, no
+    # ratios_root*.csv and no wronskian.csv
+    for mode in ("solve", "verify"):
+        tree = f"standard-seed0-{mode}"
+        assert sorted(p for t, p in trees[0] if t == tree) == (
+            ["report.json"] + [f"z_root{i}.csv" for i in range(1, 5)])
+        assert json.loads(trees[0][(tree, "report.json")])["problem"]["mode"] == mode
     # the analyze-mode problems: one report.json each
     assert [p for t, p in trees[0] if t.startswith(("fail-", "analyze-"))] == ["report.json"] * 5
     failing = json.loads(trees[0][("fail-window-root1", "report.json")])
@@ -110,7 +118,6 @@ def test_readme_library_example_runs():
     example = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     namespace = {}
     exec(compile(example, "README.md", "exec"), namespace)
-    assert namespace["trace"].converged
     assert namespace["ok"] and 0.0 < namespace["first"] <= 1.0
     assert namespace["code"] == 0
 
