@@ -284,8 +284,9 @@ def _cut_steps(modes, side, hi):
     sign, sided = (1.0, modes.head) if side == "head" else (-1.0, modes.tail)
     exps = np.array([sign * m.rate for m in sided])
     terms = np.array([[m.coef * m.rate**d for m in sided] for d in range(3)])
-    # S_d(u) = sum_m terms[d, m] exp(e_m u)
-    kinks = [z for row in terms for z in _exp_sum_zeros(row, exps, hi)]
+    # S_d(u) = sum_m terms[d, m] exp(e_m u), in Python floats: brentq's
+    # scalar calls of it run slower on numpy scalars
+    kinks = [z for row in terms.tolist() for z in _exp_sum_zeros(row, exps.tolist(), hi)]
     cuts = np.unique(np.append(kinks, 0.0))
     # signs of S_d between the cuts, scaled so that no exponent is positive
     probes = 0.5 * (cuts + np.append(cuts[1:], hi))
