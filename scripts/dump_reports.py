@@ -14,14 +14,15 @@ workload at seed 0: one with `trace=True`, to OUT/standard-seed0-trace/, so
 that the per-iteration `trace_root{i}.csv` series are compared too, and one
 each in modes solve and verify, to OUT/standard-seed0-solve/ and
 OUT/standard-seed0-verify/, so that the report.json those modes write is
-compared as well; and the analyze-mode reports of four problems whose roots fail, to
-OUT/fail-<name>/, so that the status and error of each failing root are
-compared as well: the standard spectrum with r0 = 0.001 sin(2t)/(1+t)^3
-(root 4's transform rises on the rho sample window), the hard spectrum with
-r0 = 0.001 sin(t) e^-t (root 1's does), the standard spectrum with
-r0 = 0.001 log(t - 1) (no root can evaluate it at t0 = 0) and the standard
-spectrum with r0 = 0.001 e^(3t) (the rho tail seed of roots 1-3 does not
-settle, and root 4's transform rises on the sample window).  It also
+compared as well; and the analyze-mode reports of four problems whose
+roots fail, to OUT/fail-<name>/, so that the status and error of each
+failing root are compared too: the standard spectrum with
+r0 = 0.001 sin(2t)/(1+t)^3 (root 4's transform rises on the rho sample
+window), the hard spectrum with r0 = 0.001 sin(t) e^-t (root 1's does), the
+standard spectrum with r0 = 0.001 log(t - 1) (no root can evaluate it at
+t0 = 0) and the standard spectrum with r0 = 0.001 e^(3t) (the rho tail seed
+of roots 1-3 does not settle, and root 4's transform rises on the sample
+window).  It also
 writes the analyze-mode report of the standard spectrum with
 r0 = 0.001/(1+t)^2, whose H2 functional decays like a power law and ends
 within a factor 5 of H2_TOL, to OUT/analyze-h2-powerlaw/.  The library

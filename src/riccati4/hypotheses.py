@@ -24,10 +24,10 @@ rho's window [t0, t0 + TAIL_DECAY_LENGTHS / min_gap].  Each of its three
 inner sums has at most three exponential terms and so at most two real zeros
 (Laguerre's rule of signs), located once per root with brentq.  With these
 kinks as cut points, w is one exponential sum per side between consecutive
-cuts, so L is an exact combination of the same head/tail transforms of |r_j|, one per
-kernel mode, read at t - cut and t + cut.  Each call samples the stack of
-|r_j| once, as rho_bound does, on one graded panel grid that holds every
-point read, and transforms it once per kernel mode.  The tail guard weighs
+cuts, so L is an exact combination of the same head/tail transforms of
+|r_j|, one per kernel mode, read at t - cut and t + cut.  Each call samples
+the stack of |r_j| once, as rho_bound does, on one graded panel grid that
+holds every point read, and transforms it once per kernel mode.  The tail guard weighs
 the kernel: when the part of L beyond TAIL_DECAY_LENGTHS slowest-mode decay
 lengths is not negligible, TailNotConvergent is raised.  The tests check L
 against the adaptive route, L_functional in tests/reference_routes.py.
@@ -100,12 +100,13 @@ def rho_bound(cd: CharacteristicData, roots, r, t0):
     The grid and the samples do not depend on the root; only the rates do.
     The grid joins RHO_GRID_NODES graded nodes on the window
     [t0, t0 + TAIL_DECAY_LENGTHS / min_gap] with RHO_SAMPLES log-spaced
-    offsets, and every nonzero |r_j| is sampled on its Gauss-Legendre points once, into one stack.  Each
-    side of each root is one head_transform or seeded tail_transform of the
-    whole stack, which forms each block's panel weights once for every r_j
-    and gives F_operator_eval at every node, the tail seeded past the window
-    to TAIL_TOL.  Root i's transform of r_j is its head plus its tail; its
-    values at the offsets must be non-increasing at the end of the window.
+    offsets, and every nonzero |r_j| is sampled on its Gauss-Legendre points
+    once, into one stack.  Each side of each root is one head_transform or
+    seeded tail_transform of the whole stack, which forms each block's panel
+    weights once for every r_j and gives F_operator_eval at every node, the
+    tail seeded past the window to TAIL_TOL.  Root i's transform of r_j is
+    its head plus its tail; its values at the offsets must be
+    non-increasing at the end of the window.
 
     A root whose pass fails maps to the SolverError that it meets first in
     r_j order: r_j's evaluation on the grid, r_j's tail seed, or
