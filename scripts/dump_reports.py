@@ -25,8 +25,10 @@ of roots 1-3 does not settle, and root 4's transform rises on the sample
 window).  It also
 writes the analyze-mode report of the standard spectrum with
 r0 = 0.001/(1+t)^2, whose H2 functional decays like a power law and ends
-within a factor 5 of H2_TOL, to OUT/analyze-h2-powerlaw/.  The library
-and the workloads are imported from the checkout that holds this script.
+within a factor 5 of H2_TOL, to OUT/analyze-h2-powerlaw/, and the full
+report of the standard spectrum with r0..r3 = 0, to OUT/zero-report/, so
+that the path of a zero forcing is compared too.  The library and the
+workloads are imported from the checkout that holds this script.
 Run it in two checkouts and compare the outputs with `diff -r`, or with
 scripts/compare_reports.py when numbers are expected to move.
 """
@@ -47,21 +49,22 @@ SEEDS = (0, 3)
 # (trace, mode)
 STANDARD_SEED0 = {"trace": (True, "report"), "solve": (False, "solve"),
                   "verify": (False, "verify")}
-# analyze-mode problems: tree name -> (workload spectrum, r0); the roots of
-# the fail- trees fail
-ANALYZED = {
-    "fail-window-root4": ("standard", "0.001*sin(2*t)/(1+t)^3"),
-    "fail-window-root1": ("hard", "0.001*sin(t)*exp(-t)"),
-    "fail-domain-all": ("standard", "0.001*log(t-1)"),
-    "fail-seed-roots123": ("standard", "0.001*exp(3*t)"),
-    "analyze-h2-powerlaw": ("standard", "0.001/(1+t)^2"),
+# problems with r1..r3 = 0: tree name -> (workload spectrum, r0, mode); the
+# roots of the fail- trees fail
+PROBLEMS = {
+    "fail-window-root4": ("standard", "0.001*sin(2*t)/(1+t)^3", "analyze"),
+    "fail-window-root1": ("hard", "0.001*sin(t)*exp(-t)", "analyze"),
+    "fail-domain-all": ("standard", "0.001*log(t-1)", "analyze"),
+    "fail-seed-roots123": ("standard", "0.001*exp(3*t)", "analyze"),
+    "analyze-h2-powerlaw": ("standard", "0.001/(1+t)^2", "analyze"),
+    "zero-report": ("standard", "0", "report"),
 }
 
 
 def dump(out, names=tuple(workloads.WORKLOADS), seeds=SEEDS):
     """Write OUT/<name>-seed<s>/ for every pair, then the trees
-    OUT/standard-seed0-<suffix>/ of STANDARD_SEED0 and the analyze-mode trees
-    of ANALYZED; returns the directories."""
+    OUT/standard-seed0-<suffix>/ of STANDARD_SEED0 and the trees of
+    PROBLEMS; returns the directories."""
     runs = [(f"{name}-seed{seed}", name, seed, False, "report")
             for name in names for seed in seeds]
     runs += [(f"standard-seed0-{suffix}", "standard", 0, trace, mode)
@@ -72,10 +75,10 @@ def dump(out, names=tuple(workloads.WORKLOADS), seeds=SEEDS):
         spec = replace(workloads.build_spec(name, seed), trace=trace)
         run_report(spec, out_dir=str(target), mode=mode)
         dirs.append(target)
-    for name, (spectrum, r0) in ANALYZED.items():
+    for name, (spectrum, r0, mode) in PROBLEMS.items():
         target = Path(out) / name
         spec = replace(workloads.build_spec(spectrum, 0), r0=r0, r1="0", r2="0", r3="0")
-        run_report(spec, out_dir=str(target), mode="analyze")
+        run_report(spec, out_dir=str(target), mode=mode)
         dirs.append(target)
     return dirs
 

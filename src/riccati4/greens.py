@@ -24,7 +24,8 @@ The pipeline solves and certifies with ``direct`` only.
 choice, kept as a library entry point; the adjoint family remains available
 for evaluating the printed closed forms.
 
-Pointwise evaluation of a kernel, the certificates of these properties (the
+Pointwise evaluation of a kernel, its per-branch bound data
+(``kernel_bound``), the certificates of these properties (the
 second-derivative limits at the diagonal, the annihilating cubic, the
 pointwise exponential bound) and the adaptive decay functional L(E)(t) are
 test references; they live in tests/reference_routes.py.
@@ -129,26 +130,6 @@ class GreenKernel:
                 jump=sign,
             )
         raise ValueError(f"unknown orientation {orientation!r}")
-
-    # --- exponential bounds -------------------------------------------------
-
-    def kernel_bound(self, d, orientation="adjoint"):
-        """Per-branch bound data: dict side -> (raw_coefficient, alpha).
-
-        |d^d g / dt^d| <= (raw_coefficient / |delta_gamma|) * exp(-alpha*(t-s))
-        on that side.  For the transposed family this reproduces the branch
-        constants sum |gamma_k - gamma_l| |gamma_j|^d and the rates alpha
-        (max gamma on the tail branch, min gamma on the head branch of the
-        one-sided cases).
-        """
-        m = self.modes(orientation)
-        scale = abs(self.delta_gamma)
-        out = {}
-        for side, modes, rate in zip(("head", "tail"), (m.head, m.tail), m.slowest()):
-            if modes:
-                coef = sum(abs(mode.coef) * abs(mode.rate) ** d for mode in modes) * scale
-                out[side] = (coef, -rate)
-        return out
 
 
 def kernel_for_root(cd, i) -> GreenKernel:

@@ -41,8 +41,8 @@ delta_w_i is the kernel normalization delta_gamma, alpha_{j,i} the branch
 coefficient sums at derivative order j, A_i their normalized total, and
 varsigma_i collects the nonlinearity coefficients scaled by the ball radius
 eta.  A_i is computed both from the closed-form root differences and from the
-kernel bounds; the two must agree exactly, which pins down the one root-index
-pattern whose displayed form disagrees with the kernel constants.
+adjoint kernel modes; the two must agree exactly, which pins down the one
+root-index pattern whose displayed form disagrees with the kernel constants.
 """
 
 from __future__ import annotations
@@ -229,13 +229,19 @@ def alpha_displayed(cd: CharacteristicData, i: int):
 
 
 def kernel_route_A(cd: CharacteristicData, i: int):
-    """A_i recomputed from the Green-kernel bound coefficients."""
+    """A_i recomputed from the adjoint Green-kernel modes: the sum over
+    d = 0, 1, 2 and over each side of sum |coef| |rate|^d."""
     kernel = kernel_for_root(cd, i)
+    modes = kernel.modes("adjoint")
+    scale = abs(kernel.delta_gamma)
     total = 0.0
     for d in range(3):
-        for side in kernel.kernel_bound(d, orientation="adjoint").values():
-            total += side[0]
-    return total / abs(kernel.delta_gamma)
+        for side in (modes.head, modes.tail):
+            # each side's sum is scaled by |delta_gamma| before it is added,
+            # as the printed branch constants are, and the total divided back;
+            # summing unscaled would move the last bits of A_kernel
+            total += sum(abs(m.coef) * abs(m.rate) ** d for m in side) * scale
+    return total / scale
 
 
 def smallness_check(rho, a_const, varsigma):

@@ -17,9 +17,9 @@ head/tail recurrences (``panel_recurrence``) then run over the whole grid.
 On request (``apply(z, integrals=True)``) the same pass forms the plain
 panel integrals of lam + z and of -Omega + F, the integrands of log y and of
 the asymptotic correction, and the operator keeps them for that z
-(``panel_integrals``).  The fixed-point certificate asks for them when
-synthesis follows, so synthesis reads them off the certificate's apply of the
-delivered z and no other stage reads z on the Gauss-Legendre points.
+(``panel_integrals``).  The fixed-point certificate always asks for them,
+so synthesis reads them off the certificate's apply of the delivered z and no
+other stage reads z on the Gauss-Legendre points.
 T(0) is a constant of the operator, computed on the first ``apply(None)``:
 Picard step 1 and the first-iterate ratio read the same object.  The panel
 weights take three grid-sized arrays, so the pipeline drops its operator
@@ -105,8 +105,7 @@ class IntegralOperator:
         self._coef_nodes = sample_coefficients(sys, self.grid.nodes)
         self._omega_gl = np.broadcast_to(self._coef_gl.omega, self.grid.gl_x.shape)
         self._omega_nodes = np.broadcast_to(self._coef_nodes.omega, self.grid.nodes.shape)
-        # a forcing that vanishes on the grid is taken to vanish past it
-        self._seeds = self._tail_seeds(self.omega) if np.any(self._omega_gl) else {}
+        self._seeds = self._tail_seeds(self.omega)
         # (mode, head, weights, decay) of each kernel mode, head modes first
         self._kernels = [(m, head, panel_weights(grid, m.rate, head),
                           panel_decay(grid, m.rate, head))
@@ -239,7 +238,7 @@ class IterationTrace:
 
 
 def iterate_to_fixed_point(op: IntegralOperator, fp_tol=FP_TOL, max_iter=MAX_ITER,
-                           eta=0.25, snapshot=None, integrals=True):
+                           eta=0.25, snapshot=None):
     """Plain Picard iteration of the operator op from omega_0 = 0.
 
     Returns (z, trace), z on op.grid, only once a step moves the iterate by
@@ -247,9 +246,8 @@ def iterate_to_fixed_point(op: IntegralOperator, fp_tol=FP_TOL, max_iter=MAX_ITE
     a factor 10 or deltas grow three steps in a row; MaxIterExceeded at the
     cap.  snapshot, when given, is called with (iteration, GridFunction)
     after every step.  The certificate
-    ||T z - z||_0 is one more apply of z; with integrals it also forms the
-    panel integrals that synthesis reads (``IntegralOperator.panel_integrals``),
-    which a caller that stops before synthesis leaves out.
+    ||T z - z||_0 is one more apply of z, which also forms the panel
+    integrals that synthesis reads (``IntegralOperator.panel_integrals``).
     """
     trace = IterationTrace()
 
@@ -275,7 +273,7 @@ def iterate_to_fixed_point(op: IntegralOperator, fp_tol=FP_TOL, max_iter=MAX_ITE
             snapshot(n, z_new)
         if delta <= fp_tol:
             trace.n_iter = n
-            trace.certificate = op.apply(z_new, integrals=integrals).diff_norm(z_new)
+            trace.certificate = op.apply(z_new, integrals=True).diff_norm(z_new)
             return z_new, trace
     raise MaxIterExceeded(f"no convergence in {max_iter} iterations")
 
@@ -309,8 +307,6 @@ def envelope_integral(op: IntegralOperator):
     head_rate, tail_rate = op.modes.slowest()
     p_gl = np.abs(op._omega_gl)
     out = np.zeros(op.grid.nodes.size)
-    if not np.any(p_gl):
-        return out
     if head_rate is not None:
         out += head_transform(op.grid, p_gl, head_rate)
     if tail_rate is not None:

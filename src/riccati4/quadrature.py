@@ -210,7 +210,9 @@ def _recurrence(decay: np.ndarray, rhs: np.ndarray, head: bool) -> np.ndarray:
 
 def exponential_tail_seed(f, grid: PanelGrid, rate: float, quad_tol: float) -> float:
     """integral_{t_max}^{inf} exp(rate*(t_max - s)) f(s) ds for callable f,
-    with t_max the last node of grid: the tail_seed of tail_transform.
+    with t_max the last node of grid: the tail_seed of tail_transform.  f
+    returns an array of the shape of its argument, or one scalar for a
+    constant forcing.
 
     The tail is cut where a panel starts TAIL_DECAY_LENGTHS decay lengths
     1/rate past t_max, on panels that start as wide as the last grid panel

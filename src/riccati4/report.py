@@ -165,13 +165,10 @@ def _run_root(spec: ProblemSpec, cd, i, mode, run: _RunShared):
         snapshots = [] if spec.trace else None
         collect = (lambda n, z: snapshots.append((n, z))) if spec.trace else None
         # one operator T per root: the solve and both certificates use it;
-        # the fixed-point certificate forms the synthesis integrals only when
-        # synthesis follows
+        # the fixed-point certificate forms the synthesis integrals
         op = picard.IntegralOperator(sys, grid, quad_tol=spec.quad_tol)
         z, trace = picard.iterate_to_fixed_point(
-            op, fp_tol=spec.fp_tol, max_iter=spec.max_iter, eta=spec.eta,
-            snapshot=collect, integrals=mode != "solve",
-        )
+            op, fp_tol=spec.fp_tol, max_iter=spec.max_iter, eta=spec.eta, snapshot=collect)
         residual_max = float(np.max(np.abs(residual_profile(sys, z))))
         # a solve that does not converge raises, and the root ends as its error
         result["solve"] = {

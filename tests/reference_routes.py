@@ -5,9 +5,10 @@ computes another way, so that a test can compare the two.  None of them is
 called by the pipeline:
 
 * the Green kernel evaluated at (t, s) and one side of it at t - s, and its
-  certificates: the pointwise exponential bound, the one-sided limits of the
-  second derivative at the diagonal and the cubic that annihilates the
-  kernel off the diagonal;
+  certificates: the per-branch bound data (hypotheses.kernel_route_A sums
+  the same coefficients off the adjoint modes), the pointwise exponential
+  bound, the one-sided limits of the second derivative at the diagonal and
+  the cubic that annihilates the kernel off the diagonal;
 * the decay functional L(E)(t) by adaptive quadrature (the pipeline
   integrates it on fixed panels in hypotheses.check_h2);
 * the forcing Omega and the perturbation maps Lambda1 and Lambda2, written
@@ -104,10 +105,29 @@ def cubic_coeffs(kernel: GreenKernel, orientation="direct"):
     return tuple(float(c) for c in poly[1:])
 
 
+def kernel_bound(kernel: GreenKernel, d, orientation="adjoint"):
+    """Per-branch bound data: dict side -> (raw_coefficient, alpha).
+
+    |d^d g / dt^d| <= (raw_coefficient / |delta_gamma|) * exp(-alpha*(t-s))
+    on that side.  For the transposed family this reproduces the branch
+    constants sum |gamma_k - gamma_l| |gamma_j|^d and the rates alpha
+    (max gamma on the tail branch, min gamma on the head branch of the
+    one-sided cases).
+    """
+    m = kernel.modes(orientation)
+    scale = abs(kernel.delta_gamma)
+    out = {}
+    for side, modes, rate in zip(("head", "tail"), (m.head, m.tail), m.slowest()):
+        if modes:
+            coef = sum(abs(mode.coef) * abs(mode.rate) ** d for mode in modes) * scale
+            out[side] = (coef, -rate)
+    return out
+
+
 def bound_value(kernel: GreenKernel, t, s, d, orientation="adjoint"):
     """Pointwise value of the exponential bound at (t, s)."""
     dt = np.asarray(t, dtype=float) - np.asarray(s, dtype=float)
-    bounds = kernel.kernel_bound(d, orientation)
+    bounds = kernel_bound(kernel, d, orientation)
     scale = abs(kernel.delta_gamma)
     out = np.zeros_like(np.asarray(dt, dtype=float))
     if "head" in bounds:
@@ -187,26 +207,23 @@ def operator_forcing(op, z):
     """The forcing of T z on op's grid as (samples at the Gauss-Legendre
     points, samples at the nodes, past): Omega, plus F(z, z', z'') unless z
     is None (the zero function), with z interpolated by channels_on.  past
-    is the callable whose integral beyond the grid seeds the tail: Omega, or
-    None when Omega vanishes on the grid."""
+    is the callable whose integral beyond the grid seeds the tail: Omega."""
     grid = op.grid
     k_gl = sample_coefficients(op.sys, grid.gl_x)
     k_nodes = sample_coefficients(op.sys, grid.nodes)
     f_gl = np.broadcast_to(k_gl.omega, grid.gl_x.shape)
     f_nodes = np.broadcast_to(k_nodes.omega, grid.nodes.shape)
-    past = op.omega if np.any(f_gl) else None
     if z is not None:
         f_gl = f_gl + F_nested(op.sys, k_gl, *z.channels_on())
         f_nodes = f_nodes + F_nested(op.sys, k_nodes, z.value, z.d1, z.d2)
-    return f_gl, f_nodes, past
+    return f_gl, f_nodes, op.omega
 
 
 def kernel_integral(op, f_gl, f_nodes, past):
     """The (value, d1, d2, d3) channels of the kernel integral of a forcing
     with samples f_gl and f_nodes on op's grid: one head_transform or
     tail_transform over the whole grid per kernel mode of op, each tail
-    seeded by the integral of the callable past beyond the grid (0 when
-    past is None)."""
+    seeded by the integral of the callable past beyond the grid."""
     grid, modes = op.grid, op.modes
     ch = np.zeros((4, grid.nodes.size))
     for m in modes.head:
@@ -214,7 +231,7 @@ def kernel_integral(op, f_gl, f_nodes, past):
         for d in range(4):
             ch[d] += m.coef * m.rate**d * h
     for m in modes.tail:
-        seed = 0.0 if past is None else exponential_tail_seed(past, grid, m.rate, op.quad_tol)
+        seed = exponential_tail_seed(past, grid, m.rate, op.quad_tol)
         k = tail_transform(grid, f_gl, m.rate, seed)
         for d in range(4):
             ch[d] += m.coef * m.rate**d * k

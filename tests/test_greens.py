@@ -14,6 +14,7 @@ from reference_routes import (
     L_functional,
     bound_value,
     cubic_coeffs,
+    kernel_bound,
     kernel_eval,
     second_derivative_limits,
     side_eval,
@@ -103,12 +104,12 @@ def test_bound_domination(gamma, orientation):
 
 def test_bound_coefficients_worked_example():
     k = GreenKernel.from_gamma((-1.0, -3.0, -4.0))
-    b0 = k.kernel_bound(0, "adjoint")
+    b0 = kernel_bound(k, 0, "adjoint")
     assert set(b0) == {"tail"}
     coef, alpha = b0["tail"]
     assert coef == pytest.approx(6.0)
     assert alpha == pytest.approx(-1.0)  # max gamma
-    b2 = k.kernel_bound(2, "adjoint")
+    b2 = kernel_bound(k, 2, "adjoint")
     assert b2["tail"][0] == pytest.approx(60.0)
 
 

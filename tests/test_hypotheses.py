@@ -19,10 +19,11 @@ from riccati4.hypotheses import (
     rho_bound,
     smallness_check,
 )
+from riccati4.problem import biharmonic_preset
 from riccati4.quadrature import make_panels
 from riccati4.spectra import characteristic_data
 
-from reference_routes import L_functional, two_sided_transform
+from reference_routes import L_functional, kernel_bound, two_sided_transform
 
 
 def test_class_transform_top_root(cd_test):
@@ -162,6 +163,46 @@ def test_contraction_constants_worked(cd_test):
     assert alpha == pytest.approx((6.0, 18.0, 60.0))
     assert a_const == pytest.approx(14.0)
     assert varsigma == pytest.approx(44.0)  # 25 + 76 * 0.25
+
+
+def _bound_route_A(cd, i):
+    """The reference kernel_bound coefficients of root i's adjoint kernel,
+    summed over d = 0, 1, 2 and over the sides, divided by |delta_gamma|."""
+    kernel = kernel_for_root(cd, i)
+    total = 0.0
+    for d in range(3):
+        for coef, _ in kernel_bound(kernel, d, "adjoint").values():
+            total += coef
+    return total / abs(kernel.delta_gamma)
+
+
+def _separated_spectra(count, seed):
+    """Random descending quadruples of roots at least 0.3 apart."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        roots = np.sort(rng.uniform(-8.0, 8.0, 4))[::-1]
+        if np.min(-np.diff(roots)) >= 0.3:
+            out.append(roots)
+    return out
+
+
+@pytest.mark.parametrize("name", ["standard", "hard", "biharmonic-fine", "random"])
+def test_kernel_route_A_sums_the_reference_bound_coefficients(name):
+    """kernel_route_A reads the adjoint modes itself; it keeps the bits of
+    the sum of the per-branch bound coefficients."""
+    if name == "standard":
+        coefficients = [(0.0, -5.0, 0.0, 4.0)]
+    elif name == "hard":
+        coefficients = [np.poly([5.0, 1.0, -2.0, -6.0])[1:]]
+    elif name == "biharmonic-fine":
+        coefficients = [biharmonic_preset(6, 6).a]
+    else:
+        coefficients = [np.poly(roots)[1:] for roots in _separated_spectra(20, 11)]
+    for a in coefficients:
+        cd = characteristic_data(tuple(float(c) for c in a))
+        for i in (1, 2, 3, 4):
+            assert kernel_route_A(cd, i) == _bound_route_A(cd, i)
 
 
 def test_constants_symmetry_and_kernel_agreement(cd_test):

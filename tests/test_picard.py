@@ -13,7 +13,7 @@ from riccati4.picard import (
     iterate_to_fixed_point,
     resolve_orientation,
 )
-from riccati4.quadrature import BLOCK_PANELS, graded_nodes, make_panels
+from riccati4.quadrature import BLOCK_PANELS, exponential_tail_seed, graded_nodes, make_panels
 from riccati4.riccati import build_system, residual_profile
 
 from reference_routes import (NoLimit, kernel_integral, operator_forcing, phi_sequence,
@@ -230,6 +230,20 @@ def test_envelope_zero_problem(cd_test, r_zero, grid_1024):
     op = IntegralOperator(sys1, grid_1024, "adjoint")
     ok, ratio = envelope_check(op, z, envelope_integral(op), 14.0)
     assert ok and ratio == 0.0
+
+
+def test_envelope_keeps_the_tail_of_a_forcing_that_vanishes_on_the_grid(cd_test):
+    """r0 = |t - 30| + (t - 30) is zero up to t = 30 and grows past it, so on
+    the standard spectrum's 256-node grid, which ends at t = 27.6, Omega
+    vanishes at every point sampled.  Root 4's envelope, a pure tail
+    transform, still ends at the tail seed of |Omega| past the grid."""
+    sys = build_system(cd_test, ("abs(t-30)+(t-30)", "0", "0", "0"), 4)
+    op = IntegralOperator(sys, default_grid(cd_test, 0.0, 256))
+    assert not np.any(op.omega(op.grid.gl_x)) and not np.any(op.omega(op.grid.nodes))
+    seed = exponential_tail_seed(lambda s: np.abs(op.omega(s)), op.grid,
+                                 op.modes.slowest()[1], op.quad_tol)
+    end = envelope_integral(op)[-1]
+    assert end != 0.0 and end == seed
 
 
 @pytest.mark.parametrize("foreign", ["more_nodes", "shifted_node"])

@@ -168,6 +168,8 @@ def test_tail_seed_rejects_growth_and_nonpositive_rate():
 TAIL_FORCINGS = {
     "inverse square": lambda s: 1.0 / (1.0 + s) ** 2,
     "constant": lambda s: np.full(np.shape(s), 3.0),
+    # a forcing may return one scalar, as Omega does when r0..r3 are all 0
+    "scalar constant": lambda s: -0.5,
     "oscillating": lambda s: np.exp(-0.3 * s) * (2.0 + np.sin(5.0 * s)),
 }
 # the geometric tail panels grow past the period of sin(5t) long before

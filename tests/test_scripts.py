@@ -37,7 +37,7 @@ def test_dump_reports_is_reproducible(tmp_path):
                                              "standard-seed0-solve", "standard-seed0-verify",
                                              "fail-window-root4", "fail-window-root1",
                                              "fail-domain-all", "fail-seed-roots123",
-                                             "analyze-h2-powerlaw"]
+                                             "analyze-h2-powerlaw", "zero-report"]
         trees.append({(t.name, p.name): p.read_bytes()
                       for t in targets for p in t.iterdir()})
     assert ("standard-seed0", "report.json") in trees[0]
@@ -57,6 +57,11 @@ def test_dump_reports_is_reproducible(tmp_path):
     assert [failing["roots"][i]["status"] for i in "1234"] == ["error"] + ["analyzed"] * 3
     powerlaw = json.loads(trees[0][("analyze-h2-powerlaw", "report.json")])
     assert [powerlaw["roots"][i]["h2"]["verdict"] for i in "1234"] == ["PASS"] * 4
+    # the zero forcing: a full report that passes, with every series
+    assert sorted(p for t, p in trees[0] if t == "zero-report") == sorted(
+        p for t, p in trees[0] if t == "standard-seed0")
+    zero = json.loads(trees[0][("zero-report", "report.json")])
+    assert zero["overall_pass"] and zero["problem"]["r"] == ["0"] * 4
     assert trees[0] == trees[1]
 
 
