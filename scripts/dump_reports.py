@@ -27,8 +27,12 @@ writes the analyze-mode report of the standard spectrum with
 r0 = 0.001/(1+t)^2, whose H2 functional decays like a power law and ends
 within a factor 5 of H2_TOL, to OUT/analyze-h2-powerlaw/, and the full
 report of the standard spectrum with r0..r3 = 0, to OUT/zero-report/, so
-that the path of a zero forcing is compared too.  The library and the
-workloads are imported from the checkout that holds this script.
+that the path of a zero forcing is compared too, and the full report of the
+spectrum (40, 1, -1, -40) with r0 = 0.001 e^-t on 256 nodes, to
+OUT/stiff-coarse/: there the fastest kernel rate times the widest panel is
+8.65, so the run grid keeps the 16-point rule, and that branch is compared
+too.  The library and the workloads are imported from the checkout that
+holds this script.
 Run it in two checkouts and compare the outputs with `diff -r`, or with
 scripts/compare_reports.py when numbers are expected to move.
 """
@@ -43,6 +47,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import workloads  # noqa: E402  (the benchmark's problem builder, read-only)
 from riccati4.report import run_report  # noqa: E402
+from riccati4.spectra import vieta_coefficients  # noqa: E402
 
 SEEDS = (0, 3)
 # runs of the standard workload at seed 0 besides its report: tree suffix ->
@@ -50,7 +55,7 @@ SEEDS = (0, 3)
 STANDARD_SEED0 = {"trace": (True, "report"), "solve": (False, "solve"),
                   "verify": (False, "verify")}
 # problems with r1..r3 = 0: tree name -> (workload spectrum, r0, mode); the
-# roots of the fail- trees fail
+# roots of the fail- trees fail; FIELDS overrides more of a problem's spec
 PROBLEMS = {
     "fail-window-root4": ("standard", "0.001*sin(2*t)/(1+t)^3", "analyze"),
     "fail-window-root1": ("hard", "0.001*sin(t)*exp(-t)", "analyze"),
@@ -58,7 +63,11 @@ PROBLEMS = {
     "fail-seed-roots123": ("standard", "0.001*exp(3*t)", "analyze"),
     "analyze-h2-powerlaw": ("standard", "0.001/(1+t)^2", "analyze"),
     "zero-report": ("standard", "0", "report"),
+    "stiff-coarse": ("standard", "0.001*exp(-t)", "report"),
 }
+FIELDS = {"stiff-coarse": dict(zip(("a3", "a2", "a1", "a0"),
+                                   vieta_coefficients((40.0, 1.0, -1.0, -40.0))),
+                               nodes=256)}
 
 
 def dump(out, names=tuple(workloads.WORKLOADS), seeds=SEEDS):
@@ -77,7 +86,8 @@ def dump(out, names=tuple(workloads.WORKLOADS), seeds=SEEDS):
         dirs.append(target)
     for name, (spectrum, r0, mode) in PROBLEMS.items():
         target = Path(out) / name
-        spec = replace(workloads.build_spec(spectrum, 0), r0=r0, r1="0", r2="0", r3="0")
+        spec = replace(workloads.build_spec(spectrum, 0), r0=r0, r1="0", r2="0", r3="0",
+                       **FIELDS.get(name, {}))
         run_report(spec, out_dir=str(target), mode=mode)
         dirs.append(target)
     return dirs

@@ -7,8 +7,9 @@ channel, pairing each channel with the next one as its slope, so the three
 channels stay mutually consistent to interpolation accuracy.
 
 The Gauss-Legendre nodes sit at the same relative place u = (1 + xi) / 2 in
-every panel, so the Hermite basis there is one (4, GL_ORDER) matrix
-(``_GL_HERMITE``); only the slope terms scale with the panel width.
+every panel, so the Hermite basis there is one (4, order) matrix per rule
+(``_gl_hermite``, at the abscissae of the grid's rule, 8 or 16 points); only
+the slope terms scale with the panel width.
 ``channels_on`` contracts each panel's end values and width-scaled slopes
 with it, for all panels or a slice of them: the Picard operator works one
 block of panels at a time, and its pass is the only one of a run that reads
@@ -18,11 +19,12 @@ z there.  ``channels_at`` serves arbitrary points.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from .errors import NonFinite
-from .quadrature import GL_X, PanelGrid
+from .quadrature import PanelGrid, gl_rule
 
 
 def hermite_basis(left, width, x):
@@ -46,8 +48,11 @@ def hermite_eval(nodes, values, slopes, x):
     return h00 * values[idx] + h10 * slopes[idx] + h01 * values[idx + 1] + h11 * slopes[idx + 1]
 
 
-# rows h00, h10, h01, h11 at the Gauss-Legendre nodes of the unit panel
-_GL_HERMITE = np.stack(hermite_basis(0.0, 1.0, 0.5 * (1.0 + GL_X)))
+@cache
+def _gl_hermite(order: int) -> np.ndarray:
+    """Rows h00, h10, h01, h11 at the nodes of the order-point Gauss-Legendre
+    rule on the unit panel, shape (4, order)."""
+    return np.stack(hermite_basis(0.0, 1.0, 0.5 * (1.0 + gl_rule(order)[0])))
 
 
 @dataclass(frozen=True)
@@ -86,17 +91,18 @@ class GridFunction:
         shape (N-1, GL order), or of the panels of the slice `panels`.  A
         panel's row has the same bits in every slice that holds it."""
         width = self.nodes[1:][panels] - self.nodes[:-1][panels]
-        return (self._on(self.value, self.d1, width, panels),
-                self._on(self.d1, self.d2, width, panels),
-                self._on(self.d2, self.d3, width, panels))
+        basis = _gl_hermite(self.grid.order)
+        return (self._on(self.value, self.d1, width, panels, basis),
+                self._on(self.d1, self.d2, width, panels, basis),
+                self._on(self.d2, self.d3, width, panels, basis))
 
     @staticmethod
-    def _on(values, slopes, width, panels):
+    def _on(values, slopes, width, panels, basis):
         ends = np.stack((values[:-1][panels], width * slopes[:-1][panels],
                          values[1:][panels], width * slopes[1:][panels]), axis=1)
         # einsum, not matmul: matmul may route a 1-row slice to another BLAS
         # kernel, whose row then differs in its last bits
-        return np.einsum("pk,kj->pj", ends, _GL_HERMITE)
+        return np.einsum("pk,kj->pj", ends, basis)
 
     def norm_c02(self):
         """sup over nodes of |z| + |z'| + |z''|."""

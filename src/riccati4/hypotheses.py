@@ -15,7 +15,9 @@ not.  So rho_bound is one pass over all the roots of a run: it builds the
 grid once, samples each |r_j| once into one stack, and transforms the whole
 stack in one call per (root, side), which forms each block's panel weights
 once for every r_j; the report runs it before the roots and hands each
-root its bound.
+root its bound.  The grid's rule is ``quadrature.gl_order``'s at the largest
+neighbouring gap, the fastest rate of these transforms: 8 points on the
+benchmark workloads.  H2's grid keeps 16 points.
 
 The decay hypothesis H2 is checked on the kernel functional
 L(t) = integral of w(|t - s|) |r_j(s)| ds, where w = |g| + |g_t| + |g_tt| of
@@ -57,8 +59,8 @@ from . import exprlang
 from .errors import SolverError, TailNotConvergent
 from .greens import kernel_for_root
 from .quadrature import (TAIL_DECAY_LENGTHS, adaptive_interval, adaptive_semi_infinite,
-                         exponential_tail_seed, graded_nodes, head_transform, make_panels,
-                         tail_transform)
+                         exponential_tail_seed, gl_order, graded_nodes, head_transform,
+                         make_panels, tail_transform)
 from .spectra import CharacteristicData
 
 H2_TOL = 1e-6
@@ -100,8 +102,9 @@ def rho_bound(cd: CharacteristicData, roots, r, t0):
     The grid and the samples do not depend on the root; only the rates do.
     The grid joins RHO_GRID_NODES graded nodes on the window
     [t0, t0 + TAIL_DECAY_LENGTHS / min_gap] with RHO_SAMPLES log-spaced
-    offsets, and every nonzero |r_j| is sampled on its Gauss-Legendre points
-    once, into one stack.  Each side of each root is one head_transform or
+    offsets, with gl_order's rule at the largest neighbouring gap, and every
+    nonzero |r_j| is sampled on its Gauss-Legendre points once, into one
+    stack.  Each side of each root is one head_transform or
     seeded tail_transform of the whole stack, which forms each block's panel
     weights once for every r_j and gives F_operator_eval at every node, the
     tail seeded past the window to TAIL_TOL.  Root i's transform of r_j is
@@ -114,7 +117,9 @@ def rho_bound(cd: CharacteristicData, roots, r, t0):
     """
     t_span = TAIL_DECAY_LENGTHS / cd.min_gap
     samples = t0 + np.concatenate([[0.0], np.geomspace(1e-3, t_span, RHO_SAMPLES - 1)])
-    panels = make_panels(np.union1d(graded_nodes(t0, t0 + t_span, RHO_GRID_NODES), samples))
+    nodes = np.union1d(graded_nodes(t0, t0 + t_span, RHO_GRID_NODES), samples)
+    largest_gap = max(a - b for a, b in zip(cd.lam, cd.lam[1:]))
+    panels = make_panels(nodes, gl_order(nodes, largest_gap))
     at_samples = np.searchsorted(panels.nodes, samples)
     exprs, f_gl, sampled = _abs_samples(r, panels)
     bounds = {}

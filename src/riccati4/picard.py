@@ -25,8 +25,12 @@ Picard step 1 and the first-iterate ratio read the same object.  The panel
 weights take three grid-sized arrays, so the pipeline drops its operator
 once synthesis has read its integrals.
 
-A run works on one PanelGrid, the one ``default_grid`` returns.  Each root
-builds one IntegralOperator on it, and the fixed-point iteration, the
+A run works on one PanelGrid, the one ``default_grid`` returns.  Its panels
+carry the 8-point Gauss-Legendre rule where ``quadrature.gl_order`` finds it
+exact to rounding at the fastest kernel rate lam_1 - lam_4 (all three
+benchmark workloads), and 16 points otherwise; the tail seeds and the
+orientation probe keep 16.  Each root builds one IntegralOperator on it,
+and the fixed-point iteration, the
 envelope and the first-iterate ratio all take that operator: they share its
 orientation, its quadrature tolerance, its grid and its Omega samples, and
 every GridFunction they produce carries its grid.  Omega is read only through
@@ -54,6 +58,7 @@ from .grid import GridFunction
 from .quadrature import (
     PanelGrid,
     exponential_tail_seed,
+    gl_order,
     graded_nodes,
     head_transform,
     make_panels,
@@ -82,10 +87,12 @@ def default_t_max(cd, t0):
 
 def default_grid(cd, t0, n_nodes=DEFAULT_NODES, t_max=None) -> PanelGrid:
     """The panel grid of a run on n_nodes graded nodes over [t0, t_max];
-    ValueError when its Gauss-Legendre nodes leave their panels."""
+    ValueError when its Gauss-Legendre nodes leave their panels.  Its rule
+    is gl_order's at lam_1 - lam_4, the fastest kernel rate of any root."""
     if t_max is None:
         t_max = default_t_max(cd, t0)
-    grid = make_panels(graded_nodes(t0, t_max, n_nodes))
+    nodes = graded_nodes(t0, t_max, n_nodes)
+    grid = make_panels(nodes, gl_order(nodes, cd.lam[0] - cd.lam[-1]))
     grid.check_gl_nodes()
     return grid
 

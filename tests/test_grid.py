@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from riccati4.grid import _GL_HERMITE, GridFunction
+from riccati4.grid import GridFunction, _gl_hermite
 from riccati4.picard import IntegralOperator
 from riccati4.quadrature import BLOCK_PANELS, PanelGrid, graded_nodes, make_panels, panel_blocks
 
@@ -22,19 +22,21 @@ def jittered_uniform(n, seed):
                          ids=["graded-8192", "jittered-uniform"])
 def test_channels_on_reads_each_panel_the_same_in_every_slice(nodes):
     """The Picard operator reads z one block of panels at a time, so a
-    panel's row must not depend on the slice it is read in."""
-    panels = make_panels(nodes)
-    z = random_function(panels, 1)
-    whole = z.channels_on()
-    n = panels.gl_x.shape[0]
-    blocks = panel_blocks(panels)
-    assert blocks[-1].stop - blocks[-1].start < BLOCK_PANELS  # a partial last block
-    parts = blocks + [slice(0, 1), slice(n // 2, n // 2 + 1), slice(n - 1, None),
-                      slice(3, 200), slice(n - 10, None)]
-    for part in parts:
-        for on, row in zip(z.channels_on(part), whole):
-            assert on.shape == panels.gl_x[part].shape
-            assert on.tobytes() == row[part].tobytes()
+    panel's row must not depend on the slice it is read in, with either
+    rule."""
+    for order in (8, 16):
+        panels = make_panels(nodes, order)
+        z = random_function(panels, 1)
+        whole = z.channels_on()
+        n = panels.gl_x.shape[0]
+        blocks = panel_blocks(panels)
+        assert blocks[-1].stop - blocks[-1].start < BLOCK_PANELS  # a partial last block
+        parts = blocks + [slice(0, 1), slice(n // 2, n // 2 + 1), slice(n - 1, None),
+                          slice(3, 200), slice(n - 10, None)]
+        for part in parts:
+            for on, row in zip(z.channels_on(part), whole):
+                assert on.shape == (len(range(n)[part]), order)
+                assert on.tobytes() == row[part].tobytes()
 
 
 @pytest.mark.parametrize("nodes", [graded_nodes(0.0, 30.0, 8192), jittered_uniform(500, 4)],
@@ -47,24 +49,26 @@ def test_both_routes_reproduce_a_cubic(nodes):
     sums, bounded by 16 eps times the sum of the terms' moduli.  The point
     adds 16 eps |x| |s(x)|: channels_on evaluates at the exact
     Gauss-Legendre point, which gl_x rounds, and channels_at's u = (x - left)
-    / width rounds too."""
-    panels = make_panels(nodes)
+    / width rounds too.  Both rules are checked."""
     poly = np.polynomial.Polynomial([0.7, -1.3, 0.45, -0.02])
     derivs = [poly.deriv(d) for d in range(4)]
-    on_nodes = [d(panels.nodes) for d in derivs]
-    z = GridFunction(panels, *on_nodes)
-    x = panels.gl_x
-    exact = [d(x.astype(np.longdouble)) for d in derivs]
-    width = (panels.nodes[1:] - panels.nodes[:-1])[:, None]
-    h = np.abs(_GL_HERMITE)[:, None, :]
     eps = np.finfo(float).eps
-    for route in (z.channels_on(), z.channels_at(x)):
-        for k, got in enumerate(route):
-            v, s = on_nodes[k:k + 2]
-            terms = (h[0] * np.abs(v[:-1, None]) + h[1] * np.abs(width * s[:-1, None])
-                     + h[2] * np.abs(v[1:, None]) + h[3] * np.abs(width * s[1:, None]))
-            bound = 16.0 * eps * (terms + np.abs(x) * np.abs(exact[k + 1]))
-            assert np.all(np.abs(got - exact[k]) <= bound)
+    for order in (8, 16):
+        panels = make_panels(nodes, order)
+        on_nodes = [d(panels.nodes) for d in derivs]
+        z = GridFunction(panels, *on_nodes)
+        x = panels.gl_x
+        exact = [d(x.astype(np.longdouble)) for d in derivs]
+        width = (panels.nodes[1:] - panels.nodes[:-1])[:, None]
+        h = np.abs(_gl_hermite(order))[:, None, :]
+        for route in (z.channels_on(), z.channels_at(x)):
+            for k, got in enumerate(route):
+                assert got.shape == (panels.nodes.size - 1, order)
+                v, s = on_nodes[k:k + 2]
+                terms = (h[0] * np.abs(v[:-1, None]) + h[1] * np.abs(width * s[:-1, None])
+                         + h[2] * np.abs(v[1:, None]) + h[3] * np.abs(width * s[1:, None]))
+                bound = 16.0 * eps * (terms + np.abs(x) * np.abs(exact[k + 1]))
+                assert np.all(np.abs(got - exact[k]) <= bound)
 
 
 def test_operator_output_carries_the_operator_grid(eps_systems, grid_1024):

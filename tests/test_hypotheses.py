@@ -121,8 +121,8 @@ def test_rho_bound_is_the_unbatched_transform(monkeypatch, cd_test, problem):
     cd, r = (cd_test, _TEST_R + ("0",)) if problem == "test" else (_HARD_CD, _HARD_R)
     grids = []
 
-    def kept(nodes):
-        grids.append(make_panels(nodes))
+    def kept(nodes, order):
+        grids.append(make_panels(nodes, order))
         return grids[-1]
 
     monkeypatch.setattr(hypotheses, "make_panels", kept)

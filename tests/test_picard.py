@@ -1,6 +1,10 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from riccati4 import hypotheses
 from riccati4.errors import Diverged, MaxIterExceeded
 from riccati4.grid import GridFunction
 from riccati4.hypotheses import envelope_report, rho_bound
@@ -13,8 +17,11 @@ from riccati4.picard import (
     iterate_to_fixed_point,
     resolve_orientation,
 )
-from riccati4.quadrature import BLOCK_PANELS, exponential_tail_seed, graded_nodes, make_panels
+from riccati4.quadrature import (BLOCK_PANELS, GL8_MAX_RATE_WIDTH, exponential_tail_seed,
+                                 gl_order, graded_nodes, head_transform, make_panels,
+                                 tail_transform)
 from riccati4.riccati import build_system, residual_profile
+from riccati4.spectra import characteristic_data, vieta_coefficients
 
 from reference_routes import (NoLimit, kernel_integral, operator_forcing, phi_sequence,
                               probe_residuals, two_sided_transform)
@@ -311,3 +318,115 @@ def test_orientation_fixed_points_differ_by_first_iterates(eps_systems, grid_102
     assert np.max(np.abs(gap)) > 1e-5  # genuinely different objects
     second_order = np.max(np.abs(gap - (t0_dir.value - t0_adj.value)))
     assert second_order <= 1e-8
+
+
+def _workload_specs():
+    """{name: ProblemSpec} of the benchmark workloads at seed 0, from
+    perfbench/workloads.py (read-only)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return {name: module.build_spec(name, 0) for name in module.WORKLOADS}
+
+
+def _problem(spec):
+    """(characteristic data, perturbations, nodes, t0, t_max) of a spec."""
+    cd = characteristic_data(spec.a, root_tol=spec.root_tol, gap_tol=spec.gap_tol)
+    return cd, spec.parsed_r(), spec.nodes, spec.t0, spec.t_max
+
+
+def test_gl_order_switches_at_the_rate_width_cut():
+    nodes = np.array([0.0, 0.5, 1.0])
+    assert gl_order(nodes, 2.0 * GL8_MAX_RATE_WIDTH) == 8
+    assert gl_order(nodes, -2.0 * GL8_MAX_RATE_WIDTH) == 8
+    assert gl_order(nodes, np.nextafter(2.0 * GL8_MAX_RATE_WIDTH, np.inf)) == 16
+
+
+def test_default_grid_takes_8_points_on_the_workloads_and_16_on_a_coarse_stiff_grid(
+        monkeypatch):
+    """The run grid (rate lam_1 - lam_4 times the widest panel: 0.11, 1.15
+    and 0.044) and rho's grid use 8 points on the three workload spectra at
+    their node counts; the run grid on (40, 1, -1, -40) at 256 nodes, where
+    that product is 8.65, keeps 16."""
+    rho_orders = []
+
+    def kept(nodes, order):
+        rho_orders.append(order)
+        return make_panels(nodes, order)
+
+    monkeypatch.setattr(hypotheses, "make_panels", kept)
+    for spec in _workload_specs().values():
+        cd, r, nodes, t0, t_max = _problem(spec)
+        grid = default_grid(cd, t0, nodes, t_max)
+        assert grid.order == 8 and grid.gl_x.shape == grid.gl_w.shape == (nodes - 1, 8)
+        rho_bound(cd, (1, 2, 3, 4), r, t0)
+    assert rho_orders == [8, 8, 8]
+
+    cd = characteristic_data(vieta_coefficients((40.0, 1.0, -1.0, -40.0)))
+    grid = default_grid(cd, 0.0, 256)
+    assert (cd.lam[0] - cd.lam[-1]) * grid.widths.max() == pytest.approx(8.65, abs=0.01)
+    assert grid.order == 16 and grid.gl_x.shape == (255, 16)
+
+
+def _modulus_image(op, z):
+    """The scale of the rounding of T z's channels: the sum over op's kernel
+    modes of |coef| |rate|^d times the transform of |Omega + F(z)| (tails
+    seeded by |Omega|), plus |jump| |Omega + F(z)| at the nodes in d3."""
+    f_gl, f_nodes, past = operator_forcing(op, z)
+    f_gl = np.abs(f_gl)
+    ch = np.zeros((4, op.grid.nodes.size))
+    for m in op.modes.head + op.modes.tail:
+        if m.rate < 0.0:
+            x = head_transform(op.grid, f_gl, m.rate)
+        else:
+            seed = exponential_tail_seed(lambda s: np.abs(past(s)), op.grid, m.rate,
+                                         op.quad_tol)
+            x = tail_transform(op.grid, f_gl, m.rate, seed)
+        for d in range(4):
+            ch[d] += abs(m.coef) * abs(m.rate)**d * x
+    ch[3] += abs(op.modes.jump) * np.abs(f_nodes)
+    return ch
+
+
+@pytest.mark.parametrize("problem", ["standard", "hard", "biharmonic-fine", "stiff"])
+def test_the_8_point_run_grid_gives_the_z_of_the_16_point_rule(problem, r_eps):
+    """z solved on the 8-point run grid matches z solved with 16 points on
+    the same nodes, channel by channel, to the rounding of the transforms.
+
+    At rate times width <= 1.15 both rules' remainders are below 5e-16
+    relative (quadrature's module docstring), so the two solves differ by
+    their rounding.  Per side, each channel of T z is within gamma_K S of
+    its value in exact arithmetic (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., 2002, ch. 3), with S the same channel
+    formed from |coef| |rate|^d and |Omega + F(z)| (_modulus_image) and K
+    counting the relative errors along each term's path: a (t_max - t0) for
+    the rounded abscissae, at most 16 for the weight, the product and the
+    panel sum, 3 N for the N panels' decays, products and sums of the
+    recurrence, and 20 for the remainder, the forcing's own rounding and the
+    mode sum.  Picard carries earlier steps' rounding in with the factor of
+    its observed contraction q, so the gap is at most 2 gamma_K S / (1 - q).
+    The stiff problem is (100, 50, -50, -100) with r0 = 0.001 e^-t on 2048
+    nodes."""
+    if problem == "stiff":
+        cd = characteristic_data(vieta_coefficients((100.0, 50.0, -50.0, -100.0)))
+        r, nodes, t0, t_max = r_eps, 2048, 0.0, None
+    else:
+        cd, r, nodes, t0, t_max = _problem(_workload_specs()[problem])
+    grid = default_grid(cd, t0, nodes, t_max)
+    wide = make_panels(grid.nodes, 16)
+    assert grid.order == 8
+    k = ((cd.lam[0] - cd.lam[-1]) * (grid.nodes[-1] - grid.nodes[0]) + 16
+         + 3 * grid.nodes.size + 20)
+    u = np.finfo(float).eps / 2
+    gamma = k * u / (1.0 - k * u)
+    for i in (1, 2, 3, 4):
+        sys_i = build_system(cd, r, i)
+        z8, _ = iterate_to_fixed_point(IntegralOperator(sys_i, grid))
+        op = IntegralOperator(sys_i, wide)
+        z16, trace = iterate_to_fixed_point(op)
+        q = max(trace.contraction, default=0.0)
+        assert q < 0.5
+        scale = _modulus_image(op, z16)
+        for got, want, s in zip(channels(z8), channels(z16), scale):
+            assert np.all(np.abs(got - want) <= 2.0 * gamma * s / (1.0 - q))

@@ -285,8 +285,8 @@ def _rho_grid_work(monkeypatch):
         finally:
             inside.pop()
 
-    def kept(nodes):
-        grid = make_panels(nodes)
+    def kept(nodes, *order):
+        grid = make_panels(nodes, *order)
         if inside:
             grids.append(grid)
         return grid
@@ -370,8 +370,8 @@ def hard_h2_work(monkeypatch):
         finally:
             inside.pop()
 
-    def kept(nodes):
-        grid = make_panels(nodes)
+    def kept(nodes, *order):
+        grid = make_panels(nodes, *order)
         if inside:
             inside[-1][0].append(grid)
         return grid

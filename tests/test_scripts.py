@@ -37,7 +37,8 @@ def test_dump_reports_is_reproducible(tmp_path):
                                              "standard-seed0-solve", "standard-seed0-verify",
                                              "fail-window-root4", "fail-window-root1",
                                              "fail-domain-all", "fail-seed-roots123",
-                                             "analyze-h2-powerlaw", "zero-report"]
+                                             "analyze-h2-powerlaw", "zero-report",
+                                             "stiff-coarse"]
         trees.append({(t.name, p.name): p.read_bytes()
                       for t in targets for p in t.iterdir()})
     assert ("standard-seed0", "report.json") in trees[0]
@@ -62,6 +63,14 @@ def test_dump_reports_is_reproducible(tmp_path):
         p for t, p in trees[0] if t == "standard-seed0")
     zero = json.loads(trees[0][("zero-report", "report.json")])
     assert zero["overall_pass"] and zero["problem"]["r"] == ["0"] * 4
+    # the stiff spectrum on 256 nodes, whose run grid keeps 16 points: a full
+    # report, one z row per node
+    assert sorted(p for t, p in trees[0] if t == "stiff-coarse") == sorted(
+        p for t, p in trees[0] if t == "standard-seed0")
+    stiff = json.loads(trees[0][("stiff-coarse", "report.json")])
+    assert stiff["problem"]["nodes"] == 256
+    assert [stiff["roots"][i]["status"] for i in "1234"] == ["ok"] * 4
+    assert trees[0][("stiff-coarse", "z_root1.csv")].count(b"\r\n") == 257
     assert trees[0] == trees[1]
 
 
