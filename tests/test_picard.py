@@ -401,11 +401,12 @@ def test_the_8_point_run_grid_gives_the_z_of_the_16_point_rule(problem, r_eps):
     Numerical Algorithms, 2nd ed., 2002, ch. 3), with S the same channel
     formed from |coef| |rate|^d and |Omega + F(z)| (_modulus_image) and K
     counting the relative errors along each term's path: a (t_max - t0) for
-    the rounded abscissae, at most 16 for the weight, the product and the
-    panel sum, 3 N for the N panels' decays, products and sums of the
-    recurrence, and 20 for the remainder, the forcing's own rounding and the
-    mode sum.  Picard carries earlier steps' rounding in with the factor of
-    its observed contraction q, so the gap is at most 2 gamma_K S / (1 - q).
+    the rounded abscissae (a = lam_1 - lam_4), 20 for the weight, its
+    product with f and a 16-point panel sum, 3 N for the N panels' decays,
+    products and sums of the recurrence, and 20 for the mode sum, the
+    forcing's own rounding and the remainder.  Picard carries earlier steps'
+    rounding in with the factor of its observed contraction q, so the gap is
+    at most 2 gamma_K S / (1 - q).
     The stiff problem is (100, 50, -50, -100) with r0 = 0.001 e^-t on 2048
     nodes."""
     if problem == "stiff":
@@ -416,7 +417,7 @@ def test_the_8_point_run_grid_gives_the_z_of_the_16_point_rule(problem, r_eps):
     grid = default_grid(cd, t0, nodes, t_max)
     wide = make_panels(grid.nodes, 16)
     assert grid.order == 8
-    k = ((cd.lam[0] - cd.lam[-1]) * (grid.nodes[-1] - grid.nodes[0]) + 16
+    k = ((cd.lam[0] - cd.lam[-1]) * (grid.nodes[-1] - grid.nodes[0]) + 20
          + 3 * grid.nodes.size + 20)
     u = np.finfo(float).eps / 2
     gamma = k * u / (1.0 - k * u)
